@@ -14,26 +14,20 @@ import pathlib
 
 import numpy as np
 
-from symgates.cli import fmt_float
-from symgates.entanglement import PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER, entangling_power
-from symgates.gates import gate
+from symgates.cli import SWEEP_HEADER, sweep_blocks, write_csv
+from symgates.entanglement import PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER
 
 
 def sweep(k: int, theta_max: float, steps: int, out_dir: pathlib.Path) -> None:
-    thetas = np.linspace(0.0, theta_max, steps)
-    rows = []
-    window = []
+    blocks = list(sweep_blocks(k, np.linspace(0.0, theta_max, steps)))
+    write_csv(out_dir / f"b{k}_sweep.csv", SWEEP_HEADER, blocks)
+    rows = [row for block in blocks for row in zip(*block)]
+    window = [theta for theta, _, _, cls in rows
+              if cls in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)]
     best = (0.0, 0.0)
-    for theta in thetas:
-        report = entangling_power(gate(k, float(theta)))
-        rows.append(",".join([fmt_float(theta), fmt_float(report.g1_abs),
-                              fmt_float(report.ep), report.classification]))
-        if report.classification in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER):
-            window.append(float(theta))
-        if report.ep > best[1]:
-            best = (float(theta), report.ep)
-    path = out_dir / f"b{k}_sweep.csv"
-    path.write_text("theta,g1_abs,ep,class\n" + "\n".join(rows) + "\n")
+    for theta, _, ep, _ in rows:
+        if ep > best[1]:
+            best = (theta, ep)
     if window:
         summary = f"perfect entangler for theta in [{window[0]:.6f}, {window[-1]:.6f}]"
     else:

@@ -15,8 +15,7 @@ import pathlib
 
 import numpy as np
 
-from symgates.cli import fmt_float
-from symgates.entanglement import lmg_entanglement_profile
+from symgates.cli import LMG_HEADER, lmg_blocks, write_csv
 
 
 def main() -> None:
@@ -28,16 +27,14 @@ def main() -> None:
     parser.add_argument("--out", type=pathlib.Path, default=pathlib.Path("out/lmg_profile.csv"))
     args = parser.parse_args()
 
-    grid = np.linspace(0.0, args.t_max, args.steps)
-    points = lmg_entanglement_profile(args.g1, args.g2, grid)
+    blocks = list(lmg_blocks(args.g1, args.g2, np.linspace(0.0, args.t_max, args.steps)))
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    rows = [",".join([fmt_float(p.t), fmt_float(p.ep), fmt_float(p.concurrence)])
-            for p in points]
-    args.out.write_text("t,ep,concurrence\n" + "\n".join(rows) + "\n")
+    write_csv(args.out, LMG_HEADER, blocks)
+    rows = [row for block in blocks for row in zip(*block)]
 
-    zeros = [p.t for p in points if p.concurrence < 1e-9]
-    maxima = [p.t for p in points if p.concurrence > 1.0 - 1e-9]
-    spe_times = [p.t for p in points if abs(p.ep - 2.0 / 9.0) < 1e-9]
+    zeros = [t for t, _, conc in rows if conc < 1e-9]
+    maxima = [t for t, _, conc in rows if conc > 1.0 - 1e-9]
+    spe_times = [t for t, ep, _ in rows if abs(ep - 2.0 / 9.0) < 1e-9]
     print(f"profile written to {args.out}")
     print(f"concurrence zeros near t = {', '.join(f'{t:.6f}' for t in zeros[:8])}")
     print(f"  (expected multiples of pi/(4 g1) = {math.pi / (4 * args.g1):.6f})")

@@ -5,10 +5,14 @@ the nine orthogonal Hermitian spin-1 basis matrices M0..M8 with their
 full algebra, the eight one-parameter symmetric gates exp(i M_k theta)
 plus the collective-spin (LMG) evolution gate, and the tools to quantify
 entangling capability: the local invariant G1, the entangling power
-e_p = (2/9)(1 - |G1|), and the pure-state concurrence.
+e_p = (2/9)(1 - |G1|), and the pure-state concurrence.  Parameter grids
+go through the batch functions (`gates_batch`, `lmg_batch`,
+`entangling_power_batch`), whose results equal the scalar functions'
+entry by entry.
 """
 
 from .linalg import (
+    InputError,
     anticommutator,
     commutator,
     dagger,
@@ -47,16 +51,20 @@ from .su3 import (
     verify_gellmann,
 )
 from .gates import (
+    GateBatch,
     LMGParams,
     SymmetricGate,
     custom_gate,
     gate,
+    gates_batch,
+    lmg_batch,
     lmg_gate,
     lmg_gate_closed_form,
     lmg_hamiltonian,
 )
 from .entanglement import (
     BELL_TRANSFORM,
+    EntanglementBatch,
     EntanglementReport,
     LmgProfilePoint,
     ProductBasis,
@@ -65,6 +73,7 @@ from .entanglement import (
     apply_gate,
     concurrence,
     entangling_power,
+    entangling_power_batch,
     kron_factor_2x2,
     lmg_entanglement_profile,
     makhlin_g1,

@@ -3,25 +3,41 @@
 Subcommands: basis, gate, sweep, act, lmg, decompose.  All output is
 deterministic (15 significant digits, '.' decimal separator, LF line
 endings).  Exit codes: 0 success/verified, 1 verification failure,
-2 usage or parse error.
+2 usage or parse error, including input the library rejects as out of
+its domain (non-finite numbers, reversed time ranges).
+
+`sweep` and `lmg --t-max` compute their grid in blocks of _BLOCK points
+through the batch functions and write each block's rows as they go, to a
+file that replaces --out once the last block is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import entanglement, gates, su3, tensors
+from .linalg import InputError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+
+SWEEP_HEADER = "theta,g1_abs,ep,class"
+LMG_HEADER = "t,ep,concurrence"
+# Grid points computed and written together.  Numpy's per-call cost is
+# spread over the block, and a block's stacked arrays and temporaries stay
+# under 0.5 MB, about what the per-point loop this path replaced held at
+# its peak, so a long grid needs no more memory than a short one.
+_BLOCK = 256
 
 _ANGLE_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?\*?"
@@ -51,6 +67,8 @@ def parse_angle(text: str) -> float:
         if divisor == 0:
             raise argparse.ArgumentTypeError("division by zero in angle")
         value /= divisor
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
     return value
 
 
@@ -70,9 +88,19 @@ def parse_spin(text: str) -> float:
     return value
 
 
+def parse_finite(text: str) -> float:
+    """Parse a finite real number such as a coupling constant."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def fmt_float(x: float) -> str:
-    out = format(float(x), ".15g")
-    return "0" if out == "-0" else out
+    return format(float(x) + 0.0, ".15g")  # + 0.0 turns -0.0 into 0.0, printed as "0"
 
 
 def fmt_complex(z: complex) -> str:
@@ -110,19 +138,64 @@ def parse_matrix_file(path: str) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    theta: float
-    g1_abs: float
-    ep: float
-    classification: str
+def _blocks(grid: np.ndarray):
+    for start in range(0, len(grid), _BLOCK):
+        yield grid[start:start + _BLOCK]
 
 
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+def sweep_blocks(k: int, thetas: np.ndarray):
+    """Columns (theta, |G1|, e_p, class) of a B_k sweep, one block of angles at a time."""
+    for block in _blocks(thetas):
+        report = entanglement.entangling_power_batch(gates.gates_batch(k, block))
+        yield block, report.g1_abs, report.ep, report.classification
+
+
+def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
+    """Columns (t, e_p, concurrence of B_L |up up>) of an LMG series, block by block."""
+    for block in _blocks(t_grid):
+        yield entanglement._lmg_profile_columns(g1, g2, block)
+
+
+def _column_text(column) -> list[str]:
+    """fmt_float of each entry of a float array; other columns as they are."""
+    if not isinstance(column, np.ndarray):
+        return column
+    return list(map(fmt_float, column.tolist()))
+
+
+def _write_rows(fh, header: str, blocks) -> int:
+    fh.write(header + "\n")
+    count = 0
+    for columns in blocks:
+        rows = list(map(",".join, zip(*map(_column_text, columns))))
+        fh.write("\n".join(rows) + "\n")
+        count += len(rows)
+    return count
+
+
+def write_csv(path, header: str, blocks) -> int:
+    """Write `header`, then the rows of each block of columns as it arrives.
+
+    The rows go to a temporary file beside `path`, which replaces `path`
+    only once every block has been written: an error part way leaves an
+    existing file as it was and no partial one.  A path that is not a
+    regular file (a pipe, a device) is written directly.  Returns the
+    number of rows written.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            return _write_rows(fh, header, blocks)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            count = _write_rows(fh, header, blocks)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    return count
 
 
 def _print_gate_report(g, report) -> None:
@@ -199,19 +272,12 @@ def cmd_sweep(args) -> int:
         print("error: --steps must be at least 2", file=sys.stderr)
         return EXIT_USAGE
     thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
-    rows = []
-    for theta in thetas:
-        report = entanglement.entangling_power(gates.gate(args.k, float(theta)))
-        row = SweepRow(theta=float(theta), g1_abs=report.g1_abs, ep=report.ep,
-                       classification=report.classification)
-        rows.append(",".join([fmt_float(row.theta), fmt_float(row.g1_abs),
-                              fmt_float(row.ep), row.classification]))
     try:
-        _write_csv(args.out, "theta,g1_abs,ep,class", rows)
+        count = write_csv(args.out, SWEEP_HEADER, sweep_blocks(args.k, thetas))
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
 
@@ -252,16 +318,17 @@ def cmd_lmg(args) -> int:
     if args.out is None:
         print("error: --out is required for a time series", file=sys.stderr)
         return EXIT_USAGE
-    t_grid = np.linspace(args.t_min, args.t_max, args.steps)
-    points = entanglement.lmg_entanglement_profile(args.g1, args.g2, t_grid)
-    rows = [",".join([fmt_float(p.t), fmt_float(p.ep), fmt_float(p.concurrence)])
-            for p in points]
-    try:
-        _write_csv(args.out, "t,ep,concurrence", rows)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+    if not args.t_max > args.t_min:
+        print(f"error: --t-max ({fmt_float(args.t_max)}) must be greater than --t-min "
+              f"({fmt_float(args.t_min)})", file=sys.stderr)
         return EXIT_USAGE
-    print(f"wrote {len(rows)} rows to {args.out}")
+    t_grid = np.linspace(args.t_min, args.t_max, args.steps)
+    try:
+        count = write_csv(args.out, LMG_HEADER, lmg_blocks(args.g1, args.g2, t_grid))
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
 
@@ -287,7 +354,9 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="symgates",
         description="Symmetric two-qubit gates, operator bases and entangling power.",
@@ -329,8 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_act.set_defaults(func=cmd_act)
 
     p_lmg = sub.add_parser("lmg", help="collective-spin evolution gate report or series")
-    p_lmg.add_argument("--g1", type=float, required=True)
-    p_lmg.add_argument("--g2", type=float, required=True)
+    p_lmg.add_argument("--g1", type=parse_finite, required=True)
+    p_lmg.add_argument("--g2", type=parse_finite, required=True)
     p_lmg.add_argument("--t", type=parse_angle, default=None, help="single evolution time")
     p_lmg.add_argument("--t-min", type=parse_angle, default=0.0)
     p_lmg.add_argument("--t-max", type=parse_angle, default=None)
@@ -352,6 +421,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -11,6 +11,12 @@ and special perfect entanglers the maximal value 2/9.
 
 Amplitude ordering for all 4-vectors is (up-up, up-down, down-up,
 down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
+
+`entangling_power_batch` scores a stack of gates with the same code as
+`entangling_power`: the Bell transform, trace and determinant run on the
+(N, 4, 4) stack, and the last step (G1 from them, |G1|, e_p and the
+class) runs per gate on numpy scalars, because numpy's array kernels for
+complex multiply and abs round differently from its scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import LMGParams, SymmetricGate, lmg_gate
-from .linalg import is_unitary
+from .gates import GateBatch, SymmetricGate, lmg_batch
+from .gates import lmg_gate  # noqa: F401  (kept as entanglement.lmg_gate; perfbench rebinds it)
+from .linalg import InputError, _grid, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
 _SQ2 = math.sqrt(2.0)
@@ -48,18 +55,31 @@ BELL_TRANSFORM = np.array([
 BELL_TRANSFORM.setflags(write=False)
 
 _QUBIT_TO_BELL = BELL_TRANSFORM @ U_QUBIT_TO_ANGULAR
+_BELL_TO_QUBIT = _QUBIT_TO_BELL.conj().T
+_G1_UNITARITY_ATOL = 1e-10
+_UP_UP = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
 
 
-def makhlin_g1(u4, atol: float = 1e-10) -> complex:
+def _bell_invariants(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tr(m) and det(B_bell) of a 4x4 unitary, or of each matrix of a stack."""
+    b_bell = _QUBIT_TO_BELL @ u4 @ _BELL_TO_QUBIT
+    m = b_bell.swapaxes(-1, -2) @ b_bell
+    return np.trace(m, axis1=-2, axis2=-1), np.linalg.det(b_bell)
+
+
+def _g1(tr, det) -> complex:
+    """G1 from numpy scalars tr(m) and det(B_bell)."""
+    return complex(tr ** 2 / (16.0 * det))
+
+
+def makhlin_g1(u4, atol: float = _G1_UNITARITY_ATOL) -> complex:
     """Local invariant G1 of a 4x4 unitary in the product basis."""
     u4 = np.asarray(u4, dtype=np.complex128)
     if u4.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u4.shape}")
     if not is_unitary(u4, atol=atol):
         raise ValueError(f"matrix is not unitary within {atol:.1e}")
-    b_bell = _QUBIT_TO_BELL @ u4 @ _QUBIT_TO_BELL.conj().T
-    m = b_bell.T @ b_bell
-    return complex(np.trace(m) ** 2 / (16.0 * np.linalg.det(b_bell)))
+    return _g1(*_bell_invariants(u4))
 
 
 @dataclass(frozen=True)
@@ -74,6 +94,16 @@ class EntanglementReport:
     theta: float | None = None
 
 
+@dataclass(frozen=True)
+class EntanglementBatch:
+    """G1, |G1|, e_p and classification of each gate of a stack."""
+
+    g1: np.ndarray
+    g1_abs: np.ndarray
+    ep: np.ndarray
+    classification: tuple[str, ...]
+
+
 def _classify(ep: float) -> str:
     if ep >= MAX_EP - CLASSIFY_ATOL:
         return SPECIAL_PERFECT_ENTANGLER
@@ -82,6 +112,15 @@ def _classify(ep: float) -> str:
     if ep > CLASSIFY_ATOL:
         return ENTANGLING
     return NON_ENTANGLING
+
+
+def _power(g1: complex) -> tuple[float, float, str]:
+    """|G1|, e_p = (2/9)(1 - |G1|) and the class of a gate."""
+    g1_abs = abs(g1)
+    ep = MAX_EP * (1.0 - g1_abs)
+    if ep < -1e-12 or ep > MAX_EP + 1e-12:
+        raise RuntimeError(f"entangling power {ep} out of range [0, 2/9]")
+    return g1_abs, ep, _classify(ep)
 
 
 def entangling_power(u4) -> EntanglementReport:
@@ -95,13 +134,31 @@ def entangling_power(u4) -> EntanglementReport:
         label, theta = u4.label, u4.theta
         u4 = u4.u4
     g1 = makhlin_g1(u4)
-    g1_abs = abs(g1)
-    ep = MAX_EP * (1.0 - g1_abs)
-    if ep < -1e-12 or ep > MAX_EP + 1e-12:
-        raise RuntimeError(f"entangling power {ep} out of range [0, 2/9]")
-    return EntanglementReport(g1=g1, g1_abs=g1_abs, ep=ep,
-                              classification=_classify(ep),
+    g1_abs, ep, classification = _power(g1)
+    return EntanglementReport(g1=g1, g1_abs=g1_abs, ep=ep, classification=classification,
                               gate_label=label, theta=theta)
+
+
+def entangling_power_batch(u4s) -> EntanglementBatch:
+    """`entangling_power` of each gate of a GateBatch or (N, 4, 4) stack.
+
+    Entry by entry equal (==) to the scalar function.
+    """
+    if isinstance(u4s, GateBatch):
+        u4s = u4s.u4
+    u4s = np.asarray(u4s, dtype=np.complex128)
+    if u4s.ndim != 3 or u4s.shape[1:] != (4, 4) or len(u4s) == 0:
+        raise ValueError(f"expected a non-empty (N, 4, 4) stack, got shape {u4s.shape}")
+    if not is_unitary(u4s, atol=_G1_UNITARITY_ATOL):
+        raise ValueError(f"matrix is not unitary within {_G1_UNITARITY_ATOL:.1e}")
+    g1 = [_g1(tr, det) for tr, det in zip(*_bell_invariants(u4s))]
+    g1_abs, ep, classification = zip(*map(_power, g1))
+    return EntanglementBatch(g1=np.array(g1), g1_abs=np.array(g1_abs), ep=np.array(ep),
+                             classification=classification)
+
+
+def _pure_concurrence(a, b, c, d) -> float:
+    return float(2.0 * abs(a * d - b * c))
 
 
 def concurrence(psi) -> float:
@@ -119,7 +176,7 @@ def concurrence(psi) -> float:
     if abs(norm - 1.0) > 1e-10:
         warnings.warn(f"state norm {norm} deviates from 1; normalizing", stacklevel=2)
         psi = psi / norm
-    return float(2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]))
+    return _pure_concurrence(psi[0], psi[1], psi[2], psi[3])
 
 
 @dataclass(frozen=True)
@@ -278,6 +335,21 @@ class LmgProfilePoint:
     concurrence: float
 
 
+def _lmg_profile_columns(g1: float, g2: float, t_grid):
+    """Columns t, e_p and |up up>-image concurrence of an LMG time series,
+    computed as one stack."""
+    t_grid = _grid("t_grid", t_grid)
+    if np.any(np.diff(t_grid) <= 0):
+        raise InputError("t_grid must be strictly ascending")
+    g = lmg_batch(g1, g2, t_grid)
+    report = entangling_power_batch(g)
+    # Columns of gates unitary within 1e-10 have unit norm within 1e-10,
+    # so `concurrence` would not renormalize them either.
+    images = g.u4 @ _UP_UP
+    concs = map(_pure_concurrence, images[:, 0], images[:, 1], images[:, 2], images[:, 3])
+    return t_grid, report.ep, np.fromiter(concs, np.float64)
+
+
 def lmg_entanglement_profile(g1: float, g2: float, t_grid) -> list[LmgProfilePoint]:
     """Entangling power and |up up>-image concurrence over a time grid.
 
@@ -286,21 +358,9 @@ def lmg_entanglement_profile(g1: float, g2: float, t_grid) -> list[LmgProfilePoi
     of pi/2.  The entangling power reaches 2/9 whenever 2 g2 t - 2 g1 t
     is congruent to pi/2 modulo pi.
     """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.ndim != 1 or t_grid.size == 0:
-        raise ValueError("t_grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must be finite")
-    if np.any(np.diff(t_grid) <= 0) and t_grid.size > 1:
-        raise ValueError("t_grid must be strictly ascending")
-    up_up = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
-    points = []
-    for t in t_grid:
-        g = lmg_gate(LMGParams(g1=g1, g2=g2, t=float(t)))
-        report = entangling_power(g)
-        points.append(LmgProfilePoint(t=float(t), ep=report.ep,
-                                      concurrence=concurrence(g.u4 @ up_up)))
-    return points
+    columns = _lmg_profile_columns(g1, g2, t_grid)
+    return [LmgProfilePoint(t=t, ep=ep, concurrence=c)
+            for t, ep, c in zip(*(column.tolist() for column in columns))]
 
 
 def kron_factor_2x2(u4) -> tuple[np.ndarray, np.ndarray, float]:

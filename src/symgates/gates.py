@@ -9,21 +9,29 @@ gates admit the closed form
 while B8, whose generator has eigenvalues {1, -2, 1}/sqrt(3), is a pure
 phase gate handled explicitly.  The 4x4 product-basis embedding acts as
 the identity on the singlet state.
+
+`gates_batch` and `lmg_batch` build a whole grid of one family as a
+(N, 3, 3) / (N, 4, 4) stack; `gate` and `lmg_gate` are their one-point
+case, so a gate is the same (==) whether it is built alone or in a grid.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm_hermitian, is_unitary
+from .linalg import InputError, _finite, _grid, expm_hermitian, is_unitary
 from .su3 import M, M0, M7, M8, to_qubit_basis
 from .tensors import angular_momentum_matrices
 
 _SQ3 = math.sqrt(3.0)
 _SQ8 = math.sqrt(8.0)
+_M_SQUARED = tuple(mk @ mk for mk in M)
+_B8_WEIGHTS = np.array([1.0, -2.0, 1.0])  # eigenvalues of sqrt(3) M8
+_DIAG = np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -57,12 +65,30 @@ class SymmetricGate:
     lmg: LMGParams | None = None
 
 
-def _make_gate(label: str, u3: np.ndarray, theta: float | None = None,
-               lmg: LMGParams | None = None) -> SymmetricGate:
+@dataclass(frozen=True)
+class GateBatch:
+    """Gates of one family on a 1-D grid: u3 (N, 3, 3) and u4 (N, 4, 4)."""
+
+    u3: np.ndarray
+    u4: np.ndarray
+
+
+def _embed(label: str, u3: np.ndarray) -> np.ndarray:
+    """Product-basis embedding of a 3x3 gate, or of a stack, once it is checked unitary."""
     if not is_unitary(u3):
         raise ValueError(f"gate {label} is not unitary within 1e-12")
-    u4 = to_qubit_basis(u3, 1.0)
-    return SymmetricGate(label=label, u3=u3, u4=u4, theta=theta, lmg=lmg)
+    return to_qubit_basis(u3, 1.0)
+
+
+def _gate_index(k) -> int:
+    try:
+        index = operator.index(k)
+    except TypeError:
+        index = None
+    if index is None or not 1 <= index <= 8:
+        raise InputError(f"gate index must be an integer in 1..8, got {k!r} "
+                         "(index 0 would be a global phase)")
+    return index
 
 
 def gate(k: int, theta: float) -> SymmetricGate:
@@ -70,21 +96,34 @@ def gate(k: int, theta: float) -> SymmetricGate:
 
     k = 0 is rejected: exp(i M_0 theta) is a global phase, not a gate.
     """
-    if not isinstance(k, int) or not 1 <= k <= 8:
-        raise ValueError(f"gate index must be in 1..8, got {k} "
-                         "(index 0 would be a global phase)")
-    theta = float(theta)
+    k = _gate_index(k)
+    theta = _finite("theta", theta)
+    batch = gates_batch(k, [theta])
+    return SymmetricGate(label=f"B{k}", u3=batch.u3[0], u4=batch.u4[0], theta=theta)
+
+
+def gates_batch(k: int, thetas) -> GateBatch:
+    """B_k(theta) for every angle of a 1-D grid; entry by entry equal to `gate`."""
+    k = _gate_index(k)
+    thetas = _grid("thetas", thetas)
     if k == 8:
-        u3 = np.diag(np.exp(1j * theta / _SQ3 * np.array([1.0, -2.0, 1.0])))
+        u3 = np.zeros((thetas.size, 3, 3), dtype=np.complex128)
+        u3[:, _DIAG, _DIAG] = np.exp(1j * ((thetas / _SQ3)[:, None] * _B8_WEIGHTS))
     else:
-        mk = M[k]
-        u3 = np.eye(3) + (math.cos(theta) - 1.0) * (mk @ mk) + 1j * math.sin(theta) * mk
-    return _make_gate(f"B{k}", u3, theta=theta)
+        # math.cos/sin per angle: numpy's vector kernels may round differently,
+        # which would change the printed digits
+        angles = thetas.tolist()
+        cos = np.fromiter(map(math.cos, angles), np.float64, thetas.size)
+        sin = np.fromiter(map(math.sin, angles), np.float64, thetas.size)
+        u3 = (np.eye(3) + (cos - 1.0)[:, None, None] * _M_SQUARED[k]
+              + (1j * sin)[:, None, None] * M[k])
+    return GateBatch(u3, _embed(f"B{k}", u3))
 
 
 def custom_gate(u3, label: str = "custom") -> SymmetricGate:
     """Wrap an arbitrary 3x3 unitary as a symmetric gate."""
-    return _make_gate(label, np.asarray(u3, dtype=np.complex128))
+    u3 = np.asarray(u3, dtype=np.complex128)
+    return SymmetricGate(label=label, u3=u3, u4=_embed(label, u3))
 
 
 def lmg_hamiltonian(g1: float, g2: float) -> np.ndarray:
@@ -94,6 +133,7 @@ def lmg_hamiltonian(g1: float, g2: float) -> np.ndarray:
     equivalent basis expansion 2 g1 M7 + (2/sqrt(3)) g2 (sqrt(8) M0 - M8);
     a disagreement would indicate corrupted basis constants.
     """
+    g1, g2 = _finite("g1", g1), _finite("g2", g2)
     jm = angular_momentum_matrices(1)
     jp, jmn = jm.plus, jm.minus
     h_ladder = g1 * (jp @ jp + jmn @ jmn) + g2 * (jp @ jmn + jmn @ jp)
@@ -105,9 +145,17 @@ def lmg_hamiltonian(g1: float, g2: float) -> np.ndarray:
 
 def lmg_gate(params: LMGParams) -> SymmetricGate:
     """The evolution gate exp(i H t) of the collective-spin Hamiltonian."""
-    h = lmg_hamiltonian(params.g1, params.g2)
-    u3 = expm_hermitian(h, params.t)
-    return _make_gate("BL", u3, lmg=params)
+    batch = lmg_batch(params.g1, params.g2, [_finite("t", params.t)])
+    return SymmetricGate(label="BL", u3=batch.u3[0], u4=batch.u4[0], lmg=params)
+
+
+def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
+    """LMG gates for every time of a 1-D grid, from one eigendecomposition
+    of the Hamiltonian; entry by entry equal to `lmg_gate`."""
+    h = lmg_hamiltonian(g1, g2)
+    ts = _grid("ts", ts)
+    u3 = expm_hermitian(h, ts)
+    return GateBatch(u3, _embed("BL", u3))
 
 
 def lmg_gate_closed_form(params: LMGParams) -> np.ndarray:

@@ -1,17 +1,49 @@
 """Dense complex linear algebra for small operator matrices.
 
 All functions work on plain numpy arrays of shape (n, n) with n <= 6 and
-are pure; inputs are never mutated.  Unitary exponentials of Hermitian
+are pure; inputs are never mutated.  `is_unitary` and `expm_hermitian`
+also accept stacks: a (..., n, n) array, or an array of times, runs the
+same code as a single matrix.  Unitary exponentials of Hermitian
 matrices are computed by eigendecomposition, which also serves as the
 independent oracle for closed-form gate expressions elsewhere.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
+
+
+class InputError(ValueError):
+    """An argument outside a function's domain: a non-finite number, an
+    index out of range, an unordered grid."""
+
+
+def _finite(name: str, value):
+    """`value` as a float, or a float array for a grid; InputError naming
+    `name` if any entry is NaN or infinite."""
+    if np.ndim(value) == 0:
+        x = float(value)
+        if math.isfinite(x):
+            return x
+        raise InputError(f"{name} must be finite, got {x}")
+    x = np.asarray(value, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise InputError(f"{name} must be finite, got {x.flat[bad[0]]} at index {bad[0]}")
+    return x
+
+
+def _grid(name: str, values) -> np.ndarray:
+    """`values` as a non-empty, finite 1-D float array; InputError naming `name` if not."""
+    grid = np.asarray(values, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise InputError(f"{name} must be a non-empty 1-D array, got shape {grid.shape}")
+    return _finite(name, grid)
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
@@ -62,16 +94,22 @@ def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
 
 
 def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
-    a = _as_square(a)
-    eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= atol)
+    """True if a, or every matrix of a (..., n, n) stack, is unitary within atol."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    defect = a.conj().swapaxes(-1, -2) @ a
+    defect -= np.eye(a.shape[-1])
+    return bool(np.max(np.abs(defect)) <= atol)
 
 
-def expm_hermitian(h, t: float = 1.0, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def expm_hermitian(h, t=1.0, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     """Unitary exp(i h t) of a Hermitian matrix via eigendecomposition.
 
-    Raises ValueError naming the offending entry if h is not Hermitian
-    within `atol`.
+    `t` is a time or an array of times; an array of shape S gives a stack
+    of shape S + (n, n) from one eigendecomposition of h.  Raises
+    ValueError naming the offending entry if h is not Hermitian within
+    `atol`.
     """
     h = _as_square(h, "h")
     i, j, defect = hermiticity_defect(h)
@@ -81,4 +119,5 @@ def expm_hermitian(h, t: float = 1.0, atol: float = HERMITICITY_ATOL) -> np.ndar
             f"exceeds {atol:.1e}"
         )
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w * float(t))) @ v.conj().T
+    t = np.asarray(t, dtype=np.float64)[..., None, None]
+    return (v * np.exp(1j * w * t)) @ v.conj().T

@@ -343,16 +343,17 @@ def to_qubit_basis(op3, singlet_value: complex = 0.0) -> np.ndarray:
     """Embed a 3x3 symmetric-subspace operator as a 4x4 product-basis one.
 
     The operator acts as given on the triplet block and multiplies the
-    singlet by `singlet_value` (0 for basis operators, 1 for gates).
+    singlet by `singlet_value` (0 for basis operators, 1 for gates).  A
+    (..., 3, 3) stack gives a (..., 4, 4) stack.
     """
     op3 = np.asarray(op3, dtype=np.complex128)
-    if op3.shape != (3, 3):
+    if op3.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {op3.shape}")
-    op_ang = np.zeros((4, 4), dtype=np.complex128)
-    op_ang[:3, :3] = op3
-    op_ang[3, 3] = singlet_value
+    op_ang = np.zeros(op3.shape[:-2] + (4, 4), dtype=np.complex128)
+    op_ang[..., :3, :3] = op3
+    op_ang[..., 3, 3] = singlet_value
     u = U_QUBIT_TO_ANGULAR
-    return u.conj().T @ op_ang @ u
+    return np.matmul(u.conj().T @ op_ang, u, out=op_ang)  # reuses op_ang's memory
 
 
 def from_qubit_basis(op4, atol: float = 1e-10) -> tuple[np.ndarray, complex]:
