@@ -29,7 +29,7 @@ import numpy as np
 
 from .gates import GateBatch, SymmetricGate, lmg_batch
 from .gates import lmg_gate  # noqa: F401  (kept as entanglement.lmg_gate; perfbench rebinds it)
-from .linalg import InputError, _grid, is_unitary
+from .linalg import InputError, _finite, _grid, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
 _SQ2 = math.sqrt(2.0)
@@ -115,11 +115,17 @@ def _classify(ep: float) -> str:
 
 
 def _power(g1: complex) -> tuple[float, float, str]:
-    """|G1|, e_p = (2/9)(1 - |G1|) and the class of a gate."""
+    """|G1|, e_p = (2/9)(1 - |G1|) and the class of a gate.
+
+    e_p lies in [0, 2/9]: it cannot exceed 2/9 since |G1| >= 0, and it is
+    clamped at 0 because |G1| of a local gate can round a few ulps above 1.
+    """
     g1_abs = abs(g1)
     ep = MAX_EP * (1.0 - g1_abs)
     if ep < -1e-12 or ep > MAX_EP + 1e-12:
         raise RuntimeError(f"entangling power {ep} out of range [0, 2/9]")
+    if ep < 0.0:
+        ep = 0.0
     return g1_abs, ep, _classify(ep)
 
 
@@ -165,12 +171,14 @@ def concurrence(psi) -> float:
     """Concurrence 2|ad - bc| of a pure two-qubit state (a, b, c, d).
 
     Non-normalized input is normalized with a warning; the zero vector
-    is rejected.
+    and non-finite amplitudes are rejected.
     """
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.shape != (4,):
         raise ValueError(f"expected four amplitudes, got shape {psi.shape}")
     norm = float(np.linalg.norm(psi))
+    if not math.isfinite(norm):  # raises for a non-finite amplitude, not for an overflow
+        _finite("psi", psi)
     if norm == 0.0:
         raise ValueError("cannot compute the concurrence of the zero vector")
     if abs(norm - 1.0) > 1e-10:
@@ -198,17 +206,17 @@ def separable_state(alpha: float, phi: float = 0.0) -> SeparableSymmetricState:
 
     Angles are wrapped into alpha in [0, pi], phi in [0, 2 pi); wrapping
     changes the spinor only by a global sign, so the two-qubit state is
-    unaffected.
+    unaffected.  Non-finite angles raise InputError.
     """
     two_pi = 2.0 * math.pi
 
     def _wrap(x: float) -> float:
         # x % 2pi can round up to exactly 2pi for tiny negative x
-        out = float(x) % two_pi
+        out = x % two_pi
         return 0.0 if out >= two_pi else out
 
-    alpha = _wrap(alpha)
-    phi = _wrap(phi)
+    alpha = _wrap(_finite("alpha", alpha))
+    phi = _wrap(_finite("phi", phi))
     if alpha > math.pi:
         alpha = two_pi - alpha
         phi = _wrap(phi + math.pi)
@@ -216,7 +224,7 @@ def separable_state(alpha: float, phi: float = 0.0) -> SeparableSymmetricState:
     phase = np.exp(1j * phi)
     spinor = np.array([c, s * phase])
     vec3 = np.array([c * c, _SQ2 * s * c * phase, s * s * phase * phase])
-    vec4 = np.kron(spinor, spinor)
+    vec4 = np.multiply.outer(spinor, spinor).reshape(4)
     return SeparableSymmetricState(alpha=alpha, phi=phi, vec3=vec3, vec4=vec4)
 
 

@@ -24,14 +24,17 @@ class InputError(ValueError):
 
 
 def _finite(name: str, value):
-    """`value` as a float, or a float array for a grid; InputError naming
-    `name` if any entry is NaN or infinite."""
+    """`value` as a float, or a float array for a grid (a complex array
+    stays complex); InputError naming `name` if any entry is NaN or
+    infinite."""
     if np.ndim(value) == 0:
         x = float(value)
         if math.isfinite(x):
             return x
         raise InputError(f"{name} must be finite, got {x}")
-    x = np.asarray(value, dtype=np.float64)
+    x = np.asarray(value)
+    if not np.iscomplexobj(x):
+        x = x.astype(np.float64, copy=False)
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise InputError(f"{name} must be finite, got {x.flat[bad[0]]} at index {bad[0]}")

@@ -44,6 +44,7 @@ M7 = _mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
 M8 = _mat([[1 / _SQ3, 0, 0], [0, -2 / _SQ3, 0], [0, 0, 1 / _SQ3]])
 
 M = (M0, M1, M2, M3, M4, M5, M6, M7, M8)
+_M_STACK = _mat(M)  # (9, 3, 3)
 
 # Maps product-basis coordinates (up-up, up-down, down-up, down-down) to
 # angular momentum coordinates (|1 1>, |1 0>, |1 -1>, |0 0>).
@@ -189,7 +190,7 @@ def m_coefficients(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {x.shape}")
-    return np.array([np.trace(m @ x) / 2 for m in M])
+    return np.trace(_M_STACK @ x, axis1=1, axis2=2) / 2
 
 
 def expand_m(coeffs) -> np.ndarray:
@@ -197,7 +198,7 @@ def expand_m(coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape != (9,):
         raise ValueError(f"expected nine coefficients, got shape {coeffs.shape}")
-    return np.tensordot(coeffs, np.stack(M), axes=1)
+    return np.tensordot(coeffs, _M_STACK, axes=1)
 
 
 def decompose_hamiltonian(h) -> np.ndarray:

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import expm_hermitian, is_hermitian  # noqa: F401  (re-exported oracle)
+from .linalg import _finite, is_hermitian
 
 MAX_TWO_J = 5
 
@@ -221,11 +221,32 @@ def hermitian_basis(j) -> list[TensorOperator]:
 
 
 @dataclass(frozen=True)
+class _TauStack:
+    """Every tau^k_q of one spin as one array, in (k, q) order with k = 0..2j
+    and q = -k..k, and their conjugate transposes."""
+
+    keys: tuple[tuple[int, int], ...]
+    tau: np.ndarray  # (n, d, d)
+    dagger: np.ndarray  # (n, d, d)
+
+
+@lru_cache(maxsize=None)
+def _tau_stack(two_j: int) -> _TauStack:
+    keys = tuple((k, q) for k in range(two_j + 1) for q in range(-k, k + 1))
+    stack = np.stack([_tau_matrix(two_j, k, q) for k, q in keys])
+    dagger = stack.conj().swapaxes(-1, -2).copy()
+    for a in (stack, dagger):
+        a.setflags(write=False)
+    return _TauStack(keys, stack, dagger)
+
+
+@dataclass(frozen=True)
 class TensorParams:
     """Expansion coefficients h^k_q of a Hermitian operator.
 
-    Hermiticity of the represented operator requires
-    conj(h^k_q) = (-1)^q h^k_{-q}, which is validated on construction.
+    Keys must be (k, q) with 0 <= k <= 2j and |q| <= k.  Hermiticity of
+    the represented operator requires conj(h^k_q) = (-1)^q h^k_{-q},
+    which is validated on construction.
     """
 
     j: float
@@ -236,14 +257,21 @@ class TensorParams:
         object.__setattr__(self, "j", two_j / 2)
         coeffs = dict(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
+        get = coeffs.get
         for (k, q), h in coeffs.items():
-            partner = coeffs.get((k, -q))
+            if not -k <= q <= k <= two_j:
+                raise ValueError(f"no tensor operator (k={k}, q={q}) for j = {two_j / 2}")
+            partner = get((k, -q))
             if partner is None:
                 raise ValueError(f"missing partner coefficient for (k={k}, q={-q})")
-            if abs(np.conj(h) - (-1) ** q * partner) > 1e-12 * max(1.0, abs(h)):
+            if q % 2:
+                partner = -partner
+            # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, |h|)
+            defect = abs(h.conjugate() - partner)
+            if defect > 1e-12 and defect > 1e-12 * abs(h):
                 raise ValueError(
                     f"coefficients violate Hermiticity at (k={k}, q={q}): "
-                    f"conj(h) = {np.conj(h)}, (-1)^q h(-q) = {(-1) ** q * partner}"
+                    f"conj(h) = {h.conjugate()}, (-1)^q h(-q) = {partner}"
                 )
 
     def rank_coefficients(self, k: int) -> np.ndarray:
@@ -260,64 +288,83 @@ def decompose(h, j) -> TensorParams:
         raise ValueError(f"expected a {dim}x{dim} matrix for j = {two_j / 2}, got {h.shape}")
     if not is_hermitian(h):
         raise ValueError("matrix is not Hermitian within 1e-12")
-    coeffs = {
-        (k, q): complex(np.trace(h @ _tau_matrix(two_j, k, q)))
-        for k in range(two_j + 1)
-        for q in range(-k, k + 1)
-    }
-    return TensorParams(j=two_j / 2, coeffs=coeffs)
+    stack = _tau_stack(two_j)
+    values = np.trace(h @ stack.tau, axis1=1, axis2=2).tolist()
+    return TensorParams(j=two_j / 2, coeffs=dict(zip(stack.keys, values)))
+
+
+def _coefficient_vector(params: TensorParams, keys) -> np.ndarray:
+    """The coefficients of `params` in the order of `keys`; missing ones are 0."""
+    coeffs = params.coeffs
+    return np.array([coeffs.get(key, 0j) for key in keys], dtype=np.complex128)
 
 
 def reconstruct(params: TensorParams) -> np.ndarray:
     """Rebuild the operator (1/(2j+1)) sum_kq h^k_q tau^k_q^dagger."""
     two_j = _as_two_j(params.j)
+    stack = _tau_stack(two_j)
+    values = _coefficient_vector(params, stack.keys)
+    # the product np.tensordot(values, stack.dagger, axes=1) makes, without its overhead
     dim = two_j + 1
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for (k, q), h in params.coeffs.items():
-        out += h * _tau_matrix(two_j, k, q).conj().T
-    return out / dim
+    return (values @ stack.dagger.reshape(len(values), dim * dim)).reshape(dim, dim) / dim
 
 
-MAX_ROTATION_RANK = 2
+def _exp_jy(w: np.ndarray, v: np.ndarray, vh: np.ndarray, beta) -> np.ndarray:
+    """exp(-i beta J_y) from the eigendecomposition J_y = v diag(w) v^dagger."""
+    return (v * np.exp(-1j * _finite("beta", beta) * w)) @ vh
+
+
+@lru_cache(maxsize=None)
+def _jy_eigenbasis(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvectors v of J_y in the spin-k representation
+    (m descending), and v^dagger."""
+    w, v = np.linalg.eigh(_spin_matrices(2 * k).y)
+    vh = v.conj().T.copy()
+    for a in (w, v, vh):
+        a.setflags(write=False)
+    return w, v, vh
 
 
 def wigner_d(k: int, beta: float) -> np.ndarray:
     """Small Wigner d-matrix d^k_{q'q}(beta) = <k q'| exp(-i beta Jy) |k q>.
 
-    Rows and columns are ordered with q descending from +k to -k.  Only
-    ranks k <= 2 are supported; higher ranks are rejected rather than
-    silently mis-computed.
+    Rows and columns are ordered with q descending from +k to -k.  Every
+    rank k = 0..5 of the tensor operators of spin j <= 5/2 is supported.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"rank must be a non-negative integer, got {k}")
-    if k > MAX_ROTATION_RANK:
-        raise ValueError(f"unsupported rank k = {k}; rotations are implemented for k <= 2")
-    dim = 2 * k + 1
-    half = float(beta) / 2
-    c, s = math.cos(half), math.sin(half)
-    out = np.zeros((dim, dim))
-    for i in range(dim):
-        qp = k - i
-        for jcol in range(dim):
-            q = k - jcol
-            pref = math.sqrt(
-                math.factorial(k + q) * math.factorial(k - q)
-                * math.factorial(k + qp) * math.factorial(k - qp)
-            )
-            total = 0.0
-            for t in range(max(0, q - qp), min(k + q, k - qp) + 1):
-                sign = -1.0 if (qp - q + t) % 2 else 1.0
-                total += (
-                    sign
-                    * c ** (2 * k + q - qp - 2 * t)
-                    * s ** (qp - q + 2 * t)
-                    / math.factorial(k + q - t)
-                    / math.factorial(t)
-                    / math.factorial(qp - q + t)
-                    / math.factorial(k - qp - t)
-                )
-            out[i, jcol] = pref * total
-    return out
+    if not isinstance(k, int) or not 0 <= k <= MAX_TWO_J:
+        raise ValueError(f"rank must be an integer in 0..{MAX_TWO_J}, got {k}")
+    return _exp_jy(*_jy_eigenbasis(k), beta).real
+
+
+@dataclass(frozen=True)
+class _RotationBasis:
+    """J_y of every rank 0..2j as one block-diagonal matrix in the (k, q)
+    order of _tau_stack, by its eigendecomposition, and the q of each key."""
+
+    q: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    vh: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _rotation_basis(two_j: int) -> _RotationBasis:
+    keys = _tau_stack(two_j).keys
+    n = len(keys)
+    w = np.empty(n)
+    v = np.zeros((n, n), dtype=np.complex128)
+    start = 0
+    for k in range(two_j + 1):
+        block = slice(start, start + 2 * k + 1)
+        wk, vk, _ = _jy_eigenbasis(k)
+        w[block] = wk
+        v[block, block] = vk[::-1]  # rows from q descending to the keys' q ascending
+        start = block.stop
+    q = np.array([q for _k, q in keys], dtype=np.float64)
+    vh = v.conj().T.copy()
+    for a in (q, w, v, vh):
+        a.setflags(write=False)
+    return _RotationBasis(q, w, v, vh)
 
 
 def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float) -> TensorParams:
@@ -325,21 +372,16 @@ def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float)
 
     Uses D^k_{q'q} = exp(-i q' alpha) d^k_{q'q}(beta) exp(-i q gamma).
     Equivalent to conjugating the represented operator by the inverse of
-    R = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz).
+    R = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz).  Coefficients
+    missing from `params` count as 0, and the result holds every (k, q)
+    of the spin.
     """
     two_j = _as_two_j(params.j)
-    ranks = sorted({k for (k, _q) in params.coeffs})
-    if ranks and max(ranks) > MAX_ROTATION_RANK:
-        raise ValueError(
-            f"unsupported rank k = {max(ranks)}; rotations are implemented for k <= 2"
-        )
-    new_coeffs: dict[tuple[int, int], complex] = {}
-    for k in ranks:
-        d = wigner_d(k, beta)
-        for q in range(k, -k - 1, -1):
-            acc = 0j
-            for qp in range(k, -k - 1, -1):
-                dd = np.exp(-1j * qp * alpha) * d[k - qp, k - q] * np.exp(-1j * q * gamma)
-                acc += dd * params.coeffs[(k, qp)]
-            new_coeffs[(k, q)] = acc
-    return TensorParams(j=two_j / 2, coeffs=new_coeffs)
+    alpha, gamma = _finite("alpha", alpha), _finite("gamma", gamma)
+    keys = _tau_stack(two_j).keys
+    basis = _rotation_basis(two_j)
+    # every rank's d-matrix at once, as the blocks of one matrix
+    d = _exp_jy(basis.w, basis.v, basis.vh, beta)
+    values = _coefficient_vector(params, keys) * np.exp(-1j * alpha * basis.q)
+    rotated = (values @ d) * np.exp(-1j * gamma * basis.q)
+    return TensorParams(j=two_j / 2, coeffs=dict(zip(keys, rotated.tolist())))

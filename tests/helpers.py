@@ -35,3 +35,27 @@ def random_spinor(rng: np.random.Generator) -> tuple[complex, complex]:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = v / np.linalg.norm(v)
     return complex(v[0]), complex(v[1])
+
+
+def spin_y(j) -> np.ndarray:
+    """J_y of spin j (any half-integer) in the |j m> basis, m descending,
+    built from the ladder operator J+ |m> = sqrt(j(j+1) - m(m+1)) |m+1>."""
+    m = j - np.arange(round(2 * j) + 1)
+    plus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), 1)
+    return (plus - plus.T) / 2j
+
+
+def decompose_reference(h: np.ndarray, j) -> dict:
+    """h^k_q = Tr(h tau^k_q), one matrix product and trace per (k, q)."""
+    from symgates.tensors import tau
+
+    two_j = round(2 * j)
+    return {(k, q): complex(np.trace(h @ tau(j, k, q).matrix))
+            for k in range(two_j + 1) for q in range(-k, k + 1)}
+
+
+def m_coefficients_reference(x: np.ndarray) -> np.ndarray:
+    """c_k = Tr(M_k x) / 2, one matrix product and trace per M_k."""
+    from symgates.su3 import M
+
+    return np.array([np.trace(m @ x) / 2 for m in M])

@@ -74,11 +74,13 @@ def test_profile_points_match_the_batch_columns():
 
 
 # SHA-256 of CSVs written by the per-point implementation that preceded the
-# batch path; the batch path must reproduce them byte for byte.
+# batch path; the batch path must reproduce them byte for byte.  B1..B3 are
+# those CSVs with every negative e_p cell (-4.93432455388958e-17, where |G1|
+# rounds a few ulps above 1) replaced by 0, since e_p is clamped into [0, 2/9].
 SWEEP_2049_SHA256 = {
-    1: "2621e187e37dbd73f6c699f7c9a021caf7dc2d2312b16891bd96b6bc5c1d5e39",
-    2: "572680ef577ce746f3cc8a01644020e6da5e80cab06b37b286b787d2a834da4e",
-    3: "b1c9012b238802b58974c0f5e3051f957123ca9fbe344e88175dd8aff0ebdbb6",
+    1: "3d73786a89e2e130a20d624f9371a3b8837efe192e6983334d89a3a79f297c12",
+    2: "91e5e897221a9fca848e0f46690f1d972eb109ee019e6e531adf1b263b7a15ae",
+    3: "b393c6ad95398e3653af62990e4577de1a7f0e91634fabaafcb15443b4484152",
     4: "a4c4bb097d5318538906d08a04082256d5c6c0461821cedb3b8f888dacf134b2",
     5: "9d3020e771d87fbc96d35864a27510ef49e4ec26a1d1194c7a025e983cd36805",
     6: "de67d88c41a1a49cdb194377885ec16508350bf7e02861774814cc535c2a9aae",
@@ -114,6 +116,19 @@ def test_lmg_csv_is_byte_identical_to_the_per_point_output(tmp_path, capsys, g1,
     assert main(["lmg", "--g1", g1, "--g2", g2, "--t-min", t_min, "--t-max", t_max,
                  "--steps", steps, "--out", str(out)]) == 0
     assert _sha256(out) == LMG_SHA256[(g1, g2, t_min, t_max, steps)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_no_sweep_row_has_a_negative_ep(k):
+    thetas = np.linspace(0.0, math.pi if k < 8 else math.sqrt(3.0) * math.pi, 2049)
+    for _, _, ep, _ in cli.sweep_blocks(k, thetas):
+        assert np.all(ep >= 0.0)
+
+
+@pytest.mark.parametrize("g1, g2", [(1.5, 1.5), (1.0, 2.0), (-0.7, 1.3), (0.25, 0.25)])
+def test_no_lmg_row_has_a_negative_ep(g1, g2):
+    for _, ep, _ in cli.lmg_blocks(g1, g2, np.linspace(0.0, math.pi, 1441)):
+        assert np.all(ep >= 0.0)
 
 
 def _scalar_sweep_csv(k, thetas) -> str:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -270,3 +271,54 @@ def test_gate_report_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["gate", "6", "--theta", "0.9"]) == 0
     assert capsys.readouterr().out == first
+
+
+# SHA-256 of the standard output of reports that go through the tensor and
+# M-basis kernels, captured from the per-operator implementation that
+# preceded the stacked kernels; the output must not change by a byte.
+DECOMPOSE_INPUTS = {
+    "9ead8f7740c546965f98afae50fb9308b5ba2736786e260a2ccc3a4349b6ab78": [
+        [[1.0, 0], [0.5, -0.25], [0, 0.3]],
+        [[0.5, 0.25], [-2.0, 0], [0.125, 0.7]],
+        [[0, -0.3], [0.125, -0.7], [0.75, 0]]],
+    "831b094b9a81e281e7daae121c099a7c384fb5a514c547ccae5354c1301c0582": [
+        [[0.3333333333333333, 0], [0.1, 0.2], [-0.7071067811865476, 0.1]],
+        [[0.1, -0.2], [1.4142135623730951, 0], [2.5, -3.25]],
+        [[-0.7071067811865476, -0.1], [2.5, 3.25], [-1.7320508075688772, 0]]],
+    "2df7b8bead086c24d8d36de799f8c9535e87f46787c83e55cb81b7d948b1b945": [
+        [[2, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [-2, 0]]],
+}
+REPORT_STDOUT_SHA256 = {
+    ("act", "4", "--theta", "pi/2", "--alpha", "pi/2", "--phi", "0"):
+        "affff49b57a014711f82d5ec83fda834b86ad1e4f24dd97a3ead9d32375deb48",
+    ("act", "8", "--theta", "sqrt3*pi/2", "--alpha", "1.234", "--phi", "5.678"):
+        "9035e01e78d88ee3313f7a86e2523d06a3f51217ca141985fc51826c53083a3c",
+    ("act", "1", "--theta", "0.3", "--alpha", "-0.5", "--phi", "7"):
+        "390c772f2bb8aafa788bd972a7044718c4ce29e3820878264e10fd099caf6763",
+    ("act", "6", "--theta", "2.5", "--alpha", "3.5", "--phi", "-1"):
+        "0b3188f3b3c56a220f55749fabacd3a77116af3cb7042a0d9c220455ec7b1ea9",
+    ("act", "2", "--theta", "-1.1", "--alpha", "pi", "--phi", "pi"):
+        "10b604dcac916e92791da8601d74d0346c263d4bfa72de5d252d28b73674c768",
+    ("act", "5", "--theta", "0.77", "--alpha", "6.5", "--phi", "0.01"):
+        "2da63abde855358d38227328ef936b7cd9a342711656acdfc49e90bc438a3d3d",
+    ("basis", "--tensor-basis", "--j", "3/2"):
+        "f409f181910e6736c40fc09fc0de6e7a6178e435d70cd0c05c76a6dff854e3cc",
+}
+
+
+def _stdout_sha256(capsys) -> str:
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("digest", list(DECOMPOSE_INPUTS))
+def test_decompose_output_is_unchanged(tmp_path, capsys, digest):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"dim": 3, "entries": DECOMPOSE_INPUTS[digest]}))
+    assert main(["decompose", str(path)]) == 0
+    assert _stdout_sha256(capsys) == digest
+
+
+@pytest.mark.parametrize("argv", list(REPORT_STDOUT_SHA256))
+def test_report_output_is_unchanged(capsys, argv):
+    assert main(list(argv)) == 0
+    assert _stdout_sha256(capsys) == REPORT_STDOUT_SHA256[argv]

@@ -22,7 +22,7 @@ from symgates.entanglement import (
     spe_condition,
 )
 from symgates.gates import LMGParams, gate, lmg_gate
-from symgates.linalg import is_unitary
+from symgates.linalg import InputError, is_unitary
 
 from helpers import max_phase_distance, random_spinor, random_su2
 
@@ -138,6 +138,28 @@ def test_separable_state_wrapping_preserves_the_state():
     np.testing.assert_allclose(same.vec4, ref.vec4, atol=1e-12)
     flipped = separable_state(2 * math.pi - 0.8, 1.1 + math.pi)
     np.testing.assert_allclose(flipped.vec4, ref.vec4, atol=1e-12)
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                              np.float32(math.inf)])
+
+
+@given(bad=non_finite, other=st.floats(-8.0, 8.0), bad_phi=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_separable_state_rejects_non_finite_angles(bad, other, bad_phi):
+    name, args = ("phi", (other, bad)) if bad_phi else ("alpha", (bad, other))
+    with pytest.raises(InputError, match=f"{name} must be finite"):
+        separable_state(*args)
+
+
+@given(bad=non_finite, index=st.integers(0, 3), imaginary=st.booleans(),
+       amplitudes=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_concurrence_rejects_non_finite_amplitudes(bad, index, imaginary, amplitudes):
+    psi = np.array(amplitudes, dtype=np.complex128)
+    psi[index] = complex(0.0, bad) if imaginary else bad
+    with pytest.raises(InputError, match=f"psi must be finite, got .* at index {index}"):
+        concurrence(psi)
 
 
 @given(alpha=st.floats(-8.0, 8.0), phi=st.floats(-8.0, 8.0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgates.linalg import commutator
 from symgates.su3 import (
@@ -23,7 +25,7 @@ from symgates.su3 import (
 )
 from symgates.tensors import hermitian_basis
 
-from helpers import random_hermitian
+from helpers import m_coefficients_reference, random_hermitian
 
 SQ3 = math.sqrt(3.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -141,6 +143,16 @@ def test_m_coefficients_span_all_matrices(rng):
     coeffs = m_coefficients(x)
     rebuilt = sum(c * M[k] for k, c in enumerate(coeffs))
     np.testing.assert_allclose(rebuilt, x, atol=1e-13)
+
+
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
+@settings(max_examples=100, deadline=None)
+def test_stacked_m_coefficients_equal_the_per_matrix_loop(seed, scale):
+    rng = np.random.default_rng(seed)
+    x = scale * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    assert np.array_equal(m_coefficients(x), m_coefficients_reference(x))
+    h = random_hermitian(rng, 3, scale)
+    assert np.array_equal(decompose_hamiltonian(h), 2 * m_coefficients_reference(h).real)
 
 
 def test_decompose_hamiltonian_basis_elements():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symgates.linalg import expm_hermitian
+from symgates.linalg import InputError, expm_hermitian
 from symgates.tensors import (
     TensorParams,
     angular_momentum_matrices,
@@ -19,7 +19,7 @@ from symgates.tensors import (
     wigner_d,
 )
 
-from helpers import random_hermitian
+from helpers import decompose_reference, random_hermitian, spin_y
 
 ALL_SPINS = [0.5, 1.0, 1.5, 2.0, 2.5]
 
@@ -209,9 +209,36 @@ def test_decompose_reconstruct_round_trip(j, rng):
         np.testing.assert_allclose(reconstruct(decompose(h, j)), h, atol=1e-12)
 
 
+@given(j=st.sampled_from(ALL_SPINS), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+@settings(max_examples=100, deadline=None)
+def test_stacked_decompose_equals_the_per_operator_loop(j, seed, scale):
+    h = random_hermitian(np.random.default_rng(seed), round(2 * j) + 1, scale)
+    params, reference = decompose(h, j), decompose_reference(h, j)
+    assert params.coeffs == reference
+    assert list(params.coeffs) == list(reference)
+    np.testing.assert_allclose(reconstruct(params), h, atol=1e-12 * max(1.0, scale))
+
+
 def test_tensor_params_validate_hermiticity():
     with pytest.raises(ValueError, match="Hermiticity"):
         TensorParams(j=0.5, coeffs={(0, 0): 1.0, (1, 0): 1j, (1, 1): 0.0, (1, -1): 0.0})
+
+
+def test_tensor_params_hermiticity_check_signs_odd_q_and_scales_with_h():
+    with pytest.raises(ValueError, match="Hermiticity"):
+        TensorParams(j=0.5, coeffs={(1, 1): 1.0, (1, -1): 1.0})
+    # conj(h^1_1) = -h^1_{-1} within 1e-12 * max(1, |h|)
+    TensorParams(j=0.5, coeffs={(1, 1): 1e6 + 1j, (1, -1): -1e6 + 1j + 1e-7})
+
+
+def test_tensor_params_reject_keys_outside_the_basis():
+    with pytest.raises(ValueError, match="no tensor operator"):
+        TensorParams(j=0.5, coeffs={(2, 0): 1.0})
+    with pytest.raises(ValueError, match="no tensor operator"):
+        TensorParams(j=1, coeffs={(1, 2): 1.0, (1, -2): 1.0})
+    with pytest.raises(ValueError, match="missing partner"):
+        TensorParams(j=1, coeffs={(1, 1): 1.0})
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -219,9 +246,21 @@ def test_wigner_d_at_zero_is_identity(k):
     np.testing.assert_allclose(wigner_d(k, 0.0), np.eye(2 * k + 1), atol=1e-15)
 
 
-def test_wigner_d_rejects_high_rank():
-    with pytest.raises(ValueError, match="unsupported rank"):
-        wigner_d(3, 0.5)
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_wigner_d_high_ranks_match_spin_rotation(k):
+    # J_y of spin k > 5/2 from its ladder form, outside the module's spin range
+    for beta in (-17.0, -2.2, 0.0, 0.3, 1.1, 2.5, 4.0, 19.5):
+        np.testing.assert_allclose(wigner_d(k, beta), expm_hermitian(-spin_y(k), beta).real,
+                                   rtol=0, atol=1e-13)
+
+
+def test_wigner_d_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="rank"):
+        wigner_d(6, 0.5)
+    with pytest.raises(ValueError, match="rank"):
+        wigner_d(1.0, 0.5)
+    with pytest.raises(InputError, match="beta must be finite"):
+        wigner_d(1, math.nan)
 
 
 def test_wigner_d1_quarter_turn():
@@ -240,7 +279,7 @@ def test_wigner_d_matches_spin_rotation(k):
                                    expm_hermitian(-jm.y, beta).real, atol=1e-12)
 
 
-@given(beta1=st.floats(-6.0, 6.0), beta2=st.floats(-6.0, 6.0), k=st.integers(0, 2))
+@given(beta1=st.floats(-6.0, 6.0), beta2=st.floats(-6.0, 6.0), k=st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_wigner_d_group_property(beta1, beta2, k):
     lhs = wigner_d(k, beta1) @ wigner_d(k, beta2)
@@ -280,7 +319,7 @@ def test_rotate_params_preserves_rank_norms(alpha, beta, gamma, seed):
         assert after == pytest.approx(before, abs=1e-11, rel=1e-11)
 
 
-@pytest.mark.parametrize("j", [0.5, 1.0])
+@pytest.mark.parametrize("j", ALL_SPINS)
 def test_rotate_params_matches_inverse_conjugation(j, rng):
     # Parameter rotation is passive: it equals conjugating the operator
     # by the inverse of R = e^{-i a Jz} e^{-i b Jy} e^{-i g Jz}.
@@ -295,8 +334,22 @@ def test_rotate_params_matches_inverse_conjugation(j, rng):
         np.testing.assert_allclose(rotated, rot.conj().T @ h @ rot, atol=1e-10)
 
 
-def test_rotate_params_rejects_high_rank(rng):
-    h = random_hermitian(rng, 4)
-    params = decompose(h, 1.5)
-    with pytest.raises(ValueError, match="unsupported rank"):
-        rotate_params(params, 0.1, 0.2, 0.3)
+def test_rotate_params_counts_missing_coefficients_as_zero(rng):
+    full = decompose(random_hermitian(rng, 3), 1)
+    rank2 = TensorParams(j=1, coeffs={key: h for key, h in full.coeffs.items() if key[0] == 2})
+    rotated = rotate_params(rank2, 0.4, -1.2, 2.0)
+    expected = rotate_params(full, 0.4, -1.2, 2.0)
+    assert set(rotated.coeffs) == set(full.coeffs)
+    for (k, q), h in rotated.coeffs.items():
+        assert h == (pytest.approx(expected.coeffs[(k, q)], abs=1e-14) if k == 2 else 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rotate_params_rejects_non_finite_angles(bad, rng):
+    params = decompose(random_hermitian(rng, 2), 0.5)
+    with pytest.raises(InputError, match="alpha must be finite"):
+        rotate_params(params, bad, 0.2, 0.3)
+    with pytest.raises(InputError, match="beta must be finite"):
+        rotate_params(params, 0.1, bad, 0.3)
+    with pytest.raises(InputError, match="gamma must be finite"):
+        rotate_params(params, 0.1, 0.2, bad)
