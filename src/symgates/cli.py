@@ -4,7 +4,9 @@ Subcommands: basis, gate, sweep, act, lmg, decompose.  All output is
 deterministic (15 significant digits, '.' decimal separator, LF line
 endings).  Exit codes: 0 success/verified, 1 verification failure,
 2 usage or parse error, including input the library rejects as out of
-its domain (non-finite numbers, reversed time ranges).
+its domain (non-finite numbers, reversed time ranges), 3 a failed
+internal check (a RuntimeError, such as e_p outside [0, 2/9]), reported
+as one 'error: internal check failed: ...' line rather than a traceback.
 
 `sweep` and `lmg --t-max` compute their grid in blocks of _BLOCK points
 through the batch functions and write each block's rows as they go, to a
@@ -30,6 +32,7 @@ from .linalg import InputError
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 SWEEP_HEADER = "theta,g1_abs,ep,class"
 LMG_HEADER = "t,ep,concurrence"
@@ -156,19 +159,18 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
         yield entanglement._lmg_profile_columns(g1, g2, block)
 
 
-def _column_text(column) -> list[str]:
-    """fmt_float of each entry of a float array; other columns as they are."""
-    if not isinstance(column, np.ndarray):
-        return column
-    return list(map(fmt_float, column.tolist()))
-
-
 def _write_rows(fh, header: str, blocks) -> int:
+    """Write `header`, then one row per entry of each block's columns: a
+    float array column as fmt_float prints it, any other column as text."""
     fh.write(header + "\n")
     count = 0
     for columns in blocks:
-        rows = list(map(",".join, zip(*map(_column_text, columns))))
-        fh.write("\n".join(rows) + "\n")
+        is_float = [isinstance(c, np.ndarray) for c in columns]
+        # '%.15g' of x + 0.0 is fmt_float(x), -0.0 included
+        row_format = ",".join("%.15g" if f else "%s" for f in is_float) + "\n"
+        values = [(c + 0.0).tolist() if f else c for c, f in zip(columns, is_float)]
+        rows = [row_format % row for row in zip(*values)]
+        fh.write("".join(rows))
         count += len(rows)
     return count
 
@@ -427,6 +429,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except RuntimeError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main_entry() -> None:

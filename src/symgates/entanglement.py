@@ -9,14 +9,28 @@ local unitaries become real orthogonal.  The entangling power follows as
 e_p = (2/9)(1 - |G1|), with perfect entanglers filling 1/6 <= e_p <= 2/9
 and special perfect entanglers the maximal value 2/9.
 
+A symmetric gate u4 = blockdiag(u3, 1) (triplet, singlet) needs no 4x4
+matrix.  The Bell transform maps the triplet onto three Bell vectors and
+the singlet onto the fourth, so B_bell = blockdiag(W u3 W^dagger, 1) up to
+the order of the Bell vectors, with W the 3x3 triplet block of the
+transform; W is unitary and W^T W = S = antidiag(1, -1, 1).  Hence
+det(B_bell) = det(u3), and, since W^dagger W^* = S^* = S,
+
+    tr(m) = 1 + tr(u3^T S u3 S)
+          = 1 + 2(u00 u22 + u02 u20 - u01 u21 - u10 u12) + u11^2.
+
+`_symmetric_invariants` evaluates these two closed forms elementwise over
+a (..., 3, 3) stack; `entangling_power` of a SymmetricGate (as a stack of
+one) and `entangling_power_batch` of a GateBatch both use it, so a gate
+scores the same (==) alone or in a grid.  A general 4x4 unitary, or an
+(N, 4, 4) stack, goes through the Bell transform, trace and determinant
+of `_bell_invariants` instead.  The last step (G1 from tr(m) and det,
+then |G1|, e_p and the class) runs per gate on numpy scalars, because
+numpy's array kernels for complex multiply and abs round differently from
+its scalar arithmetic.
+
 Amplitude ordering for all 4-vectors is (up-up, up-down, down-up,
 down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
-
-`entangling_power_batch` scores a stack of gates with the same code as
-`entangling_power`: the Bell transform, trace and determinant run on the
-(N, 4, 4) stack, and the last step (G1 from them, |G1|, e_p and the
-class) runs per gate on numpy scalars, because numpy's array kernels for
-complex multiply and abs round differently from its scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -57,7 +71,10 @@ BELL_TRANSFORM.setflags(write=False)
 _QUBIT_TO_BELL = BELL_TRANSFORM @ U_QUBIT_TO_ANGULAR
 _BELL_TO_QUBIT = _QUBIT_TO_BELL.conj().T
 _G1_UNITARITY_ATOL = 1e-10
-_UP_UP = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+# Above this norm, squares of amplitudes that underflow change it by under 1e-23.
+_MIN_SAFE_NORM = 1e-150
+# |1 0> = (up-down + down-up)/sqrt2: the same factor as in U_QUBIT_TO_ANGULAR
+_INV_SQ2 = U_QUBIT_TO_ANGULAR[1, 1].real
 
 
 def _bell_invariants(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,6 +82,18 @@ def _bell_invariants(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b_bell = _QUBIT_TO_BELL @ u4 @ _BELL_TO_QUBIT
     m = b_bell.swapaxes(-1, -2) @ b_bell
     return np.trace(m, axis1=-2, axis2=-1), np.linalg.det(b_bell)
+
+
+def _symmetric_invariants(u3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tr(m) and det(B_bell) of the symmetric gates of a (..., 3, 3) stack,
+    in closed form from the triplet block (see the module docstring)."""
+    u00, u01, u02 = u3[..., 0, 0], u3[..., 0, 1], u3[..., 0, 2]
+    u10, u11, u12 = u3[..., 1, 0], u3[..., 1, 1], u3[..., 1, 2]
+    u20, u21, u22 = u3[..., 2, 0], u3[..., 2, 1], u3[..., 2, 2]
+    tr = 1.0 + 2.0 * (u00 * u22 + u02 * u20 - u01 * u21 - u10 * u12) + u11 * u11
+    det = (u00 * (u11 * u22 - u12 * u21) - u01 * (u10 * u22 - u12 * u20)
+           + u02 * (u10 * u21 - u11 * u20))
+    return tr, det
 
 
 def _g1(tr, det) -> complex:
@@ -132,14 +161,18 @@ def _power(g1: complex) -> tuple[float, float, str]:
 def entangling_power(u4) -> EntanglementReport:
     """Entangling power e_p = (2/9)(1 - |G1|) and its classification.
 
-    Accepts either a 4x4 product-basis unitary or a SymmetricGate.
+    Accepts either a 4x4 product-basis unitary, checked unitary within
+    1e-10, or a SymmetricGate, scored from its 3x3 block, which was checked
+    unitary when the gate was built.
     """
     label = None
     theta = None
     if isinstance(u4, SymmetricGate):
         label, theta = u4.label, u4.theta
-        u4 = u4.u4
-    g1 = makhlin_g1(u4)
+        tr, det = _symmetric_invariants(u4.u3[None])
+        g1 = _g1(tr[0], det[0])
+    else:
+        g1 = makhlin_g1(u4)
     g1_abs, ep, classification = _power(g1)
     return EntanglementReport(g1=g1, g1_abs=g1_abs, ep=ep, classification=classification,
                               gate_label=label, theta=theta)
@@ -148,16 +181,20 @@ def entangling_power(u4) -> EntanglementReport:
 def entangling_power_batch(u4s) -> EntanglementBatch:
     """`entangling_power` of each gate of a GateBatch or (N, 4, 4) stack.
 
-    Entry by entry equal (==) to the scalar function.
+    Entry by entry equal (==) to the scalar function: a GateBatch to
+    `entangling_power` of its gates as SymmetricGates, a stack to
+    `entangling_power` of its 4x4 matrices.
     """
     if isinstance(u4s, GateBatch):
-        u4s = u4s.u4
-    u4s = np.asarray(u4s, dtype=np.complex128)
-    if u4s.ndim != 3 or u4s.shape[1:] != (4, 4) or len(u4s) == 0:
-        raise ValueError(f"expected a non-empty (N, 4, 4) stack, got shape {u4s.shape}")
-    if not is_unitary(u4s, atol=_G1_UNITARITY_ATOL):
-        raise ValueError(f"matrix is not unitary within {_G1_UNITARITY_ATOL:.1e}")
-    g1 = [_g1(tr, det) for tr, det in zip(*_bell_invariants(u4s))]
+        invariants = _symmetric_invariants(u4s.u3)
+    else:
+        u4s = np.asarray(u4s, dtype=np.complex128)
+        if u4s.ndim != 3 or u4s.shape[1:] != (4, 4) or len(u4s) == 0:
+            raise ValueError(f"expected a non-empty (N, 4, 4) stack, got shape {u4s.shape}")
+        if not is_unitary(u4s, atol=_G1_UNITARITY_ATOL):
+            raise ValueError(f"matrix is not unitary within {_G1_UNITARITY_ATOL:.1e}")
+        invariants = _bell_invariants(u4s)
+    g1 = [_g1(tr, det) for tr, det in zip(*invariants)]
     g1_abs, ep, classification = zip(*map(_power, g1))
     return EntanglementBatch(g1=np.array(g1), g1_abs=np.array(g1_abs), ep=np.array(ep),
                              classification=classification)
@@ -176,13 +213,21 @@ def concurrence(psi) -> float:
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.shape != (4,):
         raise ValueError(f"expected four amplitudes, got shape {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if not math.isfinite(norm):  # raises for a non-finite amplitude, not for an overflow
-        _finite("psi", psi)
-    if norm == 0.0:
-        raise ValueError("cannot compute the concurrence of the zero vector")
-    if abs(norm - 1.0) > 1e-10:
-        warnings.warn(f"state norm {norm} deviates from 1; normalizing", stacklevel=2)
+    norm = math.sqrt(np.vdot(psi, psi).real)
+    scale = 1.0
+    if not _MIN_SAFE_NORM < norm < math.inf:
+        # Zero or non-finite amplitudes, or squares that underflowed or
+        # overflowed: the norm of psi / max|amplitude| lies in [1, 2].  The
+        # division is done in floats, as a subnormal complex divisor overflows.
+        scale = float(np.max(np.abs(psi)))
+        if not math.isfinite(scale):
+            _finite("psi", psi)
+        if scale == 0.0:
+            raise ValueError("cannot compute the concurrence of the zero vector")
+        psi = psi.real / scale + 1j * (psi.imag / scale)
+        norm = math.sqrt(np.vdot(psi, psi).real)
+    if abs(scale * norm - 1.0) > 1e-10:
+        warnings.warn(f"state norm {scale * norm} deviates from 1; normalizing", stacklevel=2)
         psi = psi / norm
     return _pure_concurrence(psi[0], psi[1], psi[2], psi[3])
 
@@ -351,10 +396,11 @@ def _lmg_profile_columns(g1: float, g2: float, t_grid):
         raise InputError("t_grid must be strictly ascending")
     g = lmg_batch(g1, g2, t_grid)
     report = entangling_power_batch(g)
-    # Columns of gates unitary within 1e-10 have unit norm within 1e-10,
-    # so `concurrence` would not renormalize them either.
-    images = g.u4 @ _UP_UP
-    concs = map(_pure_concurrence, images[:, 0], images[:, 1], images[:, 2], images[:, 3])
+    # u4 |up up> = (u00, u10/sqrt2, u10/sqrt2, u20) from the first column of
+    # u3, since |up up> = |1 1>.  Columns of gates unitary within 1e-12 have
+    # unit norm within 1e-12, so `concurrence` would not renormalize them.
+    a, b, d = g.u3[:, 0, 0], g.u3[:, 1, 0] * _INV_SQ2, g.u3[:, 2, 0]
+    concs = map(_pure_concurrence, a, b, b, d)
     return t_grid, report.ep, np.fromiter(concs, np.float64)
 
 

@@ -10,13 +10,15 @@ while B8, whose generator has eigenvalues {1, -2, 1}/sqrt(3), is a pure
 phase gate handled explicitly.  The 4x4 product-basis embedding acts as
 the identity on the singlet state.
 
-`gates_batch` and `lmg_batch` build a whole grid of one family as a
-(N, 3, 3) / (N, 4, 4) stack; `gate` and `lmg_gate` are their one-point
-case, so a gate is the same (==) whether it is built alone or in a grid.
+`gates_batch` and `lmg_batch` build a whole grid of one family as an
+(N, 3, 3) stack, checked unitary once; its (N, 4, 4) embedding is built
+only if it is read.  `gate` and `lmg_gate` are their one-point case, so a
+gate is the same (==) whether it is built alone or in a grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,14 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import InputError, _finite, _grid, expm_hermitian, is_unitary
-from .su3 import M, M0, M7, M8, to_qubit_basis
+from .su3 import M, to_qubit_basis
 from .tensors import angular_momentum_matrices
 
 _SQ3 = math.sqrt(3.0)
-_SQ8 = math.sqrt(8.0)
 _M_SQUARED = tuple(mk @ mk for mk in M)
 _B8_WEIGHTS = np.array([1.0, -2.0, 1.0])  # eigenvalues of sqrt(3) M8
 _DIAG = np.arange(3)
+_JM = angular_momentum_matrices(1)
+_LADDER_G1 = _JM.plus @ _JM.plus + _JM.minus @ _JM.minus  # J+^2 + J-^2
+_LADDER_G2 = _JM.plus @ _JM.minus + _JM.minus @ _JM.plus  # J+J- + J-J+
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,22 @@ class SymmetricGate:
 
 @dataclass(frozen=True)
 class GateBatch:
-    """Gates of one family on a 1-D grid: u3 (N, 3, 3) and u4 (N, 4, 4)."""
+    """Gates of one family on a 1-D grid: u3 (N, 3, 3), checked unitary by
+    `gates_batch` / `lmg_batch`, and u4 (N, 4, 4), their product-basis
+    embeddings, built on first access."""
 
     u3: np.ndarray
-    u4: np.ndarray
+
+    @functools.cached_property
+    def u4(self) -> np.ndarray:
+        return to_qubit_basis(self.u3, 1.0)
 
 
-def _embed(label: str, u3: np.ndarray) -> np.ndarray:
-    """Product-basis embedding of a 3x3 gate, or of a stack, once it is checked unitary."""
+def _unitary(label: str, u3: np.ndarray) -> np.ndarray:
+    """u3, a 3x3 gate or a stack, once it is checked unitary within 1e-12."""
     if not is_unitary(u3):
         raise ValueError(f"gate {label} is not unitary within 1e-12")
-    return to_qubit_basis(u3, 1.0)
+    return u3
 
 
 def _gate_index(k) -> int:
@@ -117,30 +126,25 @@ def gates_batch(k: int, thetas) -> GateBatch:
         sin = np.fromiter(map(math.sin, angles), np.float64, thetas.size)
         u3 = (np.eye(3) + (cos - 1.0)[:, None, None] * _M_SQUARED[k]
               + (1j * sin)[:, None, None] * M[k])
-    return GateBatch(u3, _embed(f"B{k}", u3))
+    return GateBatch(_unitary(f"B{k}", u3))
 
 
 def custom_gate(u3, label: str = "custom") -> SymmetricGate:
     """Wrap an arbitrary 3x3 unitary as a symmetric gate."""
-    u3 = np.asarray(u3, dtype=np.complex128)
-    return SymmetricGate(label=label, u3=u3, u4=_embed(label, u3))
+    u3 = _unitary(label, np.asarray(u3, dtype=np.complex128))
+    return SymmetricGate(label=label, u3=u3, u4=to_qubit_basis(u3, 1.0))
 
 
 def lmg_hamiltonian(g1: float, g2: float) -> np.ndarray:
-    """Spin-1 matrix of g1 (J+^2 + J-^2) + g2 (J+J- + J-J+).
+    """Spin-1 matrix of g1 (J+^2 + J-^2) + g2 (J+J- + J-J+), from the
+    ladder operators.
 
-    Built from the ladder operators and cross-checked against the
-    equivalent basis expansion 2 g1 M7 + (2/sqrt(3)) g2 (sqrt(8) M0 - M8);
-    a disagreement would indicate corrupted basis constants.
+    It equals the basis expansion 2 g1 M7 + (2/sqrt(3)) g2 (sqrt(8) M0 - M8)
+    up to rounding (within 1e-12 for |g1|, |g2| <= 1e3, as the test suite
+    checks).
     """
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
-    jm = angular_momentum_matrices(1)
-    jp, jmn = jm.plus, jm.minus
-    h_ladder = g1 * (jp @ jp + jmn @ jmn) + g2 * (jp @ jmn + jmn @ jp)
-    h_basis = 2.0 * g1 * M7 + (2.0 / _SQ3) * g2 * (_SQ8 * M0 - M8)
-    if np.max(np.abs(h_ladder - h_basis)) > 1e-12:
-        raise RuntimeError("ladder and basis forms of the collective Hamiltonian disagree")
-    return h_ladder
+    return g1 * _LADDER_G1 + g2 * _LADDER_G2
 
 
 def lmg_gate(params: LMGParams) -> SymmetricGate:
@@ -154,8 +158,7 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     of the Hamiltonian; entry by entry equal to `lmg_gate`."""
     h = lmg_hamiltonian(g1, g2)
     ts = _grid("ts", ts)
-    u3 = expm_hermitian(h, ts)
-    return GateBatch(u3, _embed("BL", u3))
+    return GateBatch(_unitary("BL", expm_hermitian(h, ts)))
 
 
 def lmg_gate_closed_form(params: LMGParams) -> np.ndarray:

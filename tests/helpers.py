@@ -59,3 +59,11 @@ def m_coefficients_reference(x: np.ndarray) -> np.ndarray:
     from symgates.su3 import M
 
     return np.array([np.trace(m @ x) / 2 for m in M])
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-random n x n unitary: QR of a complex Ginibre matrix, phases fixed."""
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))

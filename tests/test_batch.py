@@ -1,6 +1,7 @@
 """The batch path: equal to the scalar path, byte-identical CLI output, input contract."""
 
 import hashlib
+import io
 import math
 import warnings
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from symgates import cli
 from symgates.cli import fmt_float, main
 from symgates.entanglement import (
+    _bell_invariants,
     _lmg_profile_columns,
+    _symmetric_invariants,
     concurrence,
     entangling_power,
     entangling_power_batch,
@@ -20,9 +23,13 @@ from symgates.entanglement import (
 )
 from symgates.gates import LMGParams, gate, gates_batch, lmg_batch, lmg_gate
 from symgates.linalg import InputError
+from symgates.su3 import to_qubit_basis
+
+from helpers import haar_unitary
 
 UP_UP = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
 THETA_MAX = {k: "pi" for k in range(1, 8)} | {8: "sqrt3*pi"}
+THETA_MAX_VALUE = {k: math.pi for k in range(1, 8)} | {8: math.sqrt(3.0) * math.pi}
 
 angles = st.floats(-20.0, 20.0, allow_nan=False)
 couplings = st.floats(-3.0, 3.0, allow_nan=False)
@@ -53,7 +60,7 @@ def test_gates_batch_equals_scalar_path(k, thetas):
 def test_lmg_batch_equals_scalar_path(g1, g2, ts):
     ts = sorted(ts)
     batch = lmg_batch(g1, g2, ts)
-    scores = entangling_power_batch(batch.u4)
+    scores = entangling_power_batch(batch)
     _, profile_ep, profile_conc = _lmg_profile_columns(g1, g2, ts)
     for i, t in enumerate(ts):
         g = lmg_gate(LMGParams(g1=g1, g2=g2, t=t))
@@ -65,6 +72,84 @@ def test_lmg_batch_equals_scalar_path(g1, g2, ts):
         assert profile_conc[i] == concurrence(g.u4 @ UP_UP)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12))
+def test_raw_stack_scores_equal_the_scalar_path(seed, size):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([haar_unitary(rng, 4) for _ in range(size)])
+    scores = entangling_power_batch(stack)
+    for i, u4 in enumerate(stack):
+        _assert_reports_equal(scores, i, entangling_power(u4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), theta=angles, g1=couplings,
+       g2=couplings, t=st.floats(-5.0, 5.0, allow_nan=False))
+def test_symmetric_invariants_match_the_bell_transform(seed, k, theta, g1, g2, t):
+    u3 = np.stack([haar_unitary(np.random.default_rng(seed), 3), gate(k, theta).u3,
+                   lmg_gate(LMGParams(g1=g1, g2=g2, t=t)).u3])
+    tr, det = _symmetric_invariants(u3)
+    bell_tr, bell_det = _bell_invariants(to_qubit_basis(u3, 1.0))
+    assert np.max(np.abs(tr - bell_tr)) <= 1e-14
+    assert np.max(np.abs(det - bell_det)) <= 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 8), thetas=st.lists(angles, min_size=1, max_size=24), g1=couplings,
+       g2=couplings, ts=times)
+def test_gate_batch_u4_is_built_on_first_access(k, thetas, g1, g2, ts):
+    for batch in (gates_batch(k, thetas), lmg_batch(g1, g2, ts)):
+        assert "u4" not in vars(batch)
+        assert np.array_equal(batch.u4, to_qubit_basis(batch.u3, 1.0))
+        assert batch.u4 is batch.u4
+
+
+def _closed_form_g1_abs(mpmath, k, theta):
+    """|G1| of B_k(theta) from the closed forms of the families."""
+    if k <= 3:
+        return mpmath.mpf(1)
+    if k <= 7:
+        return mpmath.cos(theta) ** 4
+    # B8 sits at canonical coordinates (-a, -a, 2a), a = theta/sqrt3.
+    a = theta / mpmath.sqrt(3)
+    s2a = mpmath.sin(2 * a)
+    return abs(mpmath.mpc(mpmath.cos(a) ** 4 * mpmath.cos(2 * a) ** 2
+                          - mpmath.sin(a) ** 4 * s2a ** 2, s2a ** 2 * mpmath.sin(4 * a) / 4))
+
+
+def _bell_basis_g1_abs(mpmath, u3):
+    """|G1| of the embedding of a 3x3 gate, through the 4x4 Bell transform."""
+    r = 1 / mpmath.sqrt(2)
+    to_angular = mpmath.matrix([[1, 0, 0, 0], [0, r, r, 0], [0, 0, 0, 1], [0, r, -r, 0]])
+    bell = mpmath.matrix([[r, 0, r, 0], [0, -1j, 0, 0], [0, 0, 0, 1], [-1j * r, 0, 1j * r, 0]])
+    block = mpmath.eye(4)
+    for i in range(3):
+        for j in range(3):
+            block[i, j] = mpmath.mpc(complex(u3[i, j]))
+    to_bell = bell * to_angular
+    b_bell = to_bell * (to_angular.T * block * to_angular) * to_bell.H
+    tr = sum((b_bell.T * b_bell)[i, i] for i in range(4))
+    return abs(tr ** 2 / (16 * mpmath.det(b_bell)))
+
+
+def test_g1_abs_matches_high_precision_forms():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for k in range(1, 9):
+            thetas = np.linspace(0.0, THETA_MAX_VALUE[k], 97)
+            scores = entangling_power_batch(gates_batch(k, thetas))
+            for theta, g1_abs in zip(thetas.tolist(), scores.g1_abs.tolist()):
+                assert abs(g1_abs - _closed_form_g1_abs(mpmath, k, mpmath.mpf(theta))) <= 2e-15
+        # The LMG gate comes from an eigendecomposition, whose rounding (up to
+        # about 1e-14 in |G1|) would hide that of the invariants, so its |G1|
+        # is compared with the 40-digit G1 of the same floating-point gate.
+        for g1, g2 in [(1.0, 2.0), (-0.7, 1.3), (0.25, 1.75)]:
+            batch = lmg_batch(g1, g2, np.linspace(0.0, math.pi, 33))
+            scores = entangling_power_batch(batch)
+            for u3, g1_abs in zip(batch.u3, scores.g1_abs.tolist()):
+                assert abs(g1_abs - _bell_basis_g1_abs(mpmath, u3)) <= 2e-15
+
+
 def test_profile_points_match_the_batch_columns():
     t, ep, conc = _lmg_profile_columns(0.7, 1.9, np.linspace(0.0, 2.0, 9))
     points = lmg_entanglement_profile(0.7, 1.9, np.linspace(0.0, 2.0, 9))
@@ -73,27 +158,28 @@ def test_profile_points_match_the_batch_columns():
     assert [p.concurrence for p in points] == conc.tolist()
 
 
-# SHA-256 of CSVs written by the per-point implementation that preceded the
-# batch path; the batch path must reproduce them byte for byte.  B1..B3 are
-# those CSVs with every negative e_p cell (-4.93432455388958e-17, where |G1|
-# rounds a few ulps above 1) replaced by 0, since e_p is clamped into [0, 2/9].
+# SHA-256 of the CSVs scored with the closed-form 3x3 invariants.  Against
+# the earlier 4x4 Bell-transform path only g1_abs and e_p cells differ, each
+# by at most 1.1e-15 (checked cell by cell when these were taken); theta, t,
+# class and concurrence are byte-identical.  B1 == B2 and B4 == B7, B5 == B6:
+# locally equivalent gates now give the same tr(m) and det bit for bit.
 SWEEP_2049_SHA256 = {
-    1: "3d73786a89e2e130a20d624f9371a3b8837efe192e6983334d89a3a79f297c12",
-    2: "91e5e897221a9fca848e0f46690f1d972eb109ee019e6e531adf1b263b7a15ae",
-    3: "b393c6ad95398e3653af62990e4577de1a7f0e91634fabaafcb15443b4484152",
-    4: "a4c4bb097d5318538906d08a04082256d5c6c0461821cedb3b8f888dacf134b2",
-    5: "9d3020e771d87fbc96d35864a27510ef49e4ec26a1d1194c7a025e983cd36805",
-    6: "de67d88c41a1a49cdb194377885ec16508350bf7e02861774814cc535c2a9aae",
-    7: "03a61908e732c85de23b4e6dbdc7008bc232d656877d317039f0807882c8d7b4",
-    8: "922f343ddb059857a7a7294f2c3b116412d242a2ace56dc9ad34f3c2d0484caa",
+    1: "7d0cbded9089292b73cab1c82b323c9e0382f48f9baf54c5de00769c4dc2c363",
+    2: "7d0cbded9089292b73cab1c82b323c9e0382f48f9baf54c5de00769c4dc2c363",
+    3: "b8e302a27f875426bcb060054f1b5e40d1abfc7b09baefa4944c689cc2993af0",
+    4: "0b4300cb96a67c1fb3495c08e2c038d983fd6454e5aa65b176a2342468b2f07c",
+    5: "b0eac7f62aac3ae21c8bced88816d7a242fd996bdadc8bc94d77af1af33d6dc7",
+    6: "b0eac7f62aac3ae21c8bced88816d7a242fd996bdadc8bc94d77af1af33d6dc7",
+    7: "0b4300cb96a67c1fb3495c08e2c038d983fd6454e5aa65b176a2342468b2f07c",
+    8: "e046876b13bec4c8fca01667e6f223f1ee247debc0865a3e21177d70de03db76",
 }
 LMG_SHA256 = {
     ("1.0", "2.0", "0", "pi", "1441"):
-        "3a3327a7909d1dfa38d0c84ff91a44fe9e848a96cd5284dcfbd2f29cee090db6",
+        "a0543760c92a0497bf7b64526d5c592499d55d510e2ef7b8a3852ef04fce22b5",
     ("1.1456878432254491", "1.9133114685703867", "0", "pi", "1441"):
-        "1594d7c36c788869137645028fa764a9078b73d9bc0508bcd6d03d9448200c62",
+        "d9327aae81b67dcfaa09c19b6a5017c39c803644e112e4f8ee8f5c3cbad58dd6",
     ("-0.7", "1.3", "-1", "7", "999"):
-        "167c10b514df9501b0a67e7c865d8173293b5cd3c51f19a8bbe82be48042bd89",
+        "c20f730edcc93035edc83ba4ba07c2c78ad67d487e6ea01d787802885ac3c713",
 }
 
 
@@ -251,6 +337,20 @@ def test_failed_write_keeps_the_existing_file(tmp_path):
     assert cli.write_csv(out, "theta,class", [[np.array([0.5, -0.0]), ("a", "b")]]) == 2
     assert out.read_text() == "theta,class\n0.5,a\n0,b\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
+cells = st.floats(allow_subnormal=True) | st.sampled_from([0.0, -0.0, 5e-324, -1e-310])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(cells, cells, st.sampled_from(["entangling", "local"])),
+                     min_size=1, max_size=20))
+def test_row_format_equals_fmt_float(rows):
+    xs, ys, labels = zip(*rows)
+    fh = io.StringIO()
+    assert cli._write_rows(fh, "x,y,class", [[np.array(xs), np.array(ys), labels]]) == len(rows)
+    expected = "".join(f"{fmt_float(x)},{fmt_float(y)},{label}\n" for x, y, label in rows)
+    assert fh.getvalue() == "x,y,class\n" + expected
 
 
 def test_write_csv_writes_through_a_symlink(tmp_path):

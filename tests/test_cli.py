@@ -215,6 +215,27 @@ def test_lmg_series(tmp_path):
             assert conc == pytest.approx(1.0, abs=1e-10)
 
 
+def test_lmg_accepts_large_couplings(capsys):
+    assert main(["lmg", "--g1", "1e4", "--g2", "3e4", "--t", "0.1"]) == 0
+    assert "class = " in capsys.readouterr().out
+
+
+def test_internal_check_failure_is_one_line_with_exit_3(tmp_path, capsys, monkeypatch):
+    from symgates import entanglement
+
+    def failing_power(g1):
+        raise RuntimeError("entangling power 0.3 out of range [0, 2/9]")
+
+    monkeypatch.setattr(entanglement, "_power", failing_power)
+    assert main(["gate", "4", "--theta", "0.3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: internal check failed: entangling power 0.3 out of range [0, 2/9]\n")
+    out = tmp_path / "b4.csv"
+    assert main(["sweep", "4", "--theta-max", "pi", "--steps", "5", "--out", str(out)]) == 3
+    assert "internal check failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lmg_requires_time_argument(capsys):
     assert main(["lmg", "--g1", "1", "--g2", "1"]) == 2
 

@@ -124,6 +124,14 @@ def test_concurrence_normalizes_with_warning():
     assert value == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e307, 1e-170, 5e-324])
+def test_concurrence_survives_extreme_amplitude_scales(scale):
+    with pytest.warns(UserWarning, match="normalizing"):
+        assert concurrence([scale, 0.0, 0.0, scale]) == pytest.approx(1.0, abs=1e-15)
+    with pytest.warns(UserWarning, match="normalizing"):
+        assert concurrence([scale, scale, scale, scale]) == 0.0
+
+
 def test_separable_state_poles_and_equator():
     north = separable_state(0.0, 0.3)
     np.testing.assert_allclose(north.vec3, [1.0, 0.0, 0.0], atol=1e-15)

@@ -121,6 +121,18 @@ def test_lmg_hamiltonian_limits():
     np.testing.assert_allclose(lmg_hamiltonian(1.0, 0.0), 2.0 * M[7], atol=1e-14)
 
 
+@settings(max_examples=200, deadline=None)
+@given(g1=st.floats(-1e3, 1e3), g2=st.floats(-1e3, 1e3))
+def test_lmg_hamiltonian_equals_its_basis_expansion(g1, g2):
+    basis_form = 2.0 * g1 * M[7] + (2.0 / SQ3) * g2 * (math.sqrt(8.0) * M[0] - M[8])
+    assert np.max(np.abs(lmg_hamiltonian(g1, g2) - basis_form)) <= 1e-12
+
+
+def test_lmg_hamiltonian_accepts_large_couplings():
+    h = lmg_hamiltonian(1e4, 3e4)
+    assert np.array_equal(h, 1e4 * lmg_hamiltonian(1.0, 0.0) + 3e4 * lmg_hamiltonian(0.0, 1.0))
+
+
 def test_lmg_hamiltonian_commutes_with_m8(rng):
     for g1, g2 in rng.uniform(-2, 2, size=(10, 2)):
         h = lmg_hamiltonian(g1, g2)
