@@ -3,7 +3,7 @@
 
 Writes one CSV per gate (theta, |G1|, e_p, classification) and prints a
 summary: the maximal e_p found, the angle where it occurs, and the
-perfect-entangler window on the sweep grid.
+perfect-entangler window on the sweep grid, or that it is non-entangling.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 
 from symgates.cli import SWEEP_HEADER, sweep_blocks, write_csv
-from symgates.entanglement import PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER
+from symgates.entanglement import CLASSIFY_ATOL, PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER
 
 
 def sweep(k: int, theta_max: float, steps: int, out_dir: pathlib.Path) -> None:
@@ -24,15 +24,16 @@ def sweep(k: int, theta_max: float, steps: int, out_dir: pathlib.Path) -> None:
     rows = [row for block in blocks for row in zip(*block)]
     window = [theta for theta, _, _, cls in rows
               if cls in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)]
-    best = (0.0, 0.0)
-    for theta, _, ep, _ in rows:
-        if ep > best[1]:
-            best = (theta, ep)
+    best_theta, _, best_ep, _ = max(rows, key=lambda row: row[2])
+    if best_ep <= CLASSIFY_ATOL:
+        # e_p this small is rounding noise: the angle of its maximum says nothing
+        print(f"B{k}: non-entangling on the grid (max e_p <= {CLASSIFY_ATOL:g})")
+        return
     if window:
         summary = f"perfect entangler for theta in [{window[0]:.6f}, {window[-1]:.6f}]"
     else:
         summary = "never a perfect entangler"
-    print(f"B{k}: max e_p = {best[1]:.12f} at theta = {best[0]:.12f}; {summary}")
+    print(f"B{k}: max e_p = {best_ep:.12f} at theta = {best_theta:.12f}; {summary}")
 
 
 def main() -> None:

@@ -59,7 +59,6 @@ from .gates import (
     gates_batch,
     lmg_batch,
     lmg_gate,
-    lmg_gate_closed_form,
     lmg_hamiltonian,
 )
 from .entanglement import (

@@ -303,8 +303,7 @@ def cmd_lmg(args) -> int:
         params = gates.LMGParams(g1=args.g1, g2=args.g2, t=args.t)
         g = gates.lmg_gate(params)
         report = entanglement.entangling_power(g)
-        up_up = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
-        conc = entanglement.concurrence(g.u4 @ up_up)
+        conc = entanglement._up_up_concurrences(g.u3[None])[0]
         print(f"g1 = {fmt_float(params.g1)}  g2 = {fmt_float(params.g2)}  "
               f"t = {fmt_float(params.t)}  xi = {fmt_float(params.xi)}  "
               f"beta = {fmt_float(params.beta)}")

@@ -107,6 +107,7 @@ def makhlin_g1(u4, atol: float = _G1_UNITARITY_ATOL) -> complex:
     if u4.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u4.shape}")
     if not is_unitary(u4, atol=atol):
+        _finite("u4", u4)
         raise ValueError(f"matrix is not unitary within {atol:.1e}")
     return _g1(*_bell_invariants(u4))
 
@@ -192,6 +193,7 @@ def entangling_power_batch(u4s) -> EntanglementBatch:
         if u4s.ndim != 3 or u4s.shape[1:] != (4, 4) or len(u4s) == 0:
             raise ValueError(f"expected a non-empty (N, 4, 4) stack, got shape {u4s.shape}")
         if not is_unitary(u4s, atol=_G1_UNITARITY_ATOL):
+            _finite("u4", u4s)
             raise ValueError(f"matrix is not unitary within {_G1_UNITARITY_ATOL:.1e}")
         invariants = _bell_invariants(u4s)
     g1 = [_g1(tr, det) for tr, det in zip(*invariants)]
@@ -388,6 +390,14 @@ class LmgProfilePoint:
     concurrence: float
 
 
+def _up_up_concurrences(u3: np.ndarray) -> np.ndarray:
+    """Concurrence of u4 |up up> = (u00, u10/sqrt2, u10/sqrt2, u20) for each
+    gate of a (N, 3, 3) stack, as |up up> = |1 1>; columns of gates unitary
+    within 1e-12 need no renormalization."""
+    a, b, d = u3[:, 0, 0], u3[:, 1, 0] * _INV_SQ2, u3[:, 2, 0]
+    return np.fromiter(map(_pure_concurrence, a, b, b, d), np.float64, len(u3))
+
+
 def _lmg_profile_columns(g1: float, g2: float, t_grid):
     """Columns t, e_p and |up up>-image concurrence of an LMG time series,
     computed as one stack."""
@@ -395,13 +405,7 @@ def _lmg_profile_columns(g1: float, g2: float, t_grid):
     if np.any(np.diff(t_grid) <= 0):
         raise InputError("t_grid must be strictly ascending")
     g = lmg_batch(g1, g2, t_grid)
-    report = entangling_power_batch(g)
-    # u4 |up up> = (u00, u10/sqrt2, u10/sqrt2, u20) from the first column of
-    # u3, since |up up> = |1 1>.  Columns of gates unitary within 1e-12 have
-    # unit norm within 1e-12, so `concurrence` would not renormalize them.
-    a, b, d = g.u3[:, 0, 0], g.u3[:, 1, 0] * _INV_SQ2, g.u3[:, 2, 0]
-    concs = map(_pure_concurrence, a, b, b, d)
-    return t_grid, report.ep, np.fromiter(concs, np.float64)
+    return t_grid, entangling_power_batch(g).ep, _up_up_concurrences(g.u3)
 
 
 def lmg_entanglement_profile(g1: float, g2: float, t_grid) -> list[LmgProfilePoint]:

@@ -10,6 +10,11 @@ while B8, whose generator has eigenvalues {1, -2, 1}/sqrt(3), is a pure
 phase gate handled explicitly.  The 4x4 product-basis embedding acts as
 the identity on the singlet state.
 
+The LMG Hamiltonian H = g1 (J+^2 + J-^2) + g2 (J+J- + J-J+) is 2 g1 M7
++ (2/sqrt(3)) g2 (sqrt(8) M0 - M8) = 2 g1 M7 + 2 g2 diag(1, 2, 1), and M7
+commutes with M8, so exp(i H t) = B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi})
+with xi = 2 g1 t, phi = 2 g2 t: the same closed forms, no eigendecomposition.
+
 `gates_batch` and `lmg_batch` build a whole grid of one family as an
 (N, 3, 3) stack, checked unitary once; its (N, 4, 4) embedding is built
 only if it is read.  `gate` and `lmg_gate` are their one-point case, so a
@@ -25,13 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import InputError, _finite, _grid, expm_hermitian, is_unitary
+from .linalg import InputError, _finite, _grid, is_unitary
 from .su3 import M, to_qubit_basis
 from .tensors import angular_momentum_matrices
 
 _SQ3 = math.sqrt(3.0)
 _M_SQUARED = tuple(mk @ mk for mk in M)
 _B8_WEIGHTS = np.array([1.0, -2.0, 1.0])  # eigenvalues of sqrt(3) M8
+_LMG_WEIGHTS = np.array([1.0, 2.0, 1.0])  # H - 2 g1 M7 = 2 g2 diag(1, 2, 1)
 _DIAG = np.arange(3)
 _JM = angular_momentum_matrices(1)
 _LADDER_G1 = _JM.plus @ _JM.plus + _JM.minus @ _JM.minus  # J+^2 + J-^2
@@ -85,8 +91,26 @@ class GateBatch:
 def _unitary(label: str, u3: np.ndarray) -> np.ndarray:
     """u3, a 3x3 gate or a stack, once it is checked unitary within 1e-12."""
     if not is_unitary(u3):
+        _finite("u3", u3)
         raise ValueError(f"gate {label} is not unitary within 1e-12")
     return u3
+
+
+def _exp_i(angles: np.ndarray, generator) -> np.ndarray:
+    """exp(i angle G) for each angle of a 1-D grid, not checked unitary, for
+    G = M_k with an index k in 1..7 (the B_k closed form of the module
+    docstring) or G = diag(w) with an array of weights w."""
+    if isinstance(generator, np.ndarray):
+        u3 = np.zeros((angles.size, 3, 3), dtype=np.complex128)
+        u3[:, _DIAG, _DIAG] = np.exp(1j * (angles[:, None] * generator))
+        return u3
+    # math.cos/sin per angle: numpy's vector kernels may round differently,
+    # which would change the printed digits
+    values = angles.tolist()
+    cos = np.fromiter(map(math.cos, values), np.float64, angles.size)
+    sin = np.fromiter(map(math.sin, values), np.float64, angles.size)
+    return (np.eye(3) + (cos - 1.0)[:, None, None] * _M_SQUARED[generator]
+            + (1j * sin)[:, None, None] * M[generator])
 
 
 def _gate_index(k) -> int:
@@ -115,17 +139,7 @@ def gates_batch(k: int, thetas) -> GateBatch:
     """B_k(theta) for every angle of a 1-D grid; entry by entry equal to `gate`."""
     k = _gate_index(k)
     thetas = _grid("thetas", thetas)
-    if k == 8:
-        u3 = np.zeros((thetas.size, 3, 3), dtype=np.complex128)
-        u3[:, _DIAG, _DIAG] = np.exp(1j * ((thetas / _SQ3)[:, None] * _B8_WEIGHTS))
-    else:
-        # math.cos/sin per angle: numpy's vector kernels may round differently,
-        # which would change the printed digits
-        angles = thetas.tolist()
-        cos = np.fromiter(map(math.cos, angles), np.float64, thetas.size)
-        sin = np.fromiter(map(math.sin, angles), np.float64, thetas.size)
-        u3 = (np.eye(3) + (cos - 1.0)[:, None, None] * _M_SQUARED[k]
-              + (1j * sin)[:, None, None] * M[k])
+    u3 = _exp_i(thetas / _SQ3, _B8_WEIGHTS) if k == 8 else _exp_i(thetas, k)
     return GateBatch(_unitary(f"B{k}", u3))
 
 
@@ -137,12 +151,8 @@ def custom_gate(u3, label: str = "custom") -> SymmetricGate:
 
 def lmg_hamiltonian(g1: float, g2: float) -> np.ndarray:
     """Spin-1 matrix of g1 (J+^2 + J-^2) + g2 (J+J- + J-J+), from the
-    ladder operators.
-
-    It equals the basis expansion 2 g1 M7 + (2/sqrt(3)) g2 (sqrt(8) M0 - M8)
-    up to rounding (within 1e-12 for |g1|, |g2| <= 1e3, as the test suite
-    checks).
-    """
+    ladder operators: the reference that the closed-form `lmg_batch` and
+    the basis expansion of the module docstring are tested against."""
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
     return g1 * _LADDER_G1 + g2 * _LADDER_G2
 
@@ -154,26 +164,14 @@ def lmg_gate(params: LMGParams) -> SymmetricGate:
 
 
 def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
-    """LMG gates for every time of a 1-D grid, from one eigendecomposition
-    of the Hamiltonian; entry by entry equal to `lmg_gate`."""
-    h = lmg_hamiltonian(g1, g2)
+    """LMG gates for every time of a 1-D grid, entry by entry equal to
+    `lmg_gate`: B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi}), xi = 2 g1 t,
+    phi = 2 g2 t (see the module docstring), exact to a few ulps at the
+    float angles; InputError names the coupling and t if xi or phi overflows."""
+    g1, g2 = _finite("g1", g1), _finite("g2", g2)
     ts = _grid("ts", ts)
-    return GateBatch(_unitary("BL", expm_hermitian(h, ts)))
-
-
-def lmg_gate_closed_form(params: LMGParams) -> np.ndarray:
-    """Closed form of the 3x3 collective-evolution gate.
-
-    With xi = 2 g1 t and beta = (2/sqrt(3)) g2 t the corner entries are
-    exp(i sqrt(3) beta) cos(xi), the off-corners i exp(i sqrt(3) beta)
-    sin(xi), and the center exp(2 i sqrt(3) beta).
-    """
-    xi, beta = params.xi, params.beta
-    corner = np.exp(1j * _SQ3 * beta)
-    center = np.exp(2j * _SQ3 * beta)
-    c, s = math.cos(xi), math.sin(xi)
-    return np.array([
-        [corner * c, 0.0, 1j * corner * s],
-        [0.0, center, 0.0],
-        [1j * corner * s, 0.0, corner * c],
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi, phi = _finite("2*g1*t", 2.0 * g1 * ts), _finite("2*g2*t", 2.0 * g2 * ts)
+    # B7 times a diagonal matrix: column j of B7 times the j-th phase
+    phase = _exp_i(phi, _LMG_WEIGHTS)[:, _DIAG, _DIAG]
+    return GateBatch(_unitary("BL", _exp_i(xi, 7) * phase[:, None, :]))

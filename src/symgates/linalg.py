@@ -1,11 +1,9 @@
 """Dense complex linear algebra for small operator matrices.
 
 All functions work on plain numpy arrays of shape (n, n) with n <= 6 and
-are pure; inputs are never mutated.  `is_unitary` and `expm_hermitian`
-also accept stacks: a (..., n, n) array, or an array of times, runs the
-same code as a single matrix.  Unitary exponentials of Hermitian
-matrices are computed by eigendecomposition, which also serves as the
-independent oracle for closed-form gate expressions elsewhere.
+are pure; inputs are never mutated.  `is_unitary` also accepts a
+(..., n, n) stack.  `expm_hermitian`, by eigendecomposition, is the
+independent reference the tests compare the closed-form gates with.
 """
 
 from __future__ import annotations
@@ -106,13 +104,11 @@ def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
     return bool(np.max(np.abs(defect)) <= atol)
 
 
-def expm_hermitian(h, t=1.0, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def expm_hermitian(h, t: float = 1.0, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     """Unitary exp(i h t) of a Hermitian matrix via eigendecomposition.
 
-    `t` is a time or an array of times; an array of shape S gives a stack
-    of shape S + (n, n) from one eigendecomposition of h.  Raises
-    ValueError naming the offending entry if h is not Hermitian within
-    `atol`.
+    Raises ValueError naming the offending entry if h is not Hermitian
+    within `atol`.
     """
     h = _as_square(h, "h")
     i, j, defect = hermiticity_defect(h)
@@ -122,5 +118,4 @@ def expm_hermitian(h, t=1.0, atol: float = HERMITICITY_ATOL) -> np.ndarray:
             f"exceeds {atol:.1e}"
         )
     w, v = np.linalg.eigh(h)
-    t = np.asarray(t, dtype=np.float64)[..., None, None]
-    return (v * np.exp(1j * w * t)) @ v.conj().T
+    return (v * np.exp(1j * w * float(t))) @ v.conj().T

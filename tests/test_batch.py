@@ -16,12 +16,14 @@ from symgates.entanglement import (
     _bell_invariants,
     _lmg_profile_columns,
     _symmetric_invariants,
+    _up_up_concurrences,
     concurrence,
     entangling_power,
     entangling_power_batch,
     lmg_entanglement_profile,
+    makhlin_g1,
 )
-from symgates.gates import LMGParams, gate, gates_batch, lmg_batch, lmg_gate
+from symgates.gates import LMGParams, custom_gate, gate, gates_batch, lmg_batch, lmg_gate
 from symgates.linalg import InputError
 from symgates.su3 import to_qubit_basis
 
@@ -117,21 +119,6 @@ def _closed_form_g1_abs(mpmath, k, theta):
                           - mpmath.sin(a) ** 4 * s2a ** 2, s2a ** 2 * mpmath.sin(4 * a) / 4))
 
 
-def _bell_basis_g1_abs(mpmath, u3):
-    """|G1| of the embedding of a 3x3 gate, through the 4x4 Bell transform."""
-    r = 1 / mpmath.sqrt(2)
-    to_angular = mpmath.matrix([[1, 0, 0, 0], [0, r, r, 0], [0, 0, 0, 1], [0, r, -r, 0]])
-    bell = mpmath.matrix([[r, 0, r, 0], [0, -1j, 0, 0], [0, 0, 0, 1], [-1j * r, 0, 1j * r, 0]])
-    block = mpmath.eye(4)
-    for i in range(3):
-        for j in range(3):
-            block[i, j] = mpmath.mpc(complex(u3[i, j]))
-    to_bell = bell * to_angular
-    b_bell = to_bell * (to_angular.T * block * to_angular) * to_bell.H
-    tr = sum((b_bell.T * b_bell)[i, i] for i in range(4))
-    return abs(tr ** 2 / (16 * mpmath.det(b_bell)))
-
-
 def test_g1_abs_matches_high_precision_forms():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
@@ -140,14 +127,19 @@ def test_g1_abs_matches_high_precision_forms():
             scores = entangling_power_batch(gates_batch(k, thetas))
             for theta, g1_abs in zip(thetas.tolist(), scores.g1_abs.tolist()):
                 assert abs(g1_abs - _closed_form_g1_abs(mpmath, k, mpmath.mpf(theta))) <= 2e-15
-        # The LMG gate comes from an eigendecomposition, whose rounding (up to
-        # about 1e-14 in |G1|) would hide that of the invariants, so its |G1|
-        # is compared with the 40-digit G1 of the same floating-point gate.
-        for g1, g2 in [(1.0, 2.0), (-0.7, 1.3), (0.25, 1.75)]:
-            batch = lmg_batch(g1, g2, np.linspace(0.0, math.pi, 33))
+        # The LMG gate is B7(xi) times a phase, built from the float angles
+        # xi = fl(2 g1 t) and phi = fl(2 g2 t), so |G1| and the |up up>
+        # concurrence are compared with their exact values at those angles.
+        for g1, g2 in [(1.0, 2.0), (-0.7, 1.3), (0.25, 1.75), (1e4, 3e4)]:
+            ts = np.linspace(0.0, math.pi, 241)
+            batch = lmg_batch(g1, g2, ts)
             scores = entangling_power_batch(batch)
-            for u3, g1_abs in zip(batch.u3, scores.g1_abs.tolist()):
-                assert abs(g1_abs - _bell_basis_g1_abs(mpmath, u3)) <= 2e-15
+            for t, g1_abs, conc in zip(ts.tolist(), scores.g1_abs.tolist(),
+                                       _up_up_concurrences(batch.u3).tolist()):
+                xi, phi = mpmath.mpf(2.0 * g1 * t), mpmath.mpf(2.0 * g2 * t)
+                exact = ((mpmath.cos(2 * xi) + mpmath.cos(2 * phi)) / 2) ** 2
+                assert abs(g1_abs - exact) <= 2e-15
+                assert abs(conc - abs(mpmath.sin(2 * xi))) <= 2e-15
 
 
 def test_profile_points_match_the_batch_columns():
@@ -173,13 +165,18 @@ SWEEP_2049_SHA256 = {
     7: "0b4300cb96a67c1fb3495c08e2c038d983fd6454e5aa65b176a2342468b2f07c",
     8: "e046876b13bec4c8fca01667e6f223f1ee247debc0865a3e21177d70de03db76",
 }
+# SHA-256 of the LMG series built as B7(2 g1 t) times a phase.  Against the
+# earlier eigendecomposition of the Hamiltonian only ep and concurrence
+# cells differ (1046 and 2499 of the 3881 rows, by at most 2.0e-15 and
+# 7.1e-15; checked cell by cell when these were taken); every t is
+# byte-identical.
 LMG_SHA256 = {
     ("1.0", "2.0", "0", "pi", "1441"):
-        "a0543760c92a0497bf7b64526d5c592499d55d510e2ef7b8a3852ef04fce22b5",
+        "c50053dddfc019b1686ff696dd62b49c3752b1daa79443003707f2ad6a377613",
     ("1.1456878432254491", "1.9133114685703867", "0", "pi", "1441"):
-        "d9327aae81b67dcfaa09c19b6a5017c39c803644e112e4f8ee8f5c3cbad58dd6",
+        "90b027316497acfb0b88dede457a77d86a7ae9c2319f763eb5e41a93dee1509e",
     ("-0.7", "1.3", "-1", "7", "999"):
-        "c20f730edcc93035edc83ba4ba07c2c78ad67d487e6ea01d787802885ac3c713",
+        "fdfd9cb02e28fc9ba6101bcc03a6ae5750b53761c2a536595bec18ade068119e",
 }
 
 
@@ -275,6 +272,76 @@ def test_non_finite_parameters_are_named(bad):
         lmg_gate(LMGParams(g1=1.0, g2=1.0, t=bad))
     with pytest.raises(InputError, match="ts must be finite"):
         lmg_batch(1.0, 1.0, [bad])
+
+
+# Finite couplings and times whose products 2 g1 t or 2 g2 t overflow.
+@pytest.mark.parametrize("g1, g2, ts, coupling", [(1e308, 1.0, [10.0], "g1"),
+                                                  (1.0, 1e308, [10.0], "g2"),
+                                                  (1e306, 1.0, [0.0, 500.0, 1000.0], "g1")])
+def test_overflowing_angles_are_named(g1, g2, ts, coupling):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=rf"2\*{coupling}\*t must be finite, got inf"):
+            lmg_batch(g1, g2, ts)
+        with pytest.raises(InputError, match=rf"2\*{coupling}\*t must be finite"):
+            lmg_gate(LMGParams(g1=g1, g2=g2, t=ts[-1]))
+
+
+@pytest.mark.parametrize("args, coupling", [
+    (["--g1", "1e308", "--g2", "1", "--t", "10"], "g1"),
+    (["--g1", "1", "--g2", "1e308", "--t", "10"], "g2"),
+    (["--g1", "1e306", "--g2", "1", "--t-max", "1000", "--steps", "3"], "g1"),
+])
+def test_cli_rejects_overflowing_angles(tmp_path, capsys, args, coupling):
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lmg", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"2*{coupling}*t must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+scalar_types = st.sampled_from([float, complex, np.float16, np.float32, np.float64,
+                                np.complex64, np.complex128])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bad=non_finite, kind=scalar_types,
+       imag=st.booleans(), index=st.integers(0, 31))
+def test_non_finite_matrix_entries_are_named(seed, bad, kind, imag, index):
+    if imag and np.dtype(kind).kind == "c":
+        bad = kind(complex(0.0, bad))
+    else:
+        bad = kind(bad)
+    rng = np.random.default_rng(seed)
+    u3, u4 = haar_unitary(rng, 3).tolist(), haar_unitary(rng, 4).tolist()
+    stack = np.stack([haar_unitary(rng, 4) for _ in range(2)]).tolist()
+    u3[index % 9 // 3][index % 3] = bad
+    u4[index % 16 // 4][index % 4] = bad
+    stack[index // 16][index % 16 // 4][index % 4] = bad
+    # The unitarity check that fails first may warn about inf * 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(InputError, match=rf"^u3 must be finite, got .* at index {index % 9}$"):
+            custom_gate(u3)
+        with pytest.raises(InputError, match=rf"^u4 must be finite, got .* at index {index % 16}$"):
+            makhlin_g1(u4)
+        with pytest.raises(InputError, match=rf"^u4 must be finite, got .* at index {index}$"):
+            entangling_power_batch(stack)
+
+
+def test_finite_non_unitary_matrices_keep_their_message():
+    with pytest.raises(ValueError, match="gate custom is not unitary") as info:
+        custom_gate(2.0 * np.eye(3))
+    assert not isinstance(info.value, InputError)
+    scaled = 2.0 * np.eye(4)
+    for call, u4 in ((makhlin_g1, scaled), (entangling_power_batch, scaled[None])):
+        with pytest.raises(ValueError, match="matrix is not unitary") as info:
+            call(u4)
+        assert not isinstance(info.value, InputError)
 
 
 def test_grids_must_be_non_empty_and_one_dimensional():
