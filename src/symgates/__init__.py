@@ -15,7 +15,6 @@ from .linalg import (
     InputError,
     anticommutator,
     commutator,
-    dagger,
     expm_hermitian,
     is_hermitian,
     is_unitary,
@@ -40,11 +39,9 @@ from .su3 import (
     GELL_MANN,
     M,
     U_QUBIT_TO_ANGULAR,
-    angular_momentum,
     build_hamiltonian,
     decompose_hamiltonian,
     from_qubit_basis,
-    gellmann_map,
     m_matrix,
     to_qubit_basis,
     verify_algebra_tables,
@@ -65,7 +62,6 @@ from .entanglement import (
     BELL_TRANSFORM,
     EntanglementBatch,
     EntanglementReport,
-    LmgProfilePoint,
     ProductBasis,
     SeparableSymmetricState,
     SpeConditionResult,
@@ -73,7 +69,6 @@ from .entanglement import (
     concurrence,
     entangling_power,
     entangling_power_batch,
-    kron_factor_2x2,
     lmg_entanglement_profile,
     makhlin_g1,
     product_basis,

@@ -1,16 +1,20 @@
 """Command-line interface: inspect bases, analyze gates, sweep parameters.
 
-Subcommands: basis, gate, sweep, act, lmg, decompose.  All output is
-deterministic (15 significant digits, '.' decimal separator, LF line
+Subcommands: basis, gate, sweep, act, lmg, decompose; `lmg` takes
+exactly one of --t (a single report) and --t-max (a series).  All output
+is deterministic (15 significant digits, '.' decimal separator, LF line
 endings).  Exit codes: 0 success/verified, 1 verification failure,
 2 usage or parse error, including input the library rejects as out of
 its domain (non-finite numbers, reversed time ranges), 3 a failed
-internal check (a RuntimeError, such as e_p outside [0, 2/9]), reported
-as one 'error: internal check failed: ...' line rather than a traceback.
+internal check (a RuntimeError, such as e_p outside [0, 2/9]).  A
+library error is reported as one 'error: ...' line on stderr, with no
+traceback and no numpy warning before it.
 
-`sweep` and `lmg --t-max` compute their grid in blocks of _BLOCK points
-through the batch functions and write each block's rows as they go, to a
-file that replaces --out once the last block is written.
+`sweep` and `lmg --t-max` compute their grid in blocks of _BLOCK points,
+through `entangling_power_batch` of `gates_batch` and through
+`lmg_entanglement_profile`, and write each block's rows as they go, to a
+file that replaces --out once the last block is written.  The module uses
+only the public names of the library.
 """
 
 from __future__ import annotations
@@ -156,7 +160,7 @@ def sweep_blocks(k: int, thetas: np.ndarray):
 def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
     """Columns (t, e_p, concurrence of B_L |up up>) of an LMG series, block by block."""
     for block in _blocks(t_grid):
-        yield entanglement._lmg_profile_columns(g1, g2, block)
+        yield entanglement.lmg_entanglement_profile(g1, g2, block)
 
 
 def _write_rows(fh, header: str, blocks) -> int:
@@ -273,7 +277,8 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return EXIT_USAGE
-    thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing grid is named below
+        thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
     try:
         count = write_csv(args.out, SWEEP_HEADER, sweep_blocks(args.k, thetas))
     except OSError as exc:
@@ -295,15 +300,11 @@ def cmd_act(args) -> int:
 
 
 def cmd_lmg(args) -> int:
-    if args.t is None and args.t_max is None:
-        print("error: provide --t for a single report or --t-max/--steps for a series",
-              file=sys.stderr)
-        return EXIT_USAGE
     if args.t is not None:
         params = gates.LMGParams(g1=args.g1, g2=args.g2, t=args.t)
         g = gates.lmg_gate(params)
         report = entanglement.entangling_power(g)
-        conc = entanglement._up_up_concurrences(g.u3[None])[0]
+        _, conc = entanglement.apply_gate(g, entanglement.separable_state(0.0))  # |up up>
         print(f"g1 = {fmt_float(params.g1)}  g2 = {fmt_float(params.g2)}  "
               f"t = {fmt_float(params.t)}  xi = {fmt_float(params.xi)}  "
               f"beta = {fmt_float(params.beta)}")
@@ -323,7 +324,8 @@ def cmd_lmg(args) -> int:
         print(f"error: --t-max ({fmt_float(args.t_max)}) must be greater than --t-min "
               f"({fmt_float(args.t_min)})", file=sys.stderr)
         return EXIT_USAGE
-    t_grid = np.linspace(args.t_min, args.t_max, args.steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing grid is named below
+        t_grid = np.linspace(args.t_min, args.t_max, args.steps)
     try:
         count = write_csv(args.out, LMG_HEADER, lmg_blocks(args.g1, args.g2, t_grid))
     except OSError as exc:
@@ -401,9 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lmg = sub.add_parser("lmg", help="collective-spin evolution gate report or series")
     p_lmg.add_argument("--g1", type=parse_finite, required=True)
     p_lmg.add_argument("--g2", type=parse_finite, required=True)
-    p_lmg.add_argument("--t", type=parse_angle, default=None, help="single evolution time")
+    p_lmg_time = p_lmg.add_mutually_exclusive_group(required=True)
+    p_lmg_time.add_argument("--t", type=parse_angle, help="single evolution time")
+    p_lmg_time.add_argument("--t-max", type=parse_angle, help="end of a time series")
     p_lmg.add_argument("--t-min", type=parse_angle, default=0.0)
-    p_lmg.add_argument("--t-max", type=parse_angle, default=None)
     p_lmg.add_argument("--steps", type=int, default=0)
     p_lmg.add_argument("--out", default=None, help="output CSV path for a series")
     p_lmg.set_defaults(func=cmd_lmg)

@@ -24,10 +24,15 @@ a (..., 3, 3) stack; `entangling_power` of a SymmetricGate (as a stack of
 one) and `entangling_power_batch` of a GateBatch both use it, so a gate
 scores the same (==) alone or in a grid.  A general 4x4 unitary, or an
 (N, 4, 4) stack, goes through the Bell transform, trace and determinant
-of `_bell_invariants` instead.  The last step (G1 from tr(m) and det,
-then |G1|, e_p and the class) runs per gate on numpy scalars, because
-numpy's array kernels for complex multiply and abs round differently from
-its scalar arithmetic.
+of `_bell_invariants` instead, after one shared unitarity check (InputError
+for a non-finite entry, ValueError for any other defect).  The last step
+(G1 from tr(m) and det, then |G1|, e_p and the class) runs per gate on
+numpy scalars, because numpy's array kernels for complex multiply and abs
+round differently from its scalar arithmetic.
+
+`lmg_entanglement_profile` scores an LMG time series the same way and
+returns its columns t, e_p and the concurrence of the evolved |up up>
+state as float arrays, the rows of `symgates lmg --t-max`.
 
 Amplitude ordering for all 4-vectors is (up-up, up-down, down-up,
 down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
@@ -42,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateBatch, SymmetricGate, lmg_batch
-from .gates import lmg_gate  # noqa: F401  (kept as entanglement.lmg_gate; perfbench rebinds it)
 from .linalg import InputError, _finite, _grid, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
@@ -101,14 +105,19 @@ def _g1(tr, det) -> complex:
     return complex(tr ** 2 / (16.0 * det))
 
 
+def _check_unitary(u4: np.ndarray, atol: float) -> None:
+    """InputError for a non-finite u4 (a matrix or a stack), else ValueError if not unitary."""
+    if not is_unitary(u4, atol=atol):
+        _finite("u4", u4)
+        raise ValueError(f"matrix is not unitary within {atol:.1e}")
+
+
 def makhlin_g1(u4, atol: float = _G1_UNITARITY_ATOL) -> complex:
     """Local invariant G1 of a 4x4 unitary in the product basis."""
     u4 = np.asarray(u4, dtype=np.complex128)
     if u4.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u4.shape}")
-    if not is_unitary(u4, atol=atol):
-        _finite("u4", u4)
-        raise ValueError(f"matrix is not unitary within {atol:.1e}")
+    _check_unitary(u4, atol)
     return _g1(*_bell_invariants(u4))
 
 
@@ -192,9 +201,7 @@ def entangling_power_batch(u4s) -> EntanglementBatch:
         u4s = np.asarray(u4s, dtype=np.complex128)
         if u4s.ndim != 3 or u4s.shape[1:] != (4, 4) or len(u4s) == 0:
             raise ValueError(f"expected a non-empty (N, 4, 4) stack, got shape {u4s.shape}")
-        if not is_unitary(u4s, atol=_G1_UNITARITY_ATOL):
-            _finite("u4", u4s)
-            raise ValueError(f"matrix is not unitary within {_G1_UNITARITY_ATOL:.1e}")
+        _check_unitary(u4s, _G1_UNITARITY_ATOL)
         invariants = _bell_invariants(u4s)
     g1 = [_g1(tr, det) for tr, det in zip(*invariants)]
     g1_abs, ep, classification = zip(*map(_power, g1))
@@ -305,7 +312,8 @@ def product_basis(a, b, c, d, e, f) -> ProductBasis:
     """
     a, b, c, d, e, f = (complex(v) for v in (a, b, c, d, e, f))
     for name, (x, y) in (("(a, b)", (a, b)), ("(c, d)", (c, d)), ("(e, f)", (e, f))):
-        if abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) > 1e-12:
+        if not abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) <= 1e-12:
+            _finite(f"spinor {name}", np.array([x, y]))
             raise ValueError(f"spinor {name} is not normalized within 1e-12")
     first = np.array([a, b])
     first_perp = np.array([-np.conj(b), np.conj(a)])
@@ -383,13 +391,6 @@ def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
                               all_maximal=all_maximal)
 
 
-@dataclass(frozen=True)
-class LmgProfilePoint:
-    t: float
-    ep: float
-    concurrence: float
-
-
 def _up_up_concurrences(u3: np.ndarray) -> np.ndarray:
     """Concurrence of u4 |up up> = (u00, u10/sqrt2, u10/sqrt2, u20) for each
     gate of a (N, 3, 3) stack, as |up up> = |1 1>; columns of gates unitary
@@ -398,42 +399,18 @@ def _up_up_concurrences(u3: np.ndarray) -> np.ndarray:
     return np.fromiter(map(_pure_concurrence, a, b, b, d), np.float64, len(u3))
 
 
-def _lmg_profile_columns(g1: float, g2: float, t_grid):
+def lmg_entanglement_profile(g1: float, g2: float,
+                             t_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns t, e_p and |up up>-image concurrence of an LMG time series,
-    computed as one stack."""
+    as float arrays computed from one stack of gates.
+
+    The concurrence of the evolved |up up> state equals |sin(4 g1 t)|:
+    zero at t = n pi / (4 g1) and maximal when 4 g1 t is an odd multiple
+    of pi/2.  The entangling power reaches 2/9 whenever 2 g2 t - 2 g1 t
+    is congruent to pi/2 modulo pi.  t_grid must be strictly ascending.
+    """
     t_grid = _grid("t_grid", t_grid)
     if np.any(np.diff(t_grid) <= 0):
         raise InputError("t_grid must be strictly ascending")
     g = lmg_batch(g1, g2, t_grid)
     return t_grid, entangling_power_batch(g).ep, _up_up_concurrences(g.u3)
-
-
-def lmg_entanglement_profile(g1: float, g2: float, t_grid) -> list[LmgProfilePoint]:
-    """Entangling power and |up up>-image concurrence over a time grid.
-
-    The concurrence of the evolved |up up> state equals |sin(4 g1 t)|:
-    zero at t = n pi / (4 g1) and maximal when 4 g1 t is an odd multiple
-    of pi/2.  The entangling power reaches 2/9 whenever 2 g2 t - 2 g1 t
-    is congruent to pi/2 modulo pi.
-    """
-    columns = _lmg_profile_columns(g1, g2, t_grid)
-    return [LmgProfilePoint(t=t, ep=ep, concurrence=c)
-            for t, ep, c in zip(*(column.tolist() for column in columns))]
-
-
-def kron_factor_2x2(u4) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best factorization of a 4x4 matrix as v (x) w with 2x2 factors.
-
-    Returns (v, w, residual) where the residual is the second singular
-    value of the rearranged matrix: zero exactly when u4 is a tensor
-    product, i.e. a local (non-entangling) gate.
-    """
-    u4 = np.asarray(u4, dtype=np.complex128)
-    if u4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {u4.shape}")
-    rearranged = u4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    left, sing, right = np.linalg.svd(rearranged)
-    scale = math.sqrt(sing[0])
-    v = scale * left[:, 0].reshape(2, 2)
-    w = scale * right[0, :].reshape(2, 2)
-    return v, w, float(sing[1])

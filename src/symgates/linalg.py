@@ -59,11 +59,6 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=np.complex128).conj().T
-
-
 def commutator(a, b) -> np.ndarray:
     """ab - ba for equal-dimension square matrices."""
     a = _as_square(a, "a")
@@ -99,7 +94,8 @@ def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    defect = a.conj().swapaxes(-1, -2) @ a
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in a non-finite matrix
+        defect = a.conj().swapaxes(-1, -2) @ a
     defect -= np.eye(a.shape[-1])
     return bool(np.max(np.abs(defect)) <= atol)
 
@@ -108,14 +104,16 @@ def expm_hermitian(h, t: float = 1.0, atol: float = HERMITICITY_ATOL) -> np.ndar
     """Unitary exp(i h t) of a Hermitian matrix via eigendecomposition.
 
     Raises ValueError naming the offending entry if h is not Hermitian
-    within `atol`.
+    within `atol`, and InputError if h or t is not finite.
     """
     h = _as_square(h, "h")
+    t = _finite("t", t)
     i, j, defect = hermiticity_defect(h)
-    if defect > atol:
+    if not defect <= atol:
+        _finite("h", h)
         raise ValueError(
             f"matrix is not Hermitian: |(h - h^dagger)[{i}, {j}]| = {defect:.3e} "
             f"exceeds {atol:.1e}"
         )
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w * float(t))) @ v.conj().T
+    return (v * np.exp(1j * w * t)) @ v.conj().T

@@ -4,9 +4,9 @@ M0..M8 are Hermitian, mutually orthogonal with Tr(M_k M_k') = 2 delta,
 and M1..M8 are traceless, so they form an alternative SU(3) generator
 set.  This module stores them as literal constants together with their
 commutator/anticommutator tables, their relations to the Gell-Mann
-matrices and to the spin-1 angular momentum operators, and the change
-of basis between the two-qubit product basis and the angular momentum
-(symmetric + singlet) basis.
+matrices, and the change of basis between the two-qubit product basis
+and the angular momentum (symmetric + singlet) basis.  The spin-1
+operators J_x, J_y, J_z themselves are `tensors.angular_momentum_matrices(1)`.
 
 Basis orderings: 3x3 matrices act on |1 m> with m = +1, 0, -1; 4x4
 matrices act on the product basis (up-up, up-down, down-up, down-down).
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import anticommutator, commutator, is_hermitian
-from .tensors import angular_momentum_matrices
+from .linalg import _finite, anticommutator, commutator, is_hermitian
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -176,29 +175,12 @@ def m_matrix(k: int) -> np.ndarray:
     return M[k].copy()
 
 
-def angular_momentum(axis: str) -> np.ndarray:
-    """Spin-1 angular momentum matrix for axis in {x, y, z, plus, minus}."""
-    mats = angular_momentum_matrices(1)
-    try:
-        return getattr(mats, axis).copy()
-    except AttributeError:
-        raise ValueError(f"axis must be one of x, y, z, plus, minus; got {axis!r}") from None
-
-
 def m_coefficients(x) -> np.ndarray:
     """Complex coefficients c with x = sum_k c_k M_k (no Hermiticity needed)."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {x.shape}")
     return np.trace(_M_STACK @ x, axis1=1, axis2=2) / 2
-
-
-def expand_m(coeffs) -> np.ndarray:
-    """Matrix sum_k c_k M_k from nine coefficients."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape != (9,):
-        raise ValueError(f"expected nine coefficients, got shape {coeffs.shape}")
-    return np.tensordot(coeffs, _M_STACK, axes=1)
 
 
 def decompose_hamiltonian(h) -> np.ndarray:
@@ -210,6 +192,7 @@ def decompose_hamiltonian(h) -> np.ndarray:
     if h.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {h.shape}")
     if not is_hermitian(h):
+        _finite("h", h)
         raise ValueError("matrix is not Hermitian within 1e-12")
     coeffs = 2 * m_coefficients(h)
     if np.max(np.abs(coeffs.imag)) > 1e-12:
@@ -222,7 +205,8 @@ def build_hamiltonian(coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (9,):
         raise ValueError(f"expected nine real coefficients, got shape {coeffs.shape}")
-    return expand_m(coeffs.astype(np.complex128)) / 2
+    coeffs = _finite("coeffs", coeffs).astype(np.complex128)
+    return np.tensordot(coeffs, _M_STACK, axes=1) / 2
 
 
 @dataclass(frozen=True)
@@ -308,11 +292,6 @@ def verify_algebra_tables(atol: float = 1e-13) -> tuple[AlgebraTable, AlgebraTab
     return COMMUTATOR_TABLE, ANTICOMMUTATOR_TABLE, report
 
 
-def gellmann_map() -> dict[int, tuple[tuple[complex, int], ...]]:
-    """The eight linear relations between M_k and the Gell-Mann matrices."""
-    return dict(GELLMANN_RELATIONS)
-
-
 @dataclass(frozen=True)
 class GellMannReport:
     relations_checked: int
@@ -369,7 +348,8 @@ def from_qubit_basis(op4, atol: float = 1e-10) -> tuple[np.ndarray, complex]:
     u = U_QUBIT_TO_ANGULAR
     op_ang = u @ op4 @ u.conj().T
     coupling = max(float(np.max(np.abs(op_ang[3, :3]))), float(np.max(np.abs(op_ang[:3, 3]))))
-    if coupling > atol:
+    if not coupling <= atol:
+        _finite("op4", op4)
         raise ValueError(
             f"operator couples the symmetric and singlet sectors (residual {coupling:.3e})"
         )

@@ -20,6 +20,7 @@ Matrices are laid out in the |j m> basis with m descending from +j to
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -27,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import _finite, is_hermitian
+from .linalg import InputError, _finite, is_hermitian
 
 MAX_TWO_J = 5
 
@@ -266,9 +267,13 @@ class TensorParams:
                 raise ValueError(f"missing partner coefficient for (k={k}, q={-q})")
             if q % 2:
                 partner = -partner
-            # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, |h|)
+            # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, |h|); a
+            # non-finite h or partner gives an inf or NaN defect, which fails
             defect = abs(h.conjugate() - partner)
-            if defect > 1e-12 and defect > 1e-12 * abs(h):
+            if not (defect <= 1e-12 or defect < 1e-12 * abs(h)):
+                for key in ((k, q), (k, -q)):
+                    if not cmath.isfinite(coeffs[key]):
+                        raise InputError(f"coeffs[{key}] must be finite, got {coeffs[key]}")
                 raise ValueError(
                     f"coefficients violate Hermiticity at (k={k}, q={q}): "
                     f"conj(h) = {h.conjugate()}, (-1)^q h(-q) = {partner}"
@@ -287,6 +292,7 @@ def decompose(h, j) -> TensorParams:
     if h.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for j = {two_j / 2}, got {h.shape}")
     if not is_hermitian(h):
+        _finite("h", h)
         raise ValueError("matrix is not Hermitian within 1e-12")
     stack = _tau_stack(two_j)
     values = np.trace(h @ stack.tau, axis1=1, axis2=2).tolist()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -67,3 +69,20 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def kron_factor_2x2(u4) -> tuple[np.ndarray, np.ndarray, float]:
+    """Best factorization of a 4x4 matrix as v (x) w with 2x2 factors.
+
+    Returns (v, w, residual) where the residual is the second singular
+    value of the rearranged matrix: zero exactly when u4 is a tensor
+    product, i.e. a local (non-entangling) gate.
+    """
+    u4 = np.asarray(u4, dtype=np.complex128)
+    assert u4.shape == (4, 4), u4.shape
+    rearranged = u4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    left, sing, right = np.linalg.svd(rearranged)
+    scale = math.sqrt(sing[0])
+    v = scale * left[:, 0].reshape(2, 2)
+    w = scale * right[0, :].reshape(2, 2)
+    return v, w, float(sing[1])

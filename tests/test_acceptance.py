@@ -216,14 +216,13 @@ def test_criterion_09_lmg():
         reference = expm_hermitian(lmg_hamiltonian(g1v, g2v), t)
         ok = ok and np.max(np.abs(lmg_gate(p).u3 - reference)) < 1e-12
     g1v, g2v = 1.3, 0.7
-    points = lmg_entanglement_profile(g1v, g2v, np.linspace(0.0, 2 * math.pi, 200))
-    for point in points:
-        ok = ok and abs(point.concurrence - abs(math.sin(4 * g1v * point.t))) < 1e-10
+    ts, _, conc = lmg_entanglement_profile(g1v, g2v, np.linspace(0.0, 2 * math.pi, 200))
+    ok = ok and np.max(np.abs(conc - np.abs(np.sin(4 * g1v * ts)))) < 1e-10
     for n in range(6):
         t_zero = n * math.pi / (4 * g1v)
         t_one = (2 * n + 1) * math.pi / (8 * g1v)
-        ok = ok and lmg_entanglement_profile(g1v, g2v, [t_zero])[0].concurrence < 1e-10
-        ok = ok and abs(lmg_entanglement_profile(g1v, g2v, [t_one])[0].concurrence - 1) < 1e-10
+        ok = ok and lmg_entanglement_profile(g1v, g2v, [t_zero])[2][0] < 1e-10
+        ok = ok and abs(lmg_entanglement_profile(g1v, g2v, [t_one])[2][0] - 1) < 1e-10
     g1v, g2v = 0.4, 1.1
     for n in range(6):
         t = (math.pi / 2 + n * math.pi) / (2 * (g2v - g1v))

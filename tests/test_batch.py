@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,18 +15,18 @@ from symgates import cli
 from symgates.cli import fmt_float, main
 from symgates.entanglement import (
     _bell_invariants,
-    _lmg_profile_columns,
     _symmetric_invariants,
-    _up_up_concurrences,
     concurrence,
     entangling_power,
     entangling_power_batch,
     lmg_entanglement_profile,
     makhlin_g1,
+    product_basis,
 )
 from symgates.gates import LMGParams, custom_gate, gate, gates_batch, lmg_batch, lmg_gate
-from symgates.linalg import InputError
-from symgates.su3 import to_qubit_basis
+from symgates.linalg import InputError, expm_hermitian
+from symgates.su3 import build_hamiltonian, decompose_hamiltonian, from_qubit_basis, to_qubit_basis
+from symgates.tensors import TensorParams, decompose
 
 from helpers import haar_unitary
 
@@ -63,7 +64,7 @@ def test_lmg_batch_equals_scalar_path(g1, g2, ts):
     ts = sorted(ts)
     batch = lmg_batch(g1, g2, ts)
     scores = entangling_power_batch(batch)
-    _, profile_ep, profile_conc = _lmg_profile_columns(g1, g2, ts)
+    _, profile_ep, profile_conc = lmg_entanglement_profile(g1, g2, ts)
     for i, t in enumerate(ts):
         g = lmg_gate(LMGParams(g1=g1, g2=g2, t=t))
         assert np.array_equal(batch.u3[i], g.u3)
@@ -132,22 +133,13 @@ def test_g1_abs_matches_high_precision_forms():
         # concurrence are compared with their exact values at those angles.
         for g1, g2 in [(1.0, 2.0), (-0.7, 1.3), (0.25, 1.75), (1e4, 3e4)]:
             ts = np.linspace(0.0, math.pi, 241)
-            batch = lmg_batch(g1, g2, ts)
-            scores = entangling_power_batch(batch)
-            for t, g1_abs, conc in zip(ts.tolist(), scores.g1_abs.tolist(),
-                                       _up_up_concurrences(batch.u3).tolist()):
+            scores = entangling_power_batch(lmg_batch(g1, g2, ts))
+            _, _, concs = lmg_entanglement_profile(g1, g2, ts)
+            for t, g1_abs, conc in zip(ts.tolist(), scores.g1_abs.tolist(), concs.tolist()):
                 xi, phi = mpmath.mpf(2.0 * g1 * t), mpmath.mpf(2.0 * g2 * t)
                 exact = ((mpmath.cos(2 * xi) + mpmath.cos(2 * phi)) / 2) ** 2
                 assert abs(g1_abs - exact) <= 2e-15
                 assert abs(conc - abs(mpmath.sin(2 * xi))) <= 2e-15
-
-
-def test_profile_points_match_the_batch_columns():
-    t, ep, conc = _lmg_profile_columns(0.7, 1.9, np.linspace(0.0, 2.0, 9))
-    points = lmg_entanglement_profile(0.7, 1.9, np.linspace(0.0, 2.0, 9))
-    assert [p.t for p in points] == t.tolist()
-    assert [p.ep for p in points] == ep.tolist()
-    assert [p.concurrence for p in points] == conc.tolist()
 
 
 # SHA-256 of the CSVs scored with the closed-form 3x3 invariants.  Against
@@ -274,6 +266,29 @@ def test_non_finite_parameters_are_named(bad):
         lmg_batch(1.0, 1.0, [bad])
 
 
+NAN = math.nan
+
+
+# NaN passes a tolerance written as x > tol, so each check that fails its
+# tolerance (written as not x <= tol) tests finiteness before raising.
+@pytest.mark.parametrize("call, name", [
+    (lambda: product_basis(NAN, 0, 1, 0, 1, 0), "spinor (a, b)"),
+    (lambda: TensorParams(1, {(0, 0): NAN}), "coeffs[(0, 0)]"),
+    (lambda: TensorParams(1, {(1, 1): 0.5, (1, -1): NAN}), "coeffs[(1, -1)]"),
+    (lambda: from_qubit_basis(np.full((4, 4), NAN)), "op4"),
+    (lambda: build_hamiltonian([NAN] * 9), "coeffs"),
+    (lambda: expm_hermitian(np.eye(3), t=NAN), "t"),
+    (lambda: expm_hermitian(np.diag([1.0, NAN, 0.0])), "h"),
+    (lambda: decompose_hamiltonian(np.diag([1.0, NAN, 0.0])), "h"),
+    (lambda: decompose(np.diag([1.0, NAN]), 0.5), "h"),
+], ids=["product_basis", "TensorParams", "TensorParams_partner", "from_qubit_basis",
+        "build_hamiltonian", "expm_hermitian_t", "expm_hermitian_h", "decompose_hamiltonian",
+        "decompose"])
+def test_nan_inputs_raise_a_named_input_error(call, name):
+    with pytest.raises(InputError, match=rf"^{re.escape(name)} must be finite, got .*nan"):
+        call()
+
+
 # Finite couplings and times whose products 2 g1 t or 2 g2 t overflow.
 @pytest.mark.parametrize("g1, g2, ts, coupling", [(1e308, 1.0, [10.0], "g1"),
                                                   (1.0, 1e308, [10.0], "g2"),
@@ -308,6 +323,7 @@ scalar_types = st.sampled_from([float, complex, np.float16, np.float32, np.float
                                 np.complex64, np.complex128])
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), bad=non_finite, kind=scalar_types,
        imag=st.booleans(), index=st.integers(0, 31))
@@ -322,15 +338,12 @@ def test_non_finite_matrix_entries_are_named(seed, bad, kind, imag, index):
     u3[index % 9 // 3][index % 3] = bad
     u4[index % 16 // 4][index % 4] = bad
     stack[index // 16][index % 16 // 4][index % 4] = bad
-    # The unitarity check that fails first may warn about inf * 0.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(InputError, match=rf"^u3 must be finite, got .* at index {index % 9}$"):
-            custom_gate(u3)
-        with pytest.raises(InputError, match=rf"^u4 must be finite, got .* at index {index % 16}$"):
-            makhlin_g1(u4)
-        with pytest.raises(InputError, match=rf"^u4 must be finite, got .* at index {index}$"):
-            entangling_power_batch(stack)
+    with pytest.raises(InputError, match=rf"^u3 must be finite, got .* at index {index % 9}$"):
+        custom_gate(u3)
+    with pytest.raises(InputError, match=rf"^u4 must be finite, got .* at index {index % 16}$"):
+        makhlin_g1(u4)
+    with pytest.raises(InputError, match=rf"^u4 must be finite, got .* at index {index}$"):
+        entangling_power_batch(stack)
 
 
 def test_finite_non_unitary_matrices_keep_their_message():
@@ -377,15 +390,15 @@ def test_cli_rejects_reversed_time_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_maps_library_input_errors_to_usage(tmp_path, capsys):
     # Finite endpoints whose difference overflows give a non-finite grid.
     big = "17" + "0" * 307
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = main(["sweep", "4", "--theta-min", "-" + big, "--theta-max", big, "--steps", "3",
-                   "--out", str(tmp_path / "x.csv")])
+    rc = main(["sweep", "4", "--theta-min", "-" + big, "--theta-max", big, "--steps", "3",
+               "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "thetas must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: thetas must be finite") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -236,8 +236,21 @@ def test_internal_check_failure_is_one_line_with_exit_3(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
-def test_lmg_requires_time_argument(capsys):
-    assert main(["lmg", "--g1", "1", "--g2", "1"]) == 2
+def test_lmg_requires_time_argument(tmp_path, capsys):
+    out = tmp_path / "y.csv"
+    assert main(["lmg", "--g1", "1", "--g2", "1", "--steps", "5", "--out", str(out)]) == 2
+    assert "one of the arguments --t --t-max is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lmg_rejects_single_time_and_series_together(tmp_path, capsys):
+    out = tmp_path / "y.csv"
+    assert main(["lmg", "--g1", "1", "--g2", "1", "--t", "0.3", "--t-max", "2",
+                 "--steps", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_decompose_basis_element(tmp_path, capsys):

@@ -14,7 +14,6 @@ from symgates.entanglement import (
     apply_gate,
     concurrence,
     entangling_power,
-    kron_factor_2x2,
     lmg_entanglement_profile,
     makhlin_g1,
     product_basis,
@@ -24,7 +23,7 @@ from symgates.entanglement import (
 from symgates.gates import LMGParams, gate, lmg_gate
 from symgates.linalg import InputError, is_unitary
 
-from helpers import max_phase_distance, random_spinor, random_su2
+from helpers import kron_factor_2x2, max_phase_distance, random_spinor, random_su2
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -326,33 +325,33 @@ def test_spe_condition_b5_concurrence_law(rng):
 def test_lmg_profile_structure():
     g1 = 1.0
     grid = np.linspace(0.0, math.pi, 9)
-    points = lmg_entanglement_profile(g1, 0.6, grid)
-    assert [p.t for p in points] == pytest.approx(list(grid))
-    assert points[0].ep == pytest.approx(0.0, abs=1e-12)
-    assert points[0].concurrence == pytest.approx(0.0, abs=1e-12)
-    for p in points:
-        assert p.concurrence == pytest.approx(abs(math.sin(4 * g1 * p.t)), abs=1e-10)
+    t, ep, conc = lmg_entanglement_profile(g1, 0.6, grid)
+    assert all(column.dtype == np.float64 and column.shape == (9,) for column in (t, ep, conc))
+    assert t.tolist() == grid.tolist()
+    assert ep[0] == pytest.approx(0.0, abs=1e-12)
+    assert conc[0] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(conc, np.abs(np.sin(4 * g1 * grid)), rtol=0, atol=1e-10)
 
 
 def test_lmg_profile_special_times():
     g1 = 1.0
     zeros = [n * math.pi / (4 * g1) for n in range(4)]
     maxima = [(2 * n + 1) * math.pi / (8 * g1) for n in range(4)]
-    points = lmg_entanglement_profile(g1, 0.35, sorted(zeros + maxima))
-    for p in points:
-        if any(abs(p.t - z) < 1e-12 for z in zeros):
-            assert p.concurrence == pytest.approx(0.0, abs=1e-10)
+    ts, _, concs = lmg_entanglement_profile(g1, 0.35, sorted(zeros + maxima))
+    for t, c in zip(ts, concs):
+        if any(abs(t - z) < 1e-12 for z in zeros):
+            assert c == pytest.approx(0.0, abs=1e-10)
         else:
-            assert p.concurrence == pytest.approx(1.0, abs=1e-10)
+            assert c == pytest.approx(1.0, abs=1e-10)
 
 
 def test_lmg_profile_reaches_maximal_power_on_condition():
     g1v = 1.0
     t = math.pi / 8
     g2v = (math.pi / 2 + 2 * g1v * t) / (2 * t)
-    point = lmg_entanglement_profile(g1v, g2v, [t])[0]
-    assert point.ep == pytest.approx(2 / 9, abs=1e-12)
-    assert point.concurrence == pytest.approx(1.0, abs=1e-12)
+    _, ep, conc = lmg_entanglement_profile(g1v, g2v, [t])
+    assert ep[0] == pytest.approx(2 / 9, abs=1e-12)
+    assert conc[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lmg_profile_rejects_bad_grid():

@@ -14,9 +14,8 @@ from symgates.gates import (
 )
 from symgates.linalg import commutator, expm_hermitian, is_unitary
 from symgates.su3 import M, m_matrix, to_qubit_basis
-from symgates.entanglement import kron_factor_2x2
 
-from helpers import max_phase_distance
+from helpers import kron_factor_2x2, max_phase_distance
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)

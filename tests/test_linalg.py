@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from symgates.linalg import (
     anticommutator,
     commutator,
-    dagger,
     expm_hermitian,
     is_hermitian,
     is_unitary,
@@ -45,11 +44,6 @@ def test_trace_and_determinant_facts():
     theta = 0.73
     u = np.diag([np.exp(1j * theta), 1.0, np.exp(-1j * theta)])
     assert abs(np.linalg.det(u) - 1.0) < 1e-14
-
-
-def test_dagger_is_conjugate_transpose():
-    a = np.array([[1 + 2j, 3], [4j, 5]])
-    np.testing.assert_array_equal(dagger(a), a.conj().T)
 
 
 def test_expm_of_zero_is_identity():

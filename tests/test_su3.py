@@ -10,20 +10,19 @@ from symgates.su3 import (
     ANTICOMMUTATOR_TABLE,
     COMMUTATOR_TABLE,
     GELL_MANN,
+    GELLMANN_RELATIONS,
     M,
     U_QUBIT_TO_ANGULAR,
-    angular_momentum,
     build_hamiltonian,
     decompose_hamiltonian,
     from_qubit_basis,
-    gellmann_map,
     m_coefficients,
     m_matrix,
     to_qubit_basis,
     verify_algebra_tables,
     verify_gellmann,
 )
-from symgates.tensors import hermitian_basis
+from symgates.tensors import angular_momentum_matrices, hermitian_basis
 
 from helpers import m_coefficients_reference, random_hermitian
 
@@ -64,16 +63,14 @@ def test_tracelessness():
 
 
 def test_angular_momentum_matrices():
-    jz = angular_momentum("z")
-    np.testing.assert_allclose(jz, np.diag([1.0, 0.0, -1.0]), atol=0)
-    jx, jy = angular_momentum("x"), angular_momentum("y")
-    np.testing.assert_allclose(commutator(jx, jy), 1j * jz, atol=1e-15)
-    with pytest.raises(ValueError, match="axis"):
-        angular_momentum("w")
+    jm = angular_momentum_matrices(1)
+    np.testing.assert_allclose(jm.z, np.diag([1.0, 0.0, -1.0]), atol=0)
+    np.testing.assert_allclose(commutator(jm.x, jm.y), 1j * jm.z, atol=1e-15)
 
 
 def test_angular_momentum_expressions_for_basis():
-    jx, jy, jz = (angular_momentum(a) for a in "xyz")
+    jm = angular_momentum_matrices(1)
+    jx, jy, jz = jm.x, jm.y, jm.z
     eye = np.eye(3)
     expected = {
         1: -jx,
@@ -131,8 +128,7 @@ def test_gellmann_relations():
     report = verify_gellmann()
     assert report.passed
     assert report.max_residual < 1e-14
-    relations = gellmann_map()
-    assert relations[7] == ((1.0, 4),)
+    assert GELLMANN_RELATIONS[7] == ((1.0, 4),)
     np.testing.assert_allclose(M[7], GELL_MANN[3], atol=0)
     np.testing.assert_allclose(M[4], -GELL_MANN[4], atol=0)
     np.testing.assert_allclose(M[3], GELL_MANN[2] / 2 + SQ3 / 2 * GELL_MANN[7], atol=1e-15)

@@ -1,0 +1,42 @@
+"""The public surface: the names `symgates` exports, and the CLI's use of them."""
+
+import ast
+import inspect
+import types
+
+import symgates
+from symgates import cli
+
+# Every export, listed so that a new one is added on purpose.
+PUBLIC_NAMES = [
+    "ANTICOMMUTATOR_TABLE", "BELL_TRANSFORM", "COMMUTATOR_TABLE", "EntanglementBatch",
+    "EntanglementReport", "GELL_MANN", "GateBatch", "InputError", "LMGParams", "M",
+    "ProductBasis", "SeparableSymmetricState", "SpeConditionResult", "SpinMatrices",
+    "SymmetricGate", "TensorOperator", "TensorParams", "U_QUBIT_TO_ANGULAR",
+    "angular_momentum_matrices", "anticommutator", "apply_gate", "build_hamiltonian",
+    "clebsch_gordan", "commutator", "concurrence", "custom_gate", "decompose",
+    "decompose_hamiltonian", "entangling_power", "entangling_power_batch", "expm_hermitian",
+    "from_qubit_basis", "gate", "gates_batch", "hermitian_basis", "is_hermitian", "is_unitary",
+    "lmg_batch", "lmg_entanglement_profile", "lmg_gate", "lmg_hamiltonian", "m_matrix",
+    "makhlin_g1", "product_basis", "reconstruct", "rotate_params", "separable_state",
+    "spe_condition", "spherical_basis", "tau", "to_qubit_basis", "verify_algebra_tables",
+    "verify_gellmann", "wigner_d",
+]
+
+
+def test_exported_names_are_the_listed_ones():
+    exported = sorted(name for name, value in vars(symgates).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert exported == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 54
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    modules = {name for name, value in vars(cli).items()
+               if isinstance(value, types.ModuleType) and value.__name__.startswith("symgates.")}
+    assert modules
+    private = [f"{node.value.id}.{node.attr}"
+               for node in ast.walk(ast.parse(inspect.getsource(cli)))
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []
