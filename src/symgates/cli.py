@@ -1,7 +1,8 @@
 """Command-line interface: inspect bases, analyze gates, sweep parameters.
 
 Subcommands: basis, gate, sweep, act, lmg, decompose; `lmg` takes
-exactly one of --t (a single report) and --t-max (a series).  All output
+exactly one of --t (a single report) and --t-max (a series), and the
+series options --t-min, --steps and --out only with --t-max.  All output
 is deterministic (15 significant digits, '.' decimal separator, LF line
 endings).  Exit codes: 0 success/verified, 1 verification failure,
 2 usage or parse error, including input the library rejects as out of
@@ -47,7 +48,7 @@ LMG_HEADER = "t,ep,concurrence"
 _BLOCK = 256
 
 _ANGLE_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?)?\*?"
+    r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?(?:e[+-]?\d+)?)?\*?"
     r"(?:sqrt\(?(?P<root>\d+)\)?)?\*?(?P<pi>pi)?(?:/(?P<div>\d+(?:\.\d+)?))?$"
 )
 
@@ -55,8 +56,8 @@ _ANGLE_RE = re.compile(
 def parse_angle(text: str) -> float:
     """Parse an angle given in radians or as a multiple of pi.
 
-    Accepts plain decimals ('0.785') and symbolic forms such as 'pi',
-    'pi/2', '2pi/3', 'sqrt3*pi/2', '-pi/4'.
+    Accepts plain decimals ('0.785', '1e-3', '-1E2') and symbolic forms
+    such as 'pi', 'pi/2', '2pi/3', 'sqrt3*pi/2', '-pi/4', '2.5e-1pi'.
     """
     token = text.strip().lower().replace(" ", "")
     match = _ANGLE_RE.match(token)
@@ -165,17 +166,21 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
 
 def _write_rows(fh, header: str, blocks) -> int:
     """Write `header`, then one row per entry of each block's columns: a
-    float array column as fmt_float prints it, any other column as text."""
+    float array column as fmt_float prints it, any other column as text.
+    A block is formatted by one '%' over its row format repeated, with the
+    cells laid out row by row."""
     fh.write(header + "\n")
     count = 0
     for columns in blocks:
         is_float = [isinstance(c, np.ndarray) for c in columns]
         # '%.15g' of x + 0.0 is fmt_float(x), -0.0 included
         row_format = ",".join("%.15g" if f else "%s" for f in is_float) + "\n"
-        values = [(c + 0.0).tolist() if f else c for c, f in zip(columns, is_float)]
-        rows = [row_format % row for row in zip(*values)]
-        fh.write("".join(rows))
-        count += len(rows)
+        n, width = len(columns[0]), len(columns)
+        cells = [None] * (n * width)
+        for j, (c, f) in enumerate(zip(columns, is_float)):
+            cells[j::width] = (c + 0.0).tolist() if f else c
+        fh.write((row_format * n) % tuple(cells))
+        count += n
     return count
 
 
@@ -301,6 +306,12 @@ def cmd_act(args) -> int:
 
 def cmd_lmg(args) -> int:
     if args.t is not None:
+        series = [flag for flag, value in (("--t-min", args.t_min), ("--steps", args.steps),
+                                           ("--out", args.out)) if value is not None]
+        if series:
+            print(f"error: {', '.join(series)} not allowed with --t (a series takes --t-max)",
+                  file=sys.stderr)
+            return EXIT_USAGE
         params = gates.LMGParams(g1=args.g1, g2=args.g2, t=args.t)
         g = gates.lmg_gate(params)
         report = entanglement.entangling_power(g)
@@ -314,18 +325,19 @@ def cmd_lmg(args) -> int:
         print(f"class = {report.classification}")
         print(f"concurrence(B_L |upup>) = {fmt_float(conc)}")
         return EXIT_OK
-    if args.steps < 2:
+    if args.steps is None or args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return EXIT_USAGE
     if args.out is None:
         print("error: --out is required for a time series", file=sys.stderr)
         return EXIT_USAGE
-    if not args.t_max > args.t_min:
+    t_min = 0.0 if args.t_min is None else args.t_min
+    if not args.t_max > t_min:
         print(f"error: --t-max ({fmt_float(args.t_max)}) must be greater than --t-min "
-              f"({fmt_float(args.t_min)})", file=sys.stderr)
+              f"({fmt_float(t_min)})", file=sys.stderr)
         return EXIT_USAGE
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing grid is named below
-        t_grid = np.linspace(args.t_min, args.t_max, args.steps)
+        t_grid = np.linspace(t_min, args.t_max, args.steps)
     try:
         count = write_csv(args.out, LMG_HEADER, lmg_blocks(args.g1, args.g2, t_grid))
     except OSError as exc:
@@ -387,7 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep theta and write a CSV")
     p_sweep.add_argument("k", type=int, choices=range(1, 9), metavar="K")
-    p_sweep.add_argument("--theta-min", type=parse_angle, default=0.0)
+    p_sweep.add_argument("--theta-min", type=parse_angle, default=0.0,
+                         help="start angle (default 0); a negative value that is not a "
+                              "plain decimal is written with '=': --theta-min=-1.7e308")
     p_sweep.add_argument("--theta-max", type=parse_angle, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
@@ -406,9 +420,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lmg_time = p_lmg.add_mutually_exclusive_group(required=True)
     p_lmg_time.add_argument("--t", type=parse_angle, help="single evolution time")
     p_lmg_time.add_argument("--t-max", type=parse_angle, help="end of a time series")
-    p_lmg.add_argument("--t-min", type=parse_angle, default=0.0)
-    p_lmg.add_argument("--steps", type=int, default=0)
-    p_lmg.add_argument("--out", default=None, help="output CSV path for a series")
+    p_lmg.add_argument("--t-min", type=parse_angle, help="start of a series (default 0)")
+    p_lmg.add_argument("--steps", type=int, help="points of a series, at least 2")
+    p_lmg.add_argument("--out", help="output CSV path for a series")
     p_lmg.set_defaults(func=cmd_lmg)
 
     p_dec = sub.add_parser("decompose", help="decompose a Hermitian 3x3 matrix file")

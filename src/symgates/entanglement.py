@@ -26,9 +26,16 @@ scores the same (==) alone or in a grid.  A general 4x4 unitary, or an
 (N, 4, 4) stack, goes through the Bell transform, trace and determinant
 of `_bell_invariants` instead, after one shared unitarity check (InputError
 for a non-finite entry, ValueError for any other defect).  The last step
-(G1 from tr(m) and det, then |G1|, e_p and the class) runs per gate on
-numpy scalars, because numpy's array kernels for complex multiply and abs
-round differently from its scalar arithmetic.
+(G1 from tr(m) and det, then |G1|, e_p and the class) is `_g1` and
+`_power` on numpy scalars for one gate and `_power_batch`, elementwise
+over real arrays, for a stack.  Both round alike: for tr(m) = a + ib,
+numpy's scalar tr**2 is the complex product (a a - b b) + i (2 a b),
+which `_power_batch` writes out in real arithmetic, and Python's abs of
+a complex number is the hypot that `_power_batch` calls; numpy's array
+kernels for complex multiply and abs are not used, as they may round
+differently.  The |up up> concurrence column is written out the same
+way.  Hypothesis tests in tests/test_batch.py pin the two forms equal
+(==) on the B_k and LMG grids and on Haar-random 3x3 unitaries.
 
 `lmg_entanglement_profile` scores an LMG time series the same way and
 returns its columns t, e_p and the concurrence of the evolved |up up>
@@ -60,6 +67,8 @@ NON_ENTANGLING = "non-entangling"
 ENTANGLING = "entangling"
 PERFECT_ENTANGLER = "perfect-entangler"
 SPECIAL_PERFECT_ENTANGLER = "special-perfect-entangler"
+_LABELS = np.array([NON_ENTANGLING, ENTANGLING, PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER],
+                   dtype=object)
 
 # Maps angular momentum coordinates (|1 1>, |1 0>, |1 -1>, |0 0>) to the
 # Bell combinations ((dd + uu)/sqrt2, i(du + ud)/sqrt2, (du - ud)/sqrt2,
@@ -168,6 +177,24 @@ def _power(g1: complex) -> tuple[float, float, str]:
     return g1_abs, ep, _classify(ep)
 
 
+def _power_batch(tr: np.ndarray, det: np.ndarray) -> EntanglementBatch:
+    """`_g1` and `_power` of each entry of the stacks tr(m) and det(B_bell),
+    elementwise, rounded as the scalar helpers round (module docstring)."""
+    a, b = tr.real, tr.imag
+    g1 = ((a * a - b * b) + 1j * (2.0 * a * b)) / (16.0 * det)
+    g1_abs = np.hypot(g1.real, g1.imag)
+    ep = MAX_EP * (1.0 - g1_abs)
+    bad = np.flatnonzero((ep < -1e-12) | (ep > MAX_EP + 1e-12))
+    if bad.size:
+        raise RuntimeError(f"entangling power {float(ep[bad[0]])} out of range [0, 2/9]")
+    ep = np.where(ep < 0.0, 0.0, ep)
+    # _classify's three nested boundaries: the number passed indexes _LABELS
+    level = ((ep > CLASSIFY_ATOL).astype(np.intp) + (ep >= PERFECT_EP - CLASSIFY_ATOL)
+             + (ep >= MAX_EP - CLASSIFY_ATOL))
+    return EntanglementBatch(g1=g1, g1_abs=g1_abs, ep=ep,
+                             classification=tuple(_LABELS[level].tolist()))
+
+
 def entangling_power(u4) -> EntanglementReport:
     """Entangling power e_p = (2/9)(1 - |G1|) and its classification.
 
@@ -203,10 +230,7 @@ def entangling_power_batch(u4s) -> EntanglementBatch:
             raise ValueError(f"expected a non-empty (N, 4, 4) stack, got shape {u4s.shape}")
         _check_unitary(u4s, _G1_UNITARITY_ATOL)
         invariants = _bell_invariants(u4s)
-    g1 = [_g1(tr, det) for tr, det in zip(*invariants)]
-    g1_abs, ep, classification = zip(*map(_power, g1))
-    return EntanglementBatch(g1=np.array(g1), g1_abs=np.array(g1_abs), ep=np.array(ep),
-                             classification=classification)
+    return _power_batch(*invariants)
 
 
 def _pure_concurrence(a, b, c, d) -> float:
@@ -396,7 +420,11 @@ def _up_up_concurrences(u3: np.ndarray) -> np.ndarray:
     gate of a (N, 3, 3) stack, as |up up> = |1 1>; columns of gates unitary
     within 1e-12 need no renormalization."""
     a, b, d = u3[:, 0, 0], u3[:, 1, 0] * _INV_SQ2, u3[:, 2, 0]
-    return np.fromiter(map(_pure_concurrence, a, b, b, d), np.float64, len(u3))
+    # 2|ad - bb| in real arithmetic, rounded as _pure_concurrence's scalar
+    # complex products and abs (hypot) round it
+    re = (a.real * d.real - a.imag * d.imag) - (b.real * b.real - b.imag * b.imag)
+    im = (a.real * d.imag + a.imag * d.real) - (b.real * b.imag + b.imag * b.real)
+    return 2.0 * np.hypot(re, im)
 
 
 def lmg_entanglement_profile(g1: float, g2: float,

@@ -14,6 +14,11 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
+# Stack size from which `is_unitary` multiplies elementwise.  On 3x3
+# matrices (2-vCPU Xeon, numpy 2.4) the two forms cost the same at 16 to
+# 32 matrices; the matmul is faster below (20 us against 27 us for one
+# matrix) and the elementwise sum above (100 us against 165 us for 256).
+_ELEMENTWISE_MIN = 32
 
 
 class InputError(ValueError):
@@ -90,13 +95,23 @@ def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
 
 
 def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
-    """True if a, or every matrix of a (..., n, n) stack, is unitary within atol."""
+    """True if a, or every matrix of a (..., n, n) stack, is unitary within atol.
+
+    A stack of at least _ELEMENTWISE_MIN matrices forms a^dagger a as a sum
+    of n broadcast products, one per row k of a: a stacked matmul makes one
+    BLAS call per matrix, which is slower for a grid and faster for a few.
+    """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    n = a.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in a non-finite matrix
-        defect = a.conj().swapaxes(-1, -2) @ a
-    defect -= np.eye(a.shape[-1])
+        if a.size < _ELEMENTWISE_MIN * n * n:
+            defect = a.conj().swapaxes(-1, -2) @ a
+        else:
+            ac = a.conj()
+            defect = sum(ac[..., k, :, None] * a[..., k, None, :] for k in range(n))
+    defect -= np.eye(n)
     return bool(np.max(np.abs(defect)) <= atol)
 
 

@@ -15,7 +15,11 @@ from symgates import cli
 from symgates.cli import fmt_float, main
 from symgates.entanglement import (
     _bell_invariants,
+    _g1,
+    _power,
+    _power_batch,
     _symmetric_invariants,
+    _up_up_concurrences,
     concurrence,
     entangling_power,
     entangling_power_batch,
@@ -23,7 +27,15 @@ from symgates.entanglement import (
     makhlin_g1,
     product_basis,
 )
-from symgates.gates import LMGParams, custom_gate, gate, gates_batch, lmg_batch, lmg_gate
+from symgates.gates import (
+    GateBatch,
+    LMGParams,
+    custom_gate,
+    gate,
+    gates_batch,
+    lmg_batch,
+    lmg_gate,
+)
 from symgates.linalg import InputError, expm_hermitian
 from symgates.su3 import build_hamiltonian, decompose_hamiltonian, from_qubit_basis, to_qubit_basis
 from symgates.tensors import TensorParams, decompose
@@ -83,6 +95,44 @@ def test_raw_stack_scores_equal_the_scalar_path(seed, size):
     scores = entangling_power_batch(stack)
     for i, u4 in enumerate(stack):
         _assert_reports_equal(scores, i, entangling_power(u4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 80))
+def test_vector_tail_equals_the_scalar_tail_on_haar_gates(seed, size):
+    # The vector tail and the |up up> column round as the scalar helpers
+    # do for any unitary u3, not only on the B_k and LMG families.
+    rng = np.random.default_rng(seed)
+    u3 = np.stack([haar_unitary(rng, 3) for _ in range(size)])
+    scores = entangling_power_batch(GateBatch(u3))
+    concs = _up_up_concurrences(u3)
+    for i in range(size):
+        g = custom_gate(u3[i])
+        _assert_reports_equal(scores, i, entangling_power(g))
+        assert concs[i] == concurrence(g.u4 @ UP_UP)
+
+
+def test_vector_tail_clamps_rounding_below_zero():
+    # a real tr(m) with det 1 whose e_p rounds to about -1e-13
+    tr = np.array([4.0 * math.sqrt(1.0 + 4.5e-13)], dtype=np.complex128)
+    scores = _power_batch(tr, np.ones(1, dtype=np.complex128))
+    assert -2e-13 < 2.0 / 9.0 * (1.0 - scores.g1_abs[0]) < 0.0
+    assert scores.ep[0] == 0.0 and math.copysign(1.0, scores.ep[0]) == 1.0
+    assert scores.classification == ("non-entangling",)
+    fh = io.StringIO()
+    cli._write_rows(fh, "ep", [(scores.ep,)])
+    assert fh.getvalue() == "ep\n0\n"
+
+
+def test_vector_tail_rejects_e_p_out_of_range():
+    # the second entry's e_p is about -1e-11, beyond the -1e-12 rounding allowance
+    tr = np.array([0.5, 4.0 * math.sqrt(1.0 + 4.5e-11)], dtype=np.complex128)
+    with pytest.raises(RuntimeError, match="out of range") as vector:
+        _power_batch(tr, np.ones(2, dtype=np.complex128))
+    with pytest.raises(RuntimeError) as scalar:
+        _power(_g1(tr[1], np.complex128(1.0)))
+    assert str(vector.value) == str(scalar.value)
+    assert float(str(vector.value).split()[2]) == pytest.approx(-1e-11, rel=1e-3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -308,10 +358,10 @@ def test_overflowing_angles_are_named(g1, g2, ts, coupling):
     (["--g1", "1e306", "--g2", "1", "--t-max", "1000", "--steps", "3"], "g1"),
 ])
 def test_cli_rejects_overflowing_angles(tmp_path, capsys, args, coupling):
-    out = tmp_path / "x.csv"
+    series = ["--out", str(tmp_path / "x.csv")] if "--t-max" in args else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["lmg", *args, "--out", str(out)]) == 2
+        assert main(["lmg", *args, *series]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"2*{coupling}*t must be finite" in err

@@ -29,6 +29,10 @@ def write_matrix_file(path, matrix):
     ("sqrt3*pi/2", SQ3 * math.pi / 2),
     ("sqrt(3)*pi/2", SQ3 * math.pi / 2),
     ("0", 0.0),
+    ("1e-3", 1e-3),
+    ("2.5e-1pi", 0.25 * math.pi),
+    ("-1E2", -100.0),
+    ("+3e+1*pi/2", 15 * math.pi),
 ])
 def test_parse_angle(text, value):
     assert parse_angle(text) == pytest.approx(value, abs=0, rel=1e-15)
@@ -40,6 +44,30 @@ def test_parse_angle_rejects_junk():
         parse_angle("two*pi")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_angle("")
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_angle("1e")
+    with pytest.raises(argparse.ArgumentTypeError):
+        parse_angle("1e400")
+
+
+def test_exponent_angle_prints_the_decimal_report(capsys):
+    assert main(["gate", "4", "--theta", "1e-3"]) == 0
+    exponent = capsys.readouterr().out
+    assert main(["gate", "4", "--theta", "0.001"]) == 0
+    assert exponent == capsys.readouterr().out
+
+
+def test_negative_exponent_bound_is_written_with_equals(tmp_path, capsys):
+    out = tmp_path / "b4.csv"
+    assert main(["sweep", "4", "--theta-min=-1.5e-1", "--theta-max", "1e-1", "--steps", "3",
+                 "--out", str(out)]) == 0
+    assert [row.split(",")[0] for row in out.read_text().splitlines()] == [
+        "theta", "-0.15", "-0.025", "0.1"]
+    # theta-max - theta-min overflows: a usage error on one stderr line
+    assert main(["sweep", "4", "--theta-min=-1.7e308", "--theta-max", "1.7e308", "--steps", "3",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_parse_spin():
@@ -223,10 +251,12 @@ def test_lmg_accepts_large_couplings(capsys):
 def test_internal_check_failure_is_one_line_with_exit_3(tmp_path, capsys, monkeypatch):
     from symgates import entanglement
 
-    def failing_power(g1):
+    def failing_tail(*invariants):
         raise RuntimeError("entangling power 0.3 out of range [0, 2/9]")
 
-    monkeypatch.setattr(entanglement, "_power", failing_power)
+    # one gate is scored by the scalar tail, a grid by the vector tail
+    monkeypatch.setattr(entanglement, "_power", failing_tail)
+    monkeypatch.setattr(entanglement, "_power_batch", failing_tail)
     assert main(["gate", "4", "--theta", "0.3"]) == 3
     assert capsys.readouterr().err == (
         "error: internal check failed: entangling power 0.3 out of range [0, 2/9]\n")
@@ -241,6 +271,21 @@ def test_lmg_requires_time_argument(tmp_path, capsys):
     assert main(["lmg", "--g1", "1", "--g2", "1", "--steps", "5", "--out", str(out)]) == 2
     assert "one of the arguments --t --t-max is required" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("series, named", [
+    (["--t-min", "0"], "--t-min"),
+    (["--steps", "5"], "--steps"),
+    (["--out", "y.csv"], "--out"),
+    (["--steps", "5", "--out", "y.csv"], "--steps, --out"),
+])
+def test_lmg_single_time_rejects_series_options(tmp_path, capsys, series, named):
+    series = [str(tmp_path / arg) if arg == "y.csv" else arg for arg in series]
+    assert main(["lmg", "--g1", "1", "--g2", "1", "--t", "0.3", *series]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named} not allowed with --t (a series takes --t-max)\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lmg_rejects_single_time_and_series_together(tmp_path, capsys):

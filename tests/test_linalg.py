@@ -102,3 +102,18 @@ def test_hermiticity_predicate(rng):
     h = random_hermitian(rng, 4)
     assert is_hermitian(h)
     assert not is_hermitian(h + 1e-6 * np.array([[0, 1j, 0, 0]] + [[0] * 4] * 3))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
+       size=st.sampled_from([1, 31, 32, 33, 256]), defect=st.sampled_from([0.0, 1e-11, np.inf]))
+def test_stack_unitarity_verdict_is_the_per_matrix_verdict(seed, n, size, defect):
+    # stacks below and above the size at which is_unitary multiplies elementwise
+    rng = np.random.default_rng(seed)
+    stack = np.stack([expm_hermitian(random_hermitian(rng, n)) for _ in range(size)])
+    stack[rng.integers(size), rng.integers(n), rng.integers(n)] += defect
+    expected = all(is_unitary(u) for u in stack)
+    assert expected == (defect == 0.0)
+    assert is_unitary(stack) == expected
+    assert is_unitary(stack.reshape(1, size, n, n)) == expected
