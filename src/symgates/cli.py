@@ -47,6 +47,12 @@ LMG_HEADER = "t,ep,concurrence"
 # its peak, so a long grid needs no more memory than a short one.
 _BLOCK = 256
 
+# Options whose value may start with '-' ('-pi/2', '-1e-3'), which argparse
+# would read as an option when it is a separate argument; `main` joins such
+# a pair into the '--opt=value' form, which argparse reads as a value.
+_SIGNED_OPTIONS = frozenset({"--theta", "--theta-min", "--theta-max", "--alpha", "--phi",
+                             "--t", "--t-min", "--t-max", "--g1", "--g2"})
+
 _ANGLE_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?(?:e[+-]?\d+)?)?\*?"
     r"(?:sqrt\(?(?P<root>\d+)\)?)?\*?(?P<pi>pi)?(?:/(?P<div>\d+(?:\.\d+)?))?$"
@@ -247,7 +253,7 @@ def cmd_basis(args) -> int:
             print(fmt_matrix(op.matrix))
         did_something = True
     if args.verify:
-        _, _, report = su3.verify_algebra_tables()
+        report = su3.verify_algebra_tables()
         gm = su3.verify_gellmann()
         ok_entries = report.entries_checked - len(report.mismatches)
         ok_gm = gm.relations_checked - len(gm.failures)
@@ -400,8 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep theta and write a CSV")
     p_sweep.add_argument("k", type=int, choices=range(1, 9), metavar="K")
     p_sweep.add_argument("--theta-min", type=parse_angle, default=0.0,
-                         help="start angle (default 0); a negative value that is not a "
-                              "plain decimal is written with '=': --theta-min=-1.7e308")
+                         help="start angle (default 0)")
     p_sweep.add_argument("--theta-max", type=parse_angle, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
@@ -432,7 +437,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """argv with each '--opt -value' of a _SIGNED_OPTIONS option written '--opt=-value'."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -24,8 +24,7 @@ a (..., 3, 3) stack; `entangling_power` of a SymmetricGate (as a stack of
 one) and `entangling_power_batch` of a GateBatch both use it, so a gate
 scores the same (==) alone or in a grid.  A general 4x4 unitary, or an
 (N, 4, 4) stack, goes through the Bell transform, trace and determinant
-of `_bell_invariants` instead, after one shared unitarity check (InputError
-for a non-finite entry, ValueError for any other defect).  The last step
+of `_bell_invariants` instead, once checked unitary within 1e-10.  The last step
 (G1 from tr(m) and det, then |G1|, e_p and the class) is `_g1` and
 `_power` on numpy scalars for one gate and `_power_batch`, elementwise
 over real arrays, for a stack.  Both round alike: for tr(m) = a + ib,
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateBatch, SymmetricGate, lmg_batch
-from .linalg import InputError, _finite, _grid, is_unitary
+from .linalg import InputError, _finite, _grid, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
 _SQ2 = math.sqrt(2.0)
@@ -83,7 +82,6 @@ BELL_TRANSFORM.setflags(write=False)
 
 _QUBIT_TO_BELL = BELL_TRANSFORM @ U_QUBIT_TO_ANGULAR
 _BELL_TO_QUBIT = _QUBIT_TO_BELL.conj().T
-_G1_UNITARITY_ATOL = 1e-10
 # Above this norm, squares of amplitudes that underflow change it by under 1e-23.
 _MIN_SAFE_NORM = 1e-150
 # |1 0> = (up-down + down-up)/sqrt2: the same factor as in U_QUBIT_TO_ANGULAR
@@ -114,19 +112,12 @@ def _g1(tr, det) -> complex:
     return complex(tr ** 2 / (16.0 * det))
 
 
-def _check_unitary(u4: np.ndarray, atol: float) -> None:
-    """InputError for a non-finite u4 (a matrix or a stack), else ValueError if not unitary."""
-    if not is_unitary(u4, atol=atol):
-        _finite("u4", u4)
-        raise ValueError(f"matrix is not unitary within {atol:.1e}")
-
-
-def makhlin_g1(u4, atol: float = _G1_UNITARITY_ATOL) -> complex:
-    """Local invariant G1 of a 4x4 unitary in the product basis."""
+def makhlin_g1(u4) -> complex:
+    """Local invariant G1 of a 4x4 product-basis unitary (checked within 1e-10)."""
     u4 = np.asarray(u4, dtype=np.complex128)
     if u4.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u4.shape}")
-    _check_unitary(u4, atol)
+    _require(is_unitary(u4, atol=1e-10), "matrix is not unitary within 1.0e-10", "u4", u4)
     return _g1(*_bell_invariants(u4))
 
 
@@ -228,7 +219,7 @@ def entangling_power_batch(u4s) -> EntanglementBatch:
         u4s = np.asarray(u4s, dtype=np.complex128)
         if u4s.ndim != 3 or u4s.shape[1:] != (4, 4) or len(u4s) == 0:
             raise ValueError(f"expected a non-empty (N, 4, 4) stack, got shape {u4s.shape}")
-        _check_unitary(u4s, _G1_UNITARITY_ATOL)
+        _require(is_unitary(u4s, atol=1e-10), "matrix is not unitary within 1.0e-10", "u4", u4s)
         invariants = _bell_invariants(u4s)
     return _power_batch(*invariants)
 
@@ -336,9 +327,8 @@ def product_basis(a, b, c, d, e, f) -> ProductBasis:
     """
     a, b, c, d, e, f = (complex(v) for v in (a, b, c, d, e, f))
     for name, (x, y) in (("(a, b)", (a, b)), ("(c, d)", (c, d)), ("(e, f)", (e, f))):
-        if not abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) <= 1e-12:
-            _finite(f"spinor {name}", np.array([x, y]))
-            raise ValueError(f"spinor {name} is not normalized within 1e-12")
+        _require(abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) <= 1e-12,
+                 f"spinor {name} is not normalized within 1e-12", f"spinor {name}", (x, y))
     first = np.array([a, b])
     first_perp = np.array([-np.conj(b), np.conj(a)])
     second = np.array([c, d])

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import InputError, _finite, _grid, is_unitary
+from .linalg import _bounded, _finite, _grid, _index, _require, is_unitary
 from .su3 import M, to_qubit_basis
 from .tensors import angular_momentum_matrices
 
@@ -88,14 +87,6 @@ class GateBatch:
         return to_qubit_basis(self.u3, 1.0)
 
 
-def _unitary(label: str, u3: np.ndarray) -> np.ndarray:
-    """u3, a 3x3 gate or a stack, once it is checked unitary within 1e-12."""
-    if not is_unitary(u3):
-        _finite("u3", u3)
-        raise ValueError(f"gate {label} is not unitary within 1e-12")
-    return u3
-
-
 def _exp_i(angles: np.ndarray, generator) -> np.ndarray:
     """exp(i angle G) for each angle of a 1-D grid, not checked unitary, for
     G = M_k with an index k in 1..7 (the B_k closed form of the module
@@ -113,23 +104,12 @@ def _exp_i(angles: np.ndarray, generator) -> np.ndarray:
             + (1j * sin)[:, None, None] * M[generator])
 
 
-def _gate_index(k) -> int:
-    try:
-        index = operator.index(k)
-    except TypeError:
-        index = None
-    if index is None or not 1 <= index <= 8:
-        raise InputError(f"gate index must be an integer in 1..8, got {k!r} "
-                         "(index 0 would be a global phase)")
-    return index
-
-
 def gate(k: int, theta: float) -> SymmetricGate:
     """The gate B_k = exp(i M_k theta) for k = 1..8.
 
     k = 0 is rejected: exp(i M_0 theta) is a global phase, not a gate.
     """
-    k = _gate_index(k)
+    k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
     theta = _finite("theta", theta)
     batch = gates_batch(k, [theta])
     return SymmetricGate(label=f"B{k}", u3=batch.u3[0], u4=batch.u4[0], theta=theta)
@@ -137,15 +117,18 @@ def gate(k: int, theta: float) -> SymmetricGate:
 
 def gates_batch(k: int, thetas) -> GateBatch:
     """B_k(theta) for every angle of a 1-D grid; entry by entry equal to `gate`."""
-    k = _gate_index(k)
+    k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
     thetas = _grid("thetas", thetas)
-    u3 = _exp_i(thetas / _SQ3, _B8_WEIGHTS) if k == 8 else _exp_i(thetas, k)
-    return GateBatch(_unitary(f"B{k}", u3))
+    u3 = (_exp_i(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0), _B8_WEIGHTS) if k == 8
+          else _exp_i(thetas, k))
+    _require(is_unitary(u3), f"gate B{k} is not unitary within 1e-12", "u3", u3)
+    return GateBatch(u3)
 
 
 def custom_gate(u3, label: str = "custom") -> SymmetricGate:
     """Wrap an arbitrary 3x3 unitary as a symmetric gate."""
-    u3 = _unitary(label, np.asarray(u3, dtype=np.complex128))
+    u3 = np.asarray(u3, dtype=np.complex128)
+    _require(is_unitary(u3), f"gate {label} is not unitary within 1e-12", "u3", u3)
     return SymmetricGate(label=label, u3=u3, u4=to_qubit_basis(u3, 1.0))
 
 
@@ -167,11 +150,15 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     """LMG gates for every time of a 1-D grid, entry by entry equal to
     `lmg_gate`: B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi}), xi = 2 g1 t,
     phi = 2 g2 t (see the module docstring), exact to a few ulps at the
-    float angles; InputError names the coupling and t if xi or phi overflows."""
+    float angles; InputError names the product if xi, phi or 2 phi overflows."""
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
     ts = _grid("ts", ts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        xi, phi = _finite("2*g1*t", 2.0 * g1 * ts), _finite("2*g2*t", 2.0 * g2 * ts)
+    t_top = float(abs(ts).max())  # with the largest weights, bounds xi, phi and 2 phi
+    _bounded("2*g1*t", 2.0 * g1, t_top)
+    _bounded("2*g2*t", 2.0 * g2, t_top)
+    _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
     # B7 times a diagonal matrix: column j of B7 times the j-th phase
-    phase = _exp_i(phi, _LMG_WEIGHTS)[:, _DIAG, _DIAG]
-    return GateBatch(_unitary("BL", _exp_i(xi, 7) * phase[:, None, :]))
+    phase = _exp_i(2.0 * g2 * ts, _LMG_WEIGHTS)[:, _DIAG, _DIAG]
+    u3 = _exp_i(2.0 * g1 * ts, 7) * phase[:, None, :]
+    _require(is_unitary(u3), "gate BL is not unitary within 1e-12", "u3", u3)
+    return GateBatch(u3)

@@ -4,11 +4,20 @@ All functions work on plain numpy arrays of shape (n, n) with n <= 6 and
 are pure; inputs are never mutated.  `is_unitary` also accepts a
 (..., n, n) stack.  `expm_hermitian`, by eigendecomposition, is the
 independent reference the tests compare the closed-form gates with.
+
+It also owns the failure contract: bad input raises `InputError`, named
+by the parameter or product at fault, with no numpy warning first.  A
+failed tolerance check names a non-finite entry if there is one
+(`_require`; defects are computed here with numpy's warnings off), an
+index is what `operator.index` takes (`_index`), and a finite parameter
+times the largest weight it meets must be finite (`_bounded`): `2*g1*t`,
+`2*g2*t`, `4*g2*t`, `2*theta/sqrt3`, `beta*k`, `alpha*q`, `gamma*q`, `2*j`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -30,6 +39,8 @@ def _finite(name: str, value):
     """`value` as a float, or a float array for a grid (a complex array
     stays complex); InputError naming `name` if any entry is NaN or
     infinite."""
+    if value.__class__ is float and math.isfinite(value):
+        return value  # the common case, without np.ndim's cost
     if np.ndim(value) == 0:
         x = float(value)
         if math.isfinite(x):
@@ -52,6 +63,29 @@ def _grid(name: str, values) -> np.ndarray:
     return _finite(name, grid)
 
 
+def _require(ok: bool, message: str, name: str, value) -> None:
+    """If not `ok`: InputError naming a non-finite entry of `value`, else ValueError(message)."""
+    if not ok:
+        _finite(name, value)
+        raise ValueError(message)
+
+
+def _index(name: str, value, lo: int, hi: int, note: str = "") -> int:
+    """`value`, an integer (numpy's too) in lo..hi, as an int; InputError naming `name` if not."""
+    if not (hasattr(value, "__index__") and lo <= operator.index(value) <= hi):
+        raise InputError(f"{name} must be an integer in {lo}..{hi}, got {value!r}{note}")
+    return operator.index(value)
+
+
+def _bounded(name: str, x, weight: float):
+    """x, a finite float or grid, once x * weight is finite (for a grid, its largest magnitude
+    times weight, which bounds each x_i w with |w| <= |weight|); else InputError naming `name`."""
+    top = (x if x.__class__ is float else float(abs(x).max())) * weight
+    if not math.isfinite(top):
+        raise InputError(f"{name} must be finite, got {top}")
+    return x
+
+
 def _as_square(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -66,32 +100,38 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 def commutator(a, b) -> np.ndarray:
     """ab - ba for equal-dimension square matrices."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
+    a = _finite("a", _as_square(a, "a"))
+    b = _finite("b", _as_square(b, "b"))
     _check_same_dim(a, b)
     return a @ b - b @ a
 
 
 def anticommutator(a, b) -> np.ndarray:
     """ab + ba for equal-dimension square matrices."""
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
+    a = _finite("a", _as_square(a, "a"))
+    b = _finite("b", _as_square(b, "b"))
     _check_same_dim(a, b)
     return a @ b + b @ a
 
 
 def hermiticity_defect(a) -> tuple[int, int, float]:
-    """Index and magnitude of the largest entry of a - a^dagger."""
+    """Index and magnitude of the largest entry of a - a^dagger (inf or NaN if a is not finite)."""
     a = _as_square(a)
-    d = np.abs(a - a.conj().T)
-    flat = int(np.argmax(d))
-    i, j = divmod(flat, a.shape[1])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+        d = np.abs(a - a.conj().T)
+    i, j = divmod(int(np.argmax(d)), a.shape[1])
     return i, j, float(d[i, j])
 
 
-def is_hermitian(a, atol: float = HERMITICITY_ATOL) -> bool:
-    a = _as_square(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+def is_hermitian(a) -> bool:
+    return hermiticity_defect(a)[2] <= HERMITICITY_ATOL
+
+
+def _sector_coupling(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """b = u a u^dagger and how far it couples its last basis vector to the others."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0
+        b = u @ a @ u.conj().T
+        return b, float(max(np.max(np.abs(b[-1, :-1])), np.max(np.abs(b[:-1, -1]))))
 
 
 def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
@@ -115,20 +155,16 @@ def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
     return bool(np.max(np.abs(defect)) <= atol)
 
 
-def expm_hermitian(h, t: float = 1.0, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def expm_hermitian(h, t: float = 1.0) -> np.ndarray:
     """Unitary exp(i h t) of a Hermitian matrix via eigendecomposition.
 
     Raises ValueError naming the offending entry if h is not Hermitian
-    within `atol`, and InputError if h or t is not finite.
+    within HERMITICITY_ATOL, and InputError if h or t is not finite.
     """
     h = _as_square(h, "h")
     t = _finite("t", t)
     i, j, defect = hermiticity_defect(h)
-    if not defect <= atol:
-        _finite("h", h)
-        raise ValueError(
-            f"matrix is not Hermitian: |(h - h^dagger)[{i}, {j}]| = {defect:.3e} "
-            f"exceeds {atol:.1e}"
-        )
+    _require(defect <= HERMITICITY_ATOL, f"matrix is not Hermitian: |(h - h^dagger)[{i}, {j}]| "
+             f"= {defect:.3e} exceeds {HERMITICITY_ATOL:.1e}", "h", h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w * t)) @ v.conj().T

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _finite, anticommutator, commutator, is_hermitian
+from .linalg import (_finite, _index, _require, _sector_coupling, anticommutator, commutator,
+                     is_hermitian)
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -170,9 +171,7 @@ VANISHING_COMMUTATOR_PAIRS = ((3, 8), (4, 8), (7, 8))
 
 def m_matrix(k: int) -> np.ndarray:
     """The basis matrix M_k, k = 0..8."""
-    if not isinstance(k, int) or not 0 <= k <= 8:
-        raise ValueError(f"basis index must be in 0..8, got {k}")
-    return M[k].copy()
+    return M[_index("basis index k", k, 0, 8)].copy()
 
 
 def m_coefficients(x) -> np.ndarray:
@@ -191,9 +190,7 @@ def decompose_hamiltonian(h) -> np.ndarray:
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {h.shape}")
-    if not is_hermitian(h):
-        _finite("h", h)
-        raise ValueError("matrix is not Hermitian within 1e-12")
+    _require(is_hermitian(h), "matrix is not Hermitian within 1e-12", "h", h)
     coeffs = 2 * m_coefficients(h)
     if np.max(np.abs(coeffs.imag)) > 1e-12:
         raise ValueError("expansion coefficients of a Hermitian matrix must be real")
@@ -239,12 +236,12 @@ class AlgebraReport:
         return not self.mismatches and self.triplets_ok and self.vanishing_ok
 
 
-def verify_algebra_tables(atol: float = 1e-13) -> tuple[AlgebraTable, AlgebraTable, AlgebraReport]:
+def verify_algebra_tables() -> AlgebraReport:
     """Check every tabulated commutator and anticommutator numerically.
 
     Each of the 64 + 64 products is computed from the literal matrices,
     decomposed in the M basis and compared coefficient by coefficient
-    against the symbolic table, so a mismatch names the offending entry.
+    against the symbolic table within 1e-13, so a mismatch names the offending entry.
     The vector triplets and the vanishing commutators with M8 are
     verified as well.
     """
@@ -258,7 +255,7 @@ def verify_algebra_tables(atol: float = 1e-13) -> tuple[AlgebraTable, AlgebraTab
             expected = table.expand(k, kp)
             residual = float(np.max(np.abs(product - expected)))
             max_residual = max(max_residual, residual)
-            if residual > atol:
+            if residual > 1e-13:
                 exp_coeffs = np.zeros(9, dtype=np.complex128)
                 for coeff, idx in entry:
                     exp_coeffs[idx] += coeff
@@ -273,7 +270,7 @@ def verify_algebra_tables(atol: float = 1e-13) -> tuple[AlgebraTable, AlgebraTab
         for i in range(3):
             lhs = commutator(M[trio[i]], M[trio[(i + 1) % 3]])
             rhs = -1j * scale * M[trio[(i + 2) % 3]]
-            if np.max(np.abs(lhs - rhs)) > atol:
+            if np.max(np.abs(lhs - rhs)) > 1e-13:
                 triplets_ok = False
 
     vanishing_residual = 0.0
@@ -281,7 +278,7 @@ def verify_algebra_tables(atol: float = 1e-13) -> tuple[AlgebraTable, AlgebraTab
         vanishing_residual = max(vanishing_residual, float(np.max(np.abs(commutator(M[k], M[kp])))))
     vanishing_ok = vanishing_residual < 1e-14
 
-    report = AlgebraReport(
+    return AlgebraReport(
         entries_checked=checked,
         mismatches=tuple(mismatches),
         max_residual=max_residual,
@@ -289,7 +286,6 @@ def verify_algebra_tables(atol: float = 1e-13) -> tuple[AlgebraTable, AlgebraTab
         vanishing_ok=vanishing_ok,
         vanishing_residual=vanishing_residual,
     )
-    return COMMUTATOR_TABLE, ANTICOMMUTATOR_TABLE, report
 
 
 @dataclass(frozen=True)
@@ -303,8 +299,8 @@ class GellMannReport:
         return not self.failures
 
 
-def verify_gellmann(atol: float = 1e-14) -> GellMannReport:
-    """Check the Gell-Mann relations against the literal matrices."""
+def verify_gellmann() -> GellMannReport:
+    """Check the Gell-Mann relations against the literal matrices, within 1e-14."""
     failures: list[int] = []
     max_residual = 0.0
     for k, terms in GELLMANN_RELATIONS.items():
@@ -313,7 +309,7 @@ def verify_gellmann(atol: float = 1e-14) -> GellMannReport:
             expected += coeff * GELL_MANN[idx - 1]
         residual = float(np.max(np.abs(M[k] - expected)))
         max_residual = max(max_residual, residual)
-        if residual > atol:
+        if residual > 1e-14:
             failures.append(k)
     return GellMannReport(relations_checked=len(GELLMANN_RELATIONS),
                           failures=tuple(failures), max_residual=max_residual)
@@ -336,21 +332,16 @@ def to_qubit_basis(op3, singlet_value: complex = 0.0) -> np.ndarray:
     return np.matmul(u.conj().T @ op_ang, u, out=op_ang)  # reuses op_ang's memory
 
 
-def from_qubit_basis(op4, atol: float = 1e-10) -> tuple[np.ndarray, complex]:
+def from_qubit_basis(op4) -> tuple[np.ndarray, complex]:
     """Inverse of `to_qubit_basis`: the triplet block and singlet value.
 
     Raises ValueError if the operator couples the symmetric and singlet
-    sectors beyond `atol`.
+    sectors beyond 1e-10.
     """
     op4 = np.asarray(op4, dtype=np.complex128)
     if op4.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {op4.shape}")
-    u = U_QUBIT_TO_ANGULAR
-    op_ang = u @ op4 @ u.conj().T
-    coupling = max(float(np.max(np.abs(op_ang[3, :3]))), float(np.max(np.abs(op_ang[:3, 3]))))
-    if not coupling <= atol:
-        _finite("op4", op4)
-        raise ValueError(
-            f"operator couples the symmetric and singlet sectors (residual {coupling:.3e})"
-        )
+    op_ang, coupling = _sector_coupling(U_QUBIT_TO_ANGULAR, op4)
+    _require(coupling <= 1e-10, "operator couples the symmetric and singlet sectors "
+             f"(residual {coupling:.3e})", "op4", op4)
     return op_ang[:3, :3].copy(), complex(op_ang[3, 3])

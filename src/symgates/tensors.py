@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import InputError, _finite, is_hermitian
+from .linalg import InputError, _bounded, _finite, _index, _require, is_hermitian
 
 MAX_TWO_J = 5
 
@@ -40,7 +40,7 @@ ZERO = "zero"
 
 def _as_two(value, name: str) -> int:
     """Return 2*value as an exact integer, rejecting non-half-integers."""
-    doubled = 2 * float(value)
+    doubled = 2 * _bounded(f"2*{name}", _finite(name, float(value)), 2)
     rounded = round(doubled)
     if abs(doubled - rounded) > 1e-9:
         raise ValueError(f"{name} = {value} is not a half-integer")
@@ -184,10 +184,8 @@ def tau(j, k: int, q: int) -> TensorOperator:
     Requires 0 <= k <= 2j and |q| <= k.
     """
     two_j = _as_two_j(j)
-    if not isinstance(k, int) or not 0 <= k <= two_j:
-        raise ValueError(f"rank k = {k} out of range 0..{two_j} for j = {two_j / 2}")
-    if not isinstance(q, int) or abs(q) > k:
-        raise ValueError(f"projection q = {q} out of range -{k}..{k}")
+    k = _index("rank k", k, 0, two_j)
+    q = _index("projection q", q, -k, k)
     return TensorOperator(j=two_j / 2, k=k, q=q, component=SPHERICAL,
                           matrix=_tau_matrix(two_j, k, q).copy())
 
@@ -291,9 +289,7 @@ def decompose(h, j) -> TensorParams:
     dim = two_j + 1
     if h.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for j = {two_j / 2}, got {h.shape}")
-    if not is_hermitian(h):
-        _finite("h", h)
-        raise ValueError("matrix is not Hermitian within 1e-12")
+    _require(is_hermitian(h), "matrix is not Hermitian within 1e-12", "h", h)
     stack = _tau_stack(two_j)
     values = np.trace(h @ stack.tau, axis1=1, axis2=2).tolist()
     return TensorParams(j=two_j / 2, coeffs=dict(zip(stack.keys, values)))
@@ -317,7 +313,8 @@ def reconstruct(params: TensorParams) -> np.ndarray:
 
 def _exp_jy(w: np.ndarray, v: np.ndarray, vh: np.ndarray, beta) -> np.ndarray:
     """exp(-i beta J_y) from the eigendecomposition J_y = v diag(w) v^dagger."""
-    return (v * np.exp(-1j * _finite("beta", beta) * w)) @ vh
+    beta = _finite("beta", beta)
+    return (v * np.exp(-1j * beta * _bounded("beta*k", w, beta))) @ vh  # max |w| = k
 
 
 @lru_cache(maxsize=None)
@@ -337,9 +334,7 @@ def wigner_d(k: int, beta: float) -> np.ndarray:
     Rows and columns are ordered with q descending from +k to -k.  Every
     rank k = 0..5 of the tensor operators of spin j <= 5/2 is supported.
     """
-    if not isinstance(k, int) or not 0 <= k <= MAX_TWO_J:
-        raise ValueError(f"rank must be an integer in 0..{MAX_TWO_J}, got {k}")
-    return _exp_jy(*_jy_eigenbasis(k), beta).real
+    return _exp_jy(*_jy_eigenbasis(_index("rank k", k, 0, MAX_TWO_J)), beta).real
 
 
 @dataclass(frozen=True)
@@ -383,7 +378,8 @@ def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float)
     of the spin.
     """
     two_j = _as_two_j(params.j)
-    alpha, gamma = _finite("alpha", alpha), _finite("gamma", gamma)
+    alpha = _bounded("alpha*q", _finite("alpha", alpha), two_j)
+    gamma = _bounded("gamma*q", _finite("gamma", gamma), two_j)
     keys = _tau_stack(two_j).keys
     basis = _rotation_basis(two_j)
     # every rank's d-matrix at once, as the blocks of one matrix

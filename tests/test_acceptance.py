@@ -47,7 +47,7 @@ def _report(number: int, label: str, ok: bool) -> None:
 
 
 def test_criterion_01_algebra_tables():
-    _, _, report = verify_algebra_tables(atol=1e-13)
+    report = verify_algebra_tables()
     ok = (report.entries_checked == 128 and not report.mismatches
           and report.max_residual < 1e-13
           and report.vanishing_ok and report.vanishing_residual < 1e-14)
@@ -79,7 +79,7 @@ def test_criterion_02_basis_consistency_triangle():
         abs(np.trace(M[k] @ M[kp]) - (2.0 if k == kp else 0.0))
         for k in range(9) for kp in range(9)
     )
-    gm = verify_gellmann(atol=1e-14)
+    gm = verify_gellmann()
     ok = worst < 1e-13 and trace_worst < 1e-14 and gm.passed and gm.max_residual < 1e-14
     _report(2, "literal / tensor / angular-momentum forms agree; norms; Gell-Mann", ok)
 

@@ -70,6 +70,43 @@ def test_negative_exponent_bound_is_written_with_equals(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    ("sweep 4 --theta-min -pi/2 --theta-max 1 --steps 5 --out OUT",
+     "sweep 4 --theta-min=-pi/2 --theta-max 1 --steps 5 --out OUT"),
+    ("lmg --g1 -1e-3 --g2 -2 --t-min -1 --t-max 1 --steps 5 --out OUT",
+     "lmg --g1=-1e-3 --g2=-2 --t-min=-1 --t-max 1 --steps 5 --out OUT"),
+    ("gate 8 --theta -sqrt3*pi/2", "gate 8 --theta=-sqrt3*pi/2"),
+    ("act 4 --theta -pi/2 --alpha -pi/3 --phi -1e-2",
+     "act 4 --theta=-pi/2 --alpha=-pi/3 --phi=-1e-2"),
+    ("lmg --g1 -1 --g2 -2.5e-1 --t -pi/8", "lmg --g1=-1 --g2=-2.5e-1 --t=-pi/8"),
+])
+def test_negative_values_may_be_separate_arguments(tmp_path, capsys, spaced, joined):
+    outputs = []
+    for form, line in (("spaced", spaced), ("joined", joined)):
+        out = tmp_path / f"{form}.csv"
+        assert main(line.replace("OUT", str(out)).split()) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs.append((stdout, out.read_bytes() if out.exists() else None))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, name", [
+    (["gate", "8", "--theta", "1.6e308"], "2*theta/sqrt3"),
+    (["lmg", "--g1", "1", "--g2", "6e307", "--t", "1"], "4*g2*t"),
+    (["sweep", "4", "--theta-min", "-1.7e308", "--theta-max", "1.7e308", "--steps", "3"],
+     "thetas"),
+])
+def test_overflowing_products_exit_2_with_one_named_line(tmp_path, capsys, argv, name):
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "sweep" else []
+    assert main(argv + out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be finite")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_spin():
     assert parse_spin("3/2") == 1.5
     assert parse_spin("1") == 1.0

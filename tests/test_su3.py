@@ -108,13 +108,13 @@ def test_table_data_symmetries():
 
 
 def test_algebra_tables_verify():
-    comm, anti, report = verify_algebra_tables()
+    report = verify_algebra_tables()
     assert report.entries_checked == 128
     assert report.passed
     assert report.max_residual < 1e-13
     assert report.triplets_ok
     assert report.vanishing_ok and report.vanishing_residual < 1e-14
-    assert comm.kind == "commutator" and anti.kind == "anticommutator"
+    assert COMMUTATOR_TABLE.kind == "commutator" and ANTICOMMUTATOR_TABLE.kind == "anticommutator"
 
 
 def test_selected_table_entries():

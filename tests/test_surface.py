@@ -1,7 +1,9 @@
 """The public surface: the names `symgates` exports, and the CLI's use of them."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import types
 
 import symgates
@@ -40,3 +42,23 @@ def test_cli_uses_no_private_name_of_another_module():
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def test_failure_checks_live_in_linalg():
+    """No library module but linalg sets numpy's error state or checks an
+    index with isinstance(..., int); they call linalg's helpers instead.
+    The CLI, an application of the library, is not one of them."""
+    found = []
+    for info in pkgutil.iter_modules(symgates.__path__):
+        if info.name in ("linalg", "cli"):
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"symgates.{info.name}")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "errstate":
+                found.append(f"{info.name}:{node.lineno} errstate")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and any(isinstance(n, ast.Name) and n.id == "int"
+                            for n in ast.walk(node.args[1]))):
+                found.append(f"{info.name}:{node.lineno} isinstance(..., int)")
+    assert found == []
