@@ -363,11 +363,7 @@ def cmd_decompose(args) -> int:
         print(f"error: decomposition requires a 3x3 matrix, got {matrix.shape[0]}x"
               f"{matrix.shape[1]}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        coeffs = su3.decompose_hamiltonian(matrix)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    coeffs = su3.decompose_hamiltonian(matrix)  # main maps its errors to exit codes
     for k, value in enumerate(coeffs):
         print(f"h{k} = {fmt_float(value)}")
     residual = float(np.max(np.abs(su3.build_hamiltonian(coeffs) - matrix)))

@@ -327,7 +327,8 @@ def product_basis(a, b, c, d, e, f) -> ProductBasis:
     """
     a, b, c, d, e, f = (complex(v) for v in (a, b, c, d, e, f))
     for name, (x, y) in (("(a, b)", (a, b)), ("(c, d)", (c, d)), ("(e, f)", (e, f))):
-        _require(abs(abs(x) ** 2 + abs(y) ** 2 - 1.0) <= 1e-12,
+        norm = math.hypot(x.real, x.imag, y.real, y.imag)  # inf, not OverflowError, if too large
+        _require(abs(norm * norm - 1.0) <= 1e-12,
                  f"spinor {name} is not normalized within 1e-12", f"spinor {name}", (x, y))
     first = np.array([a, b])
     first_perp = np.array([-np.conj(b), np.conj(a)])

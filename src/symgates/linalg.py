@@ -11,7 +11,9 @@ failed tolerance check names a non-finite entry if there is one
 (`_require`; defects are computed here with numpy's warnings off), an
 index is what `operator.index` takes (`_index`), and a finite parameter
 times the largest weight it meets must be finite (`_bounded`): `2*g1*t`,
-`2*g2*t`, `4*g2*t`, `2*theta/sqrt3`, `beta*k`, `alpha*q`, `gamma*q`, `2*j`.
+`2*g2*t`, `4*g2*t`, `2*theta/sqrt3`, `beta*k`, `alpha*q`, `gamma*q`, `2*j`,
+and a matrix h (or x) expanded in a basis, times the basis' largest
+absolute row sum.
 """
 
 from __future__ import annotations

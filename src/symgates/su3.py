@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_finite, _index, _require, _sector_coupling, anticommutator, commutator,
-                     is_hermitian)
+from .linalg import (_bounded, _finite, _index, _require, _sector_coupling, anticommutator,
+                     commutator, is_hermitian)
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -45,6 +45,11 @@ M8 = _mat([[1 / _SQ3, 0, 0], [0, -2 / _SQ3, 0], [0, 0, 1 / _SQ3]])
 
 M = (M0, M1, M2, M3, M4, M5, M6, M7, M8)
 _M_STACK = _mat(M)  # (9, 3, 3)
+# Row k is M_k transposed and flattened, so _M_FLAT_T @ x.reshape(-1) is
+# every Tr(M_k x); max|x| times its largest absolute row sum bounds each
+# partial sum of that product.
+_M_FLAT_T = _mat(_M_STACK.swapaxes(-1, -2).reshape(9, 9))
+_M_ROW_SUM = float(np.abs(_M_FLAT_T).sum(axis=1).max())
 
 # Maps product-basis coordinates (up-up, up-down, down-up, down-down) to
 # angular momentum coordinates (|1 1>, |1 0>, |1 -1>, |0 0>).
@@ -174,16 +179,27 @@ def m_matrix(k: int) -> np.ndarray:
     return M[_index("basis index k", k, 0, 8)].copy()
 
 
+def _m_traces(x: np.ndarray, name: str) -> np.ndarray:
+    """Tr(M_k x) for k = 0..8 as one matrix-vector product.
+
+    It sums the same nine products as a per-matrix trace(M_k @ x) loop in
+    another order, so the two agree within 2 * 3 eps max|x|.  InputError
+    naming `name` if max|x| times the basis' largest row sum overflows.
+    """
+    return _M_FLAT_T @ _bounded(name, x, _M_ROW_SUM).reshape(-1)
+
+
 def m_coefficients(x) -> np.ndarray:
-    """Complex coefficients c with x = sum_k c_k M_k (no Hermiticity needed)."""
+    """Complex coefficients c with x = sum_k c_k M_k (no Hermiticity needed),
+    c_k = Tr(M_k x) / 2 (see `_m_traces`)."""
     x = np.asarray(x, dtype=np.complex128)
     if x.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {x.shape}")
-    return np.trace(_M_STACK @ x, axis1=1, axis2=2) / 2
+    return _m_traces(x, "x") / 2
 
 
 def decompose_hamiltonian(h) -> np.ndarray:
-    """Real coefficients h_k = Tr(h M_k) of a Hermitian 3x3 matrix.
+    """Real coefficients h_k = Tr(h M_k) of a Hermitian 3x3 matrix (see `_m_traces`).
 
     The matrix is recovered as (1/2) sum_k h_k M_k.
     """
@@ -191,8 +207,9 @@ def decompose_hamiltonian(h) -> np.ndarray:
     if h.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {h.shape}")
     _require(is_hermitian(h), "matrix is not Hermitian within 1e-12", "h", h)
-    coeffs = 2 * m_coefficients(h)
-    if np.max(np.abs(coeffs.imag)) > 1e-12:
+    coeffs = _m_traces(h, "h")
+    imag = np.max(np.abs(coeffs.imag))  # rounding, which grows with max|h|
+    if imag > 1e-12 and imag > 1e-12 * np.max(np.abs(h)):
         raise ValueError("expansion coefficients of a Hermitian matrix must be real")
     return coeffs.real.copy()
 

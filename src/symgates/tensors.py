@@ -221,22 +221,30 @@ def hermitian_basis(j) -> list[TensorOperator]:
 
 @dataclass(frozen=True)
 class _TauStack:
-    """Every tau^k_q of one spin as one array, in (k, q) order with k = 0..2j
-    and q = -k..k, and their conjugate transposes."""
+    """Every tau^k_q of one spin, in (k, q) order with k = 0..2j and
+    q = -k..k, flattened for one matrix-vector product per expansion.
+
+    Row i of `flat_t` is the transpose of tau_i flattened, so
+    `flat_t @ h.reshape(-1)` is every Tr(h tau_i); row i of `flat_dagger`
+    is tau_i^dagger flattened.  `row_sum` is the largest absolute row sum
+    of `flat_t`, which times max|h| bounds every partial sum of the product.
+    """
 
     keys: tuple[tuple[int, int], ...]
-    tau: np.ndarray  # (n, d, d)
-    dagger: np.ndarray  # (n, d, d)
+    flat_t: np.ndarray  # (n, d*d)
+    flat_dagger: np.ndarray  # (n, d*d)
+    row_sum: float
 
 
 @lru_cache(maxsize=None)
 def _tau_stack(two_j: int) -> _TauStack:
     keys = tuple((k, q) for k in range(two_j + 1) for q in range(-k, k + 1))
     stack = np.stack([_tau_matrix(two_j, k, q) for k, q in keys])
-    dagger = stack.conj().swapaxes(-1, -2).copy()
-    for a in (stack, dagger):
+    flat_t = stack.swapaxes(-1, -2).reshape(len(keys), -1)  # reshape copies the transpose
+    flat_dagger = flat_t.conj()
+    for a in (flat_t, flat_dagger):
         a.setflags(write=False)
-    return _TauStack(keys, stack, dagger)
+    return _TauStack(keys, flat_t, flat_dagger, float(np.abs(flat_t).sum(axis=1).max()))
 
 
 @dataclass(frozen=True)
@@ -283,7 +291,14 @@ class TensorParams:
 
 
 def decompose(h, j) -> TensorParams:
-    """Coefficients h^k_q = Tr(h tau^k_q) of a Hermitian matrix."""
+    """Coefficients h^k_q = Tr(h tau^k_q) of a Hermitian matrix.
+
+    Every trace comes from one matrix-vector product of the cached,
+    transposed and flattened tau stack with h.reshape(-1).  It sums the
+    same d*d products as a per-(k, q) trace(h @ tau) loop in another
+    order, so the two agree within 2 d eps max|h| (d = 2j + 1).  InputError
+    naming `h` if max|h| times the stack's largest row sum overflows.
+    """
     two_j = _as_two_j(j)
     h = np.asarray(h, dtype=np.complex128)
     dim = two_j + 1
@@ -291,7 +306,7 @@ def decompose(h, j) -> TensorParams:
         raise ValueError(f"expected a {dim}x{dim} matrix for j = {two_j / 2}, got {h.shape}")
     _require(is_hermitian(h), "matrix is not Hermitian within 1e-12", "h", h)
     stack = _tau_stack(two_j)
-    values = np.trace(h @ stack.tau, axis1=1, axis2=2).tolist()
+    values = (stack.flat_t @ _bounded("h", h, stack.row_sum).reshape(-1)).tolist()
     return TensorParams(j=two_j / 2, coeffs=dict(zip(stack.keys, values)))
 
 
@@ -306,9 +321,8 @@ def reconstruct(params: TensorParams) -> np.ndarray:
     two_j = _as_two_j(params.j)
     stack = _tau_stack(two_j)
     values = _coefficient_vector(params, stack.keys)
-    # the product np.tensordot(values, stack.dagger, axes=1) makes, without its overhead
     dim = two_j + 1
-    return (values @ stack.dagger.reshape(len(values), dim * dim)).reshape(dim, dim) / dim
+    return (values @ stack.flat_dagger).reshape(dim, dim) / dim
 
 
 def _exp_jy(w: np.ndarray, v: np.ndarray, vh: np.ndarray, beta) -> np.ndarray:

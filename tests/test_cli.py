@@ -107,6 +107,16 @@ def test_overflowing_products_exit_2_with_one_named_line(tmp_path, capsys, argv,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_decompose_exits_2_with_one_named_line_and_no_coefficient(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    write_matrix_file(path, np.diag([1e308, -1e308, 1e308]))
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: h must be finite, got inf\n"
+
+
 def test_parse_spin():
     assert parse_spin("3/2") == 1.5
     assert parse_spin("1") == 1.0

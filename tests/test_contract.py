@@ -55,6 +55,7 @@ NON_FINITE = [
     ("build_hamiltonian", lambda b: sg.build_hamiltonian([0.0] * 8 + [b]), "coeffs"),
     ("decompose_hamiltonian", lambda b: sg.decompose_hamiltonian(_entry((3, 3), (2, 2), b)),
      "h"),
+    ("m_coefficients", lambda b: sg.su3.m_coefficients(_entry((3, 3), (0, 1), b)), "x"),
     ("from_qubit_basis", lambda b: sg.from_qubit_basis(_entry((4, 4), (1, 1), b)), "op4"),
     ("m_matrix", lambda b: sg.m_matrix(b), "basis index k"),
     ("custom_gate", lambda b: sg.custom_gate(_entry((3, 3), (0, 1), b)), "u3"),
@@ -104,6 +105,20 @@ OVERFLOW = [
     ("rotate_params_beta", lambda: sg.rotate_params(ROTATED, 0.0, 1e308, 0.0), "beta*k"),
     ("rotate_params_gamma", lambda: sg.rotate_params(ROTATED, 0.0, 0.0, -1e308), "gamma*q"),
     ("tau_j", lambda: sg.tau(1e308, 0, 0), "2*j"),
+    # max|h| times the basis' largest absolute row sum
+    ("decompose_hamiltonian", lambda: sg.decompose_hamiltonian(np.diag([1e308, -1e308, 1e308])),
+     "h"),
+    ("m_coefficients", lambda: sg.su3.m_coefficients(np.full((3, 3), 1e308)), "x"),
+    ("decompose_j1", lambda: sg.decompose(np.diag([1e308, -1e308, 1e308]), 1), "h"),
+    ("decompose_j2.5", lambda: sg.decompose(np.diag([1e308, 0, 0, 0, 0, -1e308]), 2.5), "h"),
+]
+
+# Finite input outside a function's domain: the documented ValueError, not an overflow.
+OUT_OF_DOMAIN = [
+    ("product_basis_ab", lambda: sg.product_basis(1e200, 0.0, 1.0, 0.0, 1.0, 0.0),
+     "spinor (a, b) is not normalized"),
+    ("product_basis_ef", lambda: sg.product_basis(1.0, 0.0, 1.0, 0.0, 1e308 + 1e308j, 1e308),
+     "spinor (e, f) is not normalized"),
 ]
 
 CASES = [pytest.param(lambda c=call, b=bad: c(b), name, id=f"{key}-{label}")
@@ -116,6 +131,15 @@ CASES += [pytest.param(call, name, id=f"overflow-{key}") for key, call, name in 
 def test_bad_input_raises_a_named_input_error(call, name):
     with pytest.raises(InputError, match=rf"^{re.escape(name)} must be "):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [pytest.param(call, message, id=key)
+                                           for key, call, message in OUT_OF_DOMAIN])
+def test_finite_input_outside_the_domain_raises_the_documented_value_error(call, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)} ") as caught:
+        call()
+    assert type(caught.value) is ValueError
 
 
 @pytest.mark.filterwarnings("error")

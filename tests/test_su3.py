@@ -28,6 +28,7 @@ from helpers import m_coefficients_reference, random_hermitian
 
 SQ3 = math.sqrt(3.0)
 SQ23 = math.sqrt(2.0 / 3.0)
+EPS = np.finfo(np.float64).eps
 
 
 def test_literal_matrices():
@@ -144,11 +145,14 @@ def test_m_coefficients_span_all_matrices(rng):
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3))
 @settings(max_examples=100, deadline=None)
 def test_stacked_m_coefficients_equal_the_per_matrix_loop(seed, scale):
+    # one product sums the loop's nine products in another order: within 2 d eps max|x|, d = 3
     rng = np.random.default_rng(seed)
     x = scale * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    assert np.array_equal(m_coefficients(x), m_coefficients_reference(x))
+    bound = 2 * 3 * EPS * np.max(np.abs(x))
+    assert np.max(np.abs(m_coefficients(x) - m_coefficients_reference(x))) <= bound
     h = random_hermitian(rng, 3, scale)
-    assert np.array_equal(decompose_hamiltonian(h), 2 * m_coefficients_reference(h).real)
+    bound = 2 * 3 * EPS * np.max(np.abs(h))
+    assert np.max(np.abs(decompose_hamiltonian(h) - 2 * m_coefficients_reference(h).real)) <= bound
 
 
 def test_decompose_hamiltonian_basis_elements():
@@ -165,6 +169,15 @@ def test_decompose_build_round_trip(rng):
     for _ in range(25):
         h = random_hermitian(rng, 3)
         np.testing.assert_allclose(build_hamiltonian(decompose_hamiltonian(h)), h, atol=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e12, 1e300])
+def test_decompose_hamiltonian_accepts_large_hermitian_matrices(rng, scale):
+    # the imaginary parts of Tr(h M_k) are rounding, which grows with max|h|
+    for _ in range(50):
+        h = random_hermitian(rng, 3, scale)
+        np.testing.assert_allclose(build_hamiltonian(decompose_hamiltonian(h)), h,
+                                   atol=1e-13 * scale)
 
 
 def test_decompose_hamiltonian_rejects_non_hermitian():
