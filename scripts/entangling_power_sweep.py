@@ -2,13 +2,15 @@
 """Sweep the entangling power of all eight one-parameter gates.
 
 Writes one CSV per gate (theta, |G1|, e_p, classification) and prints a
-summary: the maximal e_p found, the angle where it occurs, and the
-perfect-entangler window on the sweep grid, or that it is non-entangling.
+summary: the maximal e_p found, the angle where it occurs, and each
+perfect-entangler window on the sweep grid (a maximal run of consecutive
+labelled angles), or that it is non-entangling.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import pathlib
 
@@ -22,15 +24,17 @@ def sweep(k: int, theta_max: float, steps: int, out_dir: pathlib.Path) -> None:
     blocks = list(sweep_blocks(k, np.linspace(0.0, theta_max, steps)))
     write_csv(out_dir / f"b{k}_sweep.csv", SWEEP_HEADER, blocks)
     rows = [row for block in blocks for row in zip(*block)]
-    window = [theta for theta, _, _, cls in rows
-              if cls in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)]
+    # the angles of each maximal run of consecutive perfect-entangler rows
+    runs = [[row[0] for row in run] for labelled, run in itertools.groupby(
+        rows, lambda row: row[3] in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)) if labelled]
     best_theta, _, best_ep, _ = max(rows, key=lambda row: row[2])
     if best_ep <= CLASSIFY_ATOL:
         # e_p this small is rounding noise: the angle of its maximum says nothing
         print(f"B{k}: non-entangling on the grid (max e_p <= {CLASSIFY_ATOL:g})")
         return
-    if window:
-        summary = f"perfect entangler for theta in [{window[0]:.6f}, {window[-1]:.6f}]"
+    if runs:
+        windows = ", ".join(f"[{run[0]:.6f}, {run[-1]:.6f}]" for run in runs)
+        summary = f"perfect entangler for theta in {windows}"
     else:
         summary = "never a perfect entangler"
     print(f"B{k}: max e_p = {best_ep:.12f} at theta = {best_theta:.12f}; {summary}")

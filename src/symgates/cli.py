@@ -141,8 +141,6 @@ def parse_matrix_file(path: str) -> np.ndarray:
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
         raise ValueError("matrix file must contain 'dim' and 'entries' fields")
     dim = data["dim"]
-    if dim not in (2, 3, 4):
-        raise ValueError(f"matrix dimension must be 2, 3 or 4, got {dim}")
     entries = np.asarray(data["entries"], dtype=np.float64)
     if entries.shape != (dim, dim, 2):
         raise ValueError(f"entries must be a {dim}x{dim} array of [re, im] pairs")
@@ -284,19 +282,29 @@ def cmd_gate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    if args.steps < 2:
-        print("error: --steps must be at least 2", file=sys.stderr)
+def _write_series(args, start: float, stop: float, header: str, blocks, error=None) -> int:
+    """Write the CSV of `blocks(grid)` for the --steps point grid from start to
+    stop and print its row count; exit 2 on one stderr line if --steps is
+    below 2, else on `error`, or if --out cannot be written."""
+    if args.steps is None or args.steps < 2:
+        error = "--steps must be at least 2"
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing grid is named below
-        thetas = np.linspace(args.theta_min, args.theta_max, args.steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # the library names an overflowing grid
+        grid = np.linspace(start, stop, args.steps)
     try:
-        count = write_csv(args.out, SWEEP_HEADER, sweep_blocks(args.k, thetas))
+        count = write_csv(args.out, header, blocks(grid))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    return _write_series(args, args.theta_min, args.theta_max, SWEEP_HEADER,
+                         functools.partial(sweep_blocks, args.k))
 
 
 def cmd_act(args) -> int:
@@ -331,26 +339,15 @@ def cmd_lmg(args) -> int:
         print(f"class = {report.classification}")
         print(f"concurrence(B_L |upup>) = {fmt_float(conc)}")
         return EXIT_OK
-    if args.steps is None or args.steps < 2:
-        print("error: --steps must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out is None:
-        print("error: --out is required for a time series", file=sys.stderr)
-        return EXIT_USAGE
     t_min = 0.0 if args.t_min is None else args.t_min
-    if not args.t_max > t_min:
-        print(f"error: --t-max ({fmt_float(args.t_max)}) must be greater than --t-min "
-              f"({fmt_float(t_min)})", file=sys.stderr)
-        return EXIT_USAGE
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing grid is named below
-        t_grid = np.linspace(t_min, args.t_max, args.steps)
-    try:
-        count = write_csv(args.out, LMG_HEADER, lmg_blocks(args.g1, args.g2, t_grid))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"wrote {count} rows to {args.out}")
-    return EXIT_OK
+    error = None
+    if args.out is None:
+        error = "--out is required for a time series"
+    elif not args.t_max > t_min:
+        error = (f"--t-max ({fmt_float(args.t_max)}) must be greater than --t-min "
+                 f"({fmt_float(t_min)})")
+    return _write_series(args, t_min, args.t_max, LMG_HEADER,
+                         functools.partial(lmg_blocks, args.g1, args.g2), error)
 
 
 def cmd_decompose(args) -> int:
@@ -358,10 +355,6 @@ def cmd_decompose(args) -> int:
         matrix = parse_matrix_file(args.file)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if matrix.shape != (3, 3):
-        print(f"error: decomposition requires a 3x3 matrix, got {matrix.shape[0]}x"
-              f"{matrix.shape[1]}", file=sys.stderr)
         return EXIT_USAGE
     coeffs = su3.decompose_hamiltonian(matrix)  # main maps its errors to exit codes
     for k, value in enumerate(coeffs):

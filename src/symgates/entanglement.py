@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateBatch, SymmetricGate, lmg_batch
-from .linalg import InputError, _finite, _grid, _require, is_unitary
+from .linalg import InputError, _finite, _grid, _matrix, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
 _SQ2 = math.sqrt(2.0)
@@ -114,9 +114,7 @@ def _g1(tr, det) -> complex:
 
 def makhlin_g1(u4) -> complex:
     """Local invariant G1 of a 4x4 product-basis unitary (checked within 1e-10)."""
-    u4 = np.asarray(u4, dtype=np.complex128)
-    if u4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {u4.shape}")
+    u4 = _matrix("u4", u4, 4)
     _require(is_unitary(u4, atol=1e-10), "matrix is not unitary within 1.0e-10", "u4", u4)
     return _g1(*_bell_invariants(u4))
 
@@ -207,7 +205,8 @@ def entangling_power(u4) -> EntanglementReport:
 
 
 def entangling_power_batch(u4s) -> EntanglementBatch:
-    """`entangling_power` of each gate of a GateBatch or (N, 4, 4) stack.
+    """`entangling_power` of each gate of a GateBatch or of a stack of 4x4
+    matrices, (N, 4, 4) or any (..., 4, 4) read in C order.
 
     Entry by entry equal (==) to the scalar function: a GateBatch to
     `entangling_power` of its gates as SymmetricGates, a stack to
@@ -216,9 +215,7 @@ def entangling_power_batch(u4s) -> EntanglementBatch:
     if isinstance(u4s, GateBatch):
         invariants = _symmetric_invariants(u4s.u3)
     else:
-        u4s = np.asarray(u4s, dtype=np.complex128)
-        if u4s.ndim != 3 or u4s.shape[1:] != (4, 4) or len(u4s) == 0:
-            raise ValueError(f"expected a non-empty (N, 4, 4) stack, got shape {u4s.shape}")
+        u4s = _matrix("u4", u4s, 4, stack=True).reshape(-1, 4, 4)
         _require(is_unitary(u4s, atol=1e-10), "matrix is not unitary within 1.0e-10", "u4", u4s)
         invariants = _bell_invariants(u4s)
     return _power_batch(*invariants)

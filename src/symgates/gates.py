@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _bounded, _finite, _grid, _index, _require, is_unitary
+from .linalg import _bounded, _finite, _grid, _index, _matrix, _require, is_unitary
 from .su3 import M, to_qubit_basis
 from .tensors import angular_momentum_matrices
 
@@ -127,7 +127,7 @@ def gates_batch(k: int, thetas) -> GateBatch:
 
 def custom_gate(u3, label: str = "custom") -> SymmetricGate:
     """Wrap an arbitrary 3x3 unitary as a symmetric gate."""
-    u3 = np.asarray(u3, dtype=np.complex128)
+    u3 = _matrix("u3", u3, 3)
     _require(is_unitary(u3), f"gate {label} is not unitary within 1e-12", "u3", u3)
     return SymmetricGate(label=label, u3=u3, u4=to_qubit_basis(u3, 1.0))
 

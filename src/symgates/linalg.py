@@ -5,21 +5,30 @@ are pure; inputs are never mutated.  `is_unitary` also accepts a
 (..., n, n) stack.  `expm_hermitian`, by eigendecomposition, is the
 independent reference the tests compare the closed-form gates with.
 
+It owns the matrix plumbing of every module: the shape of a matrix or
+stack argument (`_matrix`), the one Hermiticity rule, a defect of at most
+HERMITICITY_ATOL * max(1, max|h|) entrywise (`is_hermitian`, `_hermitian`),
+and the expansion in a basis of matrices as one matrix-vector product
+(`_FlatBasis`, for the M_k and the tau^k_q).
+
 It also owns the failure contract: bad input raises `InputError`, named
 by the parameter or product at fault, with no numpy warning first.  A
-failed tolerance check names a non-finite entry if there is one
-(`_require`; defects are computed here with numpy's warnings off), an
-index is what `operator.index` takes (`_index`), and a finite parameter
-times the largest weight it meets must be finite (`_bounded`): `2*g1*t`,
-`2*g2*t`, `4*g2*t`, `2*theta/sqrt3`, `beta*k`, `alpha*q`, `gamma*q`, `2*j`,
-and a matrix h (or x) expanded in a basis, times the basis' largest
-absolute row sum.
+matrix of the wrong shape is named with its shape (`_matrix`), a failed
+tolerance check names a non-finite entry if there is one (`_require`;
+defects are computed here with numpy's warnings off), an index is what
+`operator.index` takes (`_index`), and a finite parameter times the
+largest weight it meets must be finite (`_bounded`): `2*g1*t`, `2*g2*t`,
+`4*g2*t`, `2*theta/sqrt3`, `beta*k`, `alpha*q`, `gamma*q`, `2*j`, and a
+matrix h (or x) expanded in a basis, times the basis' largest absolute
+row sum.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +43,7 @@ _ELEMENTWISE_MIN = 32
 
 class InputError(ValueError):
     """An argument outside a function's domain: a non-finite number, an
-    index out of range, an unordered grid."""
+    index out of range, an unordered grid, a matrix of the wrong shape."""
 
 
 def _finite(name: str, value):
@@ -88,45 +97,95 @@ def _bounded(name: str, x, weight: float):
     return x
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
+def _matrix(name: str, a, n: int | None = None, stack: bool = False) -> np.ndarray:
+    """`a` as a complex n x n matrix (any non-empty square one if n is None) or,
+    with `stack`, also a non-empty (..., n, n) stack of them; InputError naming
+    `name` for any other shape."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    return a
-
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    shape = a.shape
+    if ((len(shape) == 2 or stack and len(shape) > 2) and a.size
+            and shape[-1] == shape[-2] == (n or shape[-1])):
+        return a
+    what = f"{n}x{n} matrix" if n else "non-empty square matrix"
+    raise InputError(f"{name} must be a {what}{' or a non-empty stack of them' if stack else ''}, "
+                     f"got shape {shape}")
 
 
 def commutator(a, b) -> np.ndarray:
-    """ab - ba for equal-dimension square matrices."""
-    a = _finite("a", _as_square(a, "a"))
-    b = _finite("b", _as_square(b, "b"))
-    _check_same_dim(a, b)
+    """ab - ba for two square matrices of the same dimension."""
+    a = _finite("a", _matrix("a", a))
+    b = _finite("b", _matrix("b", b, len(a)))
     return a @ b - b @ a
 
 
 def anticommutator(a, b) -> np.ndarray:
-    """ab + ba for equal-dimension square matrices."""
-    a = _finite("a", _as_square(a, "a"))
-    b = _finite("b", _as_square(b, "b"))
-    _check_same_dim(a, b)
+    """ab + ba for two square matrices of the same dimension."""
+    a = _finite("a", _matrix("a", a))
+    b = _finite("b", _matrix("b", b, len(a)))
     return a @ b + b @ a
 
 
-def hermiticity_defect(a) -> tuple[int, int, float]:
-    """Index and magnitude of the largest entry of a - a^dagger (inf or NaN if a is not finite)."""
-    a = _as_square(a)
+def _hermiticity(a: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """|a - a^dagger| entrywise, max|a| and the Hermiticity tolerance
+    HERMITICITY_ATOL * max(1, max|a|), as rounding grows with max|a|.  The
+    tolerance stays finite (|a| may overflow where a does not), so a
+    non-finite entry, which gives an inf or NaN defect, fails."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
         d = np.abs(a - a.conj().T)
-    i, j = divmod(int(np.argmax(d)), a.shape[1])
-    return i, j, float(d[i, j])
+        top = float(np.abs(a).max())
+    return d, top, HERMITICITY_ATOL * max(1.0, min(top, sys.float_info.max))
 
 
 def is_hermitian(a) -> bool:
-    return hermiticity_defect(a)[2] <= HERMITICITY_ATOL
+    """True if every |(a - a^dagger)_ij| <= HERMITICITY_ATOL * max(1, max|a|),
+    the rule of every Hermiticity check; False if a is not finite."""
+    d, _, atol = _hermiticity(_matrix("a", a))
+    return bool(d.max() <= atol)
+
+
+def _hermitian(name: str, h: np.ndarray) -> float:
+    """max|h|, once the square matrix h passes `is_hermitian`; else InputError
+    naming `name` if h is not finite, or ValueError naming the worst entry."""
+    d, top, atol = _hermiticity(h)
+    if not d.max() <= atol:
+        _finite(name, h)
+        i, j = divmod(int(np.argmax(d)), h.shape[1])
+        raise ValueError(f"matrix is not Hermitian: |(h - h^dagger)[{i}, {j}]| = {d[i, j]:.3e} "
+                         f"exceeds {atol:.1e}")
+    return top
+
+
+@dataclass(frozen=True)
+class _FlatBasis:
+    """The d x d matrices b_i of an (n, d, d) stack (`_flat_basis`), flattened
+    for one matrix-vector product per expansion: row i of `flat_t` is b_i
+    transposed and flattened, so `flat_t @ h.reshape(-1)` is every Tr(b_i h),
+    and row i of `flat_dagger` is b_i^dagger flattened.  `row_sum`, the largest
+    absolute row sum of `flat_t`, times max|h| bounds every partial sum."""
+
+    dim: int
+    flat_t: np.ndarray  # (n, d*d)
+    flat_dagger: np.ndarray  # (n, d*d)
+    row_sum: float
+
+    def traces(self, name: str, h: np.ndarray, top: float | None = None) -> np.ndarray:
+        """Every Tr(b_i h) of a d x d matrix h; InputError naming `name` if
+        max|h| (`top`, when the caller has it) times `row_sum` overflows."""
+        _bounded(name, h if top is None else top, self.row_sum)
+        return self.flat_t @ h.reshape(-1)
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """The d x d matrix sum_i c_i b_i^dagger."""
+        return (c @ self.flat_dagger).reshape(self.dim, self.dim)
+
+
+def _flat_basis(stack: np.ndarray) -> _FlatBasis:
+    n, dim, _ = stack.shape
+    flat_t = stack.swapaxes(-1, -2).reshape(n, -1)  # reshape copies the transpose
+    flat_dagger = flat_t.conj()
+    for a in (flat_t, flat_dagger):
+        a.setflags(write=False)
+    return _FlatBasis(dim, flat_t, flat_dagger, float(np.abs(flat_t).sum(axis=1).max()))
 
 
 def _sector_coupling(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -143,9 +202,7 @@ def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
     of n broadcast products, one per row k of a: a stacked matmul makes one
     BLAS call per matrix, which is slower for a grid and faster for a few.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    a = _matrix("a", a, stack=True)
     n = a.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in a non-finite matrix
         if a.size < _ELEMENTWISE_MIN * n * n:
@@ -161,12 +218,10 @@ def expm_hermitian(h, t: float = 1.0) -> np.ndarray:
     """Unitary exp(i h t) of a Hermitian matrix via eigendecomposition.
 
     Raises ValueError naming the offending entry if h is not Hermitian
-    within HERMITICITY_ATOL, and InputError if h or t is not finite.
+    (`is_hermitian`), and InputError if h or t is not finite.
     """
-    h = _as_square(h, "h")
+    h = _matrix("h", h)
     t = _finite("t", t)
-    i, j, defect = hermiticity_defect(h)
-    _require(defect <= HERMITICITY_ATOL, f"matrix is not Hermitian: |(h - h^dagger)[{i}, {j}]| "
-             f"= {defect:.3e} exceeds {HERMITICITY_ATOL:.1e}", "h", h)
+    _hermitian("h", h)
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * w * t)) @ v.conj().T

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_bounded, _finite, _index, _require, _sector_coupling, anticommutator,
-                     commutator, is_hermitian)
+from .linalg import (_finite, _flat_basis, _hermitian, _index, _matrix, _require,
+                     _sector_coupling, anticommutator, commutator)
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -44,12 +44,7 @@ M7 = _mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
 M8 = _mat([[1 / _SQ3, 0, 0], [0, -2 / _SQ3, 0], [0, 0, 1 / _SQ3]])
 
 M = (M0, M1, M2, M3, M4, M5, M6, M7, M8)
-_M_STACK = _mat(M)  # (9, 3, 3)
-# Row k is M_k transposed and flattened, so _M_FLAT_T @ x.reshape(-1) is
-# every Tr(M_k x); max|x| times its largest absolute row sum bounds each
-# partial sum of that product.
-_M_FLAT_T = _mat(_M_STACK.swapaxes(-1, -2).reshape(9, 9))
-_M_ROW_SUM = float(np.abs(_M_FLAT_T).sum(axis=1).max())
+_M_BASIS = _flat_basis(_mat(M))
 
 # Maps product-basis coordinates (up-up, up-down, down-up, down-down) to
 # angular momentum coordinates (|1 1>, |1 0>, |1 -1>, |0 0>).
@@ -179,37 +174,24 @@ def m_matrix(k: int) -> np.ndarray:
     return M[_index("basis index k", k, 0, 8)].copy()
 
 
-def _m_traces(x: np.ndarray, name: str) -> np.ndarray:
-    """Tr(M_k x) for k = 0..8 as one matrix-vector product.
-
-    It sums the same nine products as a per-matrix trace(M_k @ x) loop in
-    another order, so the two agree within 2 * 3 eps max|x|.  InputError
-    naming `name` if max|x| times the basis' largest row sum overflows.
-    """
-    return _M_FLAT_T @ _bounded(name, x, _M_ROW_SUM).reshape(-1)
-
-
 def m_coefficients(x) -> np.ndarray:
     """Complex coefficients c with x = sum_k c_k M_k (no Hermiticity needed),
-    c_k = Tr(M_k x) / 2 (see `_m_traces`)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {x.shape}")
-    return _m_traces(x, "x") / 2
+    c_k = Tr(M_k x) / 2, by one matrix-vector product (`linalg._FlatBasis`):
+    within 2 * 3 eps max|x| of a per-matrix trace(M_k @ x) loop."""
+    x = _matrix("x", x, 3)
+    return _M_BASIS.traces("x", x) / 2
 
 
 def decompose_hamiltonian(h) -> np.ndarray:
-    """Real coefficients h_k = Tr(h M_k) of a Hermitian 3x3 matrix (see `_m_traces`).
+    """Real coefficients h_k = Tr(h M_k) of a Hermitian 3x3 matrix, as
+    `m_coefficients` takes them.
 
     The matrix is recovered as (1/2) sum_k h_k M_k.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {h.shape}")
-    _require(is_hermitian(h), "matrix is not Hermitian within 1e-12", "h", h)
-    coeffs = _m_traces(h, "h")
-    imag = np.max(np.abs(coeffs.imag))  # rounding, which grows with max|h|
-    if imag > 1e-12 and imag > 1e-12 * np.max(np.abs(h)):
+    h = _matrix("h", h, 3)
+    top = _hermitian("h", h)
+    coeffs = _M_BASIS.traces("h", h, top)
+    if np.max(np.abs(coeffs.imag)) > 1e-12 * max(1.0, top):  # rounding grows with max|h|
         raise ValueError("expansion coefficients of a Hermitian matrix must be real")
     return coeffs.real.copy()
 
@@ -219,8 +201,7 @@ def build_hamiltonian(coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (9,):
         raise ValueError(f"expected nine real coefficients, got shape {coeffs.shape}")
-    coeffs = _finite("coeffs", coeffs).astype(np.complex128)
-    return np.tensordot(coeffs, _M_STACK, axes=1) / 2
+    return _M_BASIS.combine(_finite("coeffs", coeffs)) / 2  # M_k^dagger = M_k
 
 
 @dataclass(frozen=True)
@@ -339,9 +320,7 @@ def to_qubit_basis(op3, singlet_value: complex = 0.0) -> np.ndarray:
     singlet by `singlet_value` (0 for basis operators, 1 for gates).  A
     (..., 3, 3) stack gives a (..., 4, 4) stack.
     """
-    op3 = np.asarray(op3, dtype=np.complex128)
-    if op3.shape[-2:] != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {op3.shape}")
+    op3 = _matrix("op3", op3, 3, stack=True)
     op_ang = np.zeros(op3.shape[:-2] + (4, 4), dtype=np.complex128)
     op_ang[..., :3, :3] = op3
     op_ang[..., 3, 3] = singlet_value
@@ -355,9 +334,7 @@ def from_qubit_basis(op4) -> tuple[np.ndarray, complex]:
     Raises ValueError if the operator couples the symmetric and singlet
     sectors beyond 1e-10.
     """
-    op4 = np.asarray(op4, dtype=np.complex128)
-    if op4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {op4.shape}")
+    op4 = _matrix("op4", op4, 4)
     op_ang, coupling = _sector_coupling(U_QUBIT_TO_ANGULAR, op4)
     _require(coupling <= 1e-10, "operator couples the symmetric and singlet sectors "
              f"(residual {coupling:.3e})", "op4", op4)

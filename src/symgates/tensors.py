@@ -28,7 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import InputError, _bounded, _finite, _index, _require, is_hermitian
+from .linalg import (InputError, _bounded, _finite, _flat_basis, _FlatBasis, _hermitian, _index,
+                     _matrix)
 
 MAX_TWO_J = 5
 
@@ -220,34 +221,6 @@ def hermitian_basis(j) -> list[TensorOperator]:
 
 
 @dataclass(frozen=True)
-class _TauStack:
-    """Every tau^k_q of one spin, in (k, q) order with k = 0..2j and
-    q = -k..k, flattened for one matrix-vector product per expansion.
-
-    Row i of `flat_t` is the transpose of tau_i flattened, so
-    `flat_t @ h.reshape(-1)` is every Tr(h tau_i); row i of `flat_dagger`
-    is tau_i^dagger flattened.  `row_sum` is the largest absolute row sum
-    of `flat_t`, which times max|h| bounds every partial sum of the product.
-    """
-
-    keys: tuple[tuple[int, int], ...]
-    flat_t: np.ndarray  # (n, d*d)
-    flat_dagger: np.ndarray  # (n, d*d)
-    row_sum: float
-
-
-@lru_cache(maxsize=None)
-def _tau_stack(two_j: int) -> _TauStack:
-    keys = tuple((k, q) for k in range(two_j + 1) for q in range(-k, k + 1))
-    stack = np.stack([_tau_matrix(two_j, k, q) for k, q in keys])
-    flat_t = stack.swapaxes(-1, -2).reshape(len(keys), -1)  # reshape copies the transpose
-    flat_dagger = flat_t.conj()
-    for a in (flat_t, flat_dagger):
-        a.setflags(write=False)
-    return _TauStack(keys, flat_t, flat_dagger, float(np.abs(flat_t).sum(axis=1).max()))
-
-
-@dataclass(frozen=True)
 class TensorParams:
     """Expansion coefficients h^k_q of a Hermitian operator.
 
@@ -265,6 +238,10 @@ class TensorParams:
         coeffs = dict(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         get = coeffs.get
+        # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, max|h|), the rule of
+        # `linalg.is_hermitian`; a non-finite h or partner gives an inf or
+        # NaN defect, or an infinite tolerance, which fails
+        atol = None
         for (k, q), h in coeffs.items():
             if not -k <= q <= k <= two_j:
                 raise ValueError(f"no tensor operator (k={k}, q={q}) for j = {two_j / 2}")
@@ -273,13 +250,14 @@ class TensorParams:
                 raise ValueError(f"missing partner coefficient for (k={k}, q={-q})")
             if q % 2:
                 partner = -partner
-            # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, |h|); a
-            # non-finite h or partner gives an inf or NaN defect, which fails
             defect = abs(h.conjugate() - partner)
-            if not (defect <= 1e-12 or defect < 1e-12 * abs(h)):
-                for key in ((k, q), (k, -q)):
-                    if not cmath.isfinite(coeffs[key]):
-                        raise InputError(f"coeffs[{key}] must be finite, got {coeffs[key]}")
+            if not defect <= 1e-12 and atol is None:  # max|h| once, when first needed,
+                # of h / 2, since |h| may overflow where h does not
+                atol = 2e-12 * max(0.5, max(abs(0.5 * c) for c in coeffs.values()))
+            if not (defect <= 1e-12 or defect <= atol < math.inf):
+                for key, value in coeffs.items():
+                    if not cmath.isfinite(value):
+                        raise InputError(f"coeffs[{key}] must be finite, got {value}")
                 raise ValueError(
                     f"coefficients violate Hermiticity at (k={k}, q={q}): "
                     f"conj(h) = {h.conjugate()}, (-1)^q h(-q) = {partner}"
@@ -291,23 +269,14 @@ class TensorParams:
 
 
 def decompose(h, j) -> TensorParams:
-    """Coefficients h^k_q = Tr(h tau^k_q) of a Hermitian matrix.
-
-    Every trace comes from one matrix-vector product of the cached,
-    transposed and flattened tau stack with h.reshape(-1).  It sums the
-    same d*d products as a per-(k, q) trace(h @ tau) loop in another
-    order, so the two agree within 2 d eps max|h| (d = 2j + 1).  InputError
-    naming `h` if max|h| times the stack's largest row sum overflows.
-    """
+    """Coefficients h^k_q = Tr(h tau^k_q) of a Hermitian matrix, by one
+    matrix-vector product (`linalg._FlatBasis`): within 2 d eps max|h|
+    (d = 2j + 1) of a per-(k, q) trace(h @ tau) loop."""
     two_j = _as_two_j(j)
-    h = np.asarray(h, dtype=np.complex128)
-    dim = two_j + 1
-    if h.shape != (dim, dim):
-        raise ValueError(f"expected a {dim}x{dim} matrix for j = {two_j / 2}, got {h.shape}")
-    _require(is_hermitian(h), "matrix is not Hermitian within 1e-12", "h", h)
-    stack = _tau_stack(two_j)
-    values = (stack.flat_t @ _bounded("h", h, stack.row_sum).reshape(-1)).tolist()
-    return TensorParams(j=two_j / 2, coeffs=dict(zip(stack.keys, values)))
+    h = _matrix("h", h, two_j + 1)
+    basis = _spin_basis(two_j)
+    values = basis.tau.traces("h", h, _hermitian("h", h)).tolist()
+    return TensorParams(j=two_j / 2, coeffs=dict(zip(basis.keys, values)))
 
 
 def _coefficient_vector(params: TensorParams, keys) -> np.ndarray:
@@ -319,10 +288,8 @@ def _coefficient_vector(params: TensorParams, keys) -> np.ndarray:
 def reconstruct(params: TensorParams) -> np.ndarray:
     """Rebuild the operator (1/(2j+1)) sum_kq h^k_q tau^k_q^dagger."""
     two_j = _as_two_j(params.j)
-    stack = _tau_stack(two_j)
-    values = _coefficient_vector(params, stack.keys)
-    dim = two_j + 1
-    return (values @ stack.flat_dagger).reshape(dim, dim) / dim
+    basis = _spin_basis(two_j)
+    return basis.tau.combine(_coefficient_vector(params, basis.keys)) / (two_j + 1)
 
 
 def _exp_jy(w: np.ndarray, v: np.ndarray, vh: np.ndarray, beta) -> np.ndarray:
@@ -352,10 +319,14 @@ def wigner_d(k: int, beta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _RotationBasis:
-    """J_y of every rank 0..2j as one block-diagonal matrix in the (k, q)
-    order of _tau_stack, by its eigendecomposition, and the q of each key."""
+class _SpinBasis:
+    """Every tau^k_q of one spin, in (k, q) order with k = 0..2j and
+    q = -k..k: the keys, their flat basis, and J_y of every rank as one
+    block-diagonal matrix in the same order, by its eigendecomposition
+    (w, v, vh), with the q of each key."""
 
+    keys: tuple[tuple[int, int], ...]
+    tau: _FlatBasis
     q: np.ndarray
     w: np.ndarray
     v: np.ndarray
@@ -363,8 +334,8 @@ class _RotationBasis:
 
 
 @lru_cache(maxsize=None)
-def _rotation_basis(two_j: int) -> _RotationBasis:
-    keys = _tau_stack(two_j).keys
+def _spin_basis(two_j: int) -> _SpinBasis:
+    keys = tuple((k, q) for k in range(two_j + 1) for q in range(-k, k + 1))
     n = len(keys)
     w = np.empty(n)
     v = np.zeros((n, n), dtype=np.complex128)
@@ -379,7 +350,8 @@ def _rotation_basis(two_j: int) -> _RotationBasis:
     vh = v.conj().T.copy()
     for a in (q, w, v, vh):
         a.setflags(write=False)
-    return _RotationBasis(q, w, v, vh)
+    tau = _flat_basis(np.stack([_tau_matrix(two_j, k, q) for k, q in keys]))
+    return _SpinBasis(keys, tau, q, w, v, vh)
 
 
 def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float) -> TensorParams:
@@ -394,10 +366,9 @@ def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float)
     two_j = _as_two_j(params.j)
     alpha = _bounded("alpha*q", _finite("alpha", alpha), two_j)
     gamma = _bounded("gamma*q", _finite("gamma", gamma), two_j)
-    keys = _tau_stack(two_j).keys
-    basis = _rotation_basis(two_j)
+    basis = _spin_basis(two_j)
     # every rank's d-matrix at once, as the blocks of one matrix
     d = _exp_jy(basis.w, basis.v, basis.vh, beta)
-    values = _coefficient_vector(params, keys) * np.exp(-1j * alpha * basis.q)
+    values = _coefficient_vector(params, basis.keys) * np.exp(-1j * alpha * basis.q)
     rotated = (values @ d) * np.exp(-1j * gamma * basis.q)
-    return TensorParams(j=two_j / 2, coeffs=dict(zip(keys, rotated.tolist())))
+    return TensorParams(j=two_j / 2, coeffs=dict(zip(basis.keys, rotated.tolist())))

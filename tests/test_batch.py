@@ -95,6 +95,10 @@ def test_raw_stack_scores_equal_the_scalar_path(seed, size):
     scores = entangling_power_batch(stack)
     for i, u4 in enumerate(stack):
         _assert_reports_equal(scores, i, entangling_power(u4))
+        # one 4x4 matrix, or a (..., 4, 4) stack, is read as its (N, 4, 4) rows
+        _assert_reports_equal(entangling_power_batch(u4), 0, entangling_power(u4))
+    _assert_reports_equal(entangling_power_batch(stack[None, :, None]), size - 1,
+                          entangling_power(stack[-1]))
 
 
 @settings(max_examples=40, deadline=None)

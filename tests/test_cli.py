@@ -390,6 +390,9 @@ def test_decompose_rejects_wrong_dimension(tmp_path, capsys):
     path = tmp_path / "two.json"
     write_matrix_file(path, np.eye(2))
     assert main(["decompose", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: h must be a 3x3 matrix, got shape (2, 2)\n"
 
 
 def test_gate_report_is_deterministic(capsys):

@@ -121,6 +121,28 @@ OUT_OF_DOMAIN = [
      "spinor (e, f) is not normalized"),
 ]
 
+# Wrong shapes: a 2x2 or a 4x4 where a 3x3 is expected (or a 3x3 where a 4x4
+# is), a (2, 3, 3) stack where one matrix is expected, and a 0-d value.
+M2, M3, M4, STACK3, SCALAR = np.eye(2), np.eye(3), np.eye(4), np.stack([np.eye(3)] * 2), 1.0
+SHAPES = [
+    ("commutator_a", lambda x: sg.commutator(x, M3), [np.ones((2, 3)), STACK3, SCALAR], "a"),
+    ("commutator_b", lambda x: sg.commutator(M3, x), [M2, M4, STACK3, SCALAR], "b"),
+    ("anticommutator_b", lambda x: sg.anticommutator(M3, x), [M2, M4, STACK3, SCALAR], "b"),
+    ("is_hermitian", sg.is_hermitian, [np.ones((2, 3)), STACK3, SCALAR], "a"),
+    ("is_unitary", sg.is_unitary, [np.ones((2, 3)), np.ones((2, 3, 4)), SCALAR], "a"),
+    ("expm_hermitian", sg.expm_hermitian, [np.ones((2, 3)), STACK3, SCALAR], "h"),
+    ("decompose", lambda x: sg.decompose(x, 1), [M2, M4, STACK3, SCALAR], "h"),
+    ("decompose_hamiltonian", sg.decompose_hamiltonian, [M2, M4, STACK3, SCALAR], "h"),
+    ("m_coefficients", sg.su3.m_coefficients, [M2, M4, STACK3, SCALAR], "x"),
+    ("to_qubit_basis", sg.to_qubit_basis, [M2, M4, np.ones((2, 4, 4)), SCALAR], "op3"),
+    ("from_qubit_basis", sg.from_qubit_basis, [M2, M3, np.stack([M4] * 2), SCALAR], "op4"),
+    ("custom_gate", sg.custom_gate, [M2, M4, STACK3, SCALAR], "u3"),
+    ("makhlin_g1", sg.makhlin_g1, [M2, M3, np.stack([M4] * 2), SCALAR], "u4"),
+    ("entangling_power", sg.entangling_power, [M2, M3, np.stack([M4] * 2), SCALAR], "u4"),
+    ("entangling_power_batch", sg.entangling_power_batch,
+     [M3, np.ones((2, 3, 3)), np.ones((0, 4, 4)), SCALAR], "u4"),
+]
+
 CASES = [pytest.param(lambda c=call, b=bad: c(b), name, id=f"{key}-{label}")
          for key, call, name in NON_FINITE for label, bad in BAD.items()]
 CASES += [pytest.param(call, name, id=f"overflow-{key}") for key, call, name in OVERFLOW]
@@ -131,6 +153,16 @@ CASES += [pytest.param(call, name, id=f"overflow-{key}") for key, call, name in 
 def test_bad_input_raises_a_named_input_error(call, name):
     with pytest.raises(InputError, match=rf"^{re.escape(name)} must be "):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, bad, name", [
+    pytest.param(call, bad, name, id=f"{key}-{np.shape(bad)}")
+    for key, call, shapes, name in SHAPES for bad in shapes])
+def test_wrong_shape_raises_an_input_error_naming_the_parameter(call, bad, name):
+    with pytest.raises(InputError, match=rf"^{re.escape(name)} must be a .*got shape "
+                                         rf"{re.escape(str(np.shape(bad)))}$"):
+        call(bad)
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,13 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgates.linalg import (
+    InputError,
     anticommutator,
     commutator,
     expm_hermitian,
     is_hermitian,
     is_unitary,
 )
-from symgates.su3 import M1, M2, M3, M4, M7, M8
+from symgates.su3 import M1, M2, M3, M4, M7, M8, decompose_hamiltonian
+from symgates.tensors import decompose
 
 from helpers import random_hermitian
 
@@ -28,9 +30,9 @@ def test_anticommutator_m3_m8():
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(InputError, match=r"^b must be a 3x3 matrix, got shape \(4, 4\)"):
         commutator(np.eye(3), np.eye(4))
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(InputError, match=r"^b must be a 2x2 matrix, got shape \(3, 3\)"):
         anticommutator(np.eye(2), np.eye(3))
 
 
@@ -102,6 +104,27 @@ def test_hermiticity_predicate(rng):
     h = random_hermitian(rng, 4)
     assert is_hermitian(h)
     assert not is_hermitian(h + 1e-6 * np.array([[0, 1j, 0, 0]] + [[0] * 4] * 3))
+
+
+def test_hermiticity_checks_accept_rounding_that_grows_with_the_matrix(rng):
+    # A A^dagger is Hermitian up to rounding, about 7e-12 at max|h| ~ 1e4
+    for _ in range(20):
+        a = 100.0 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        h = a @ a.conj().T
+        assert is_hermitian(h)
+        decompose(h, 1)
+        decompose_hamiltonian(h)
+        expm_hermitian(h)
+        # the tolerance is 1e-12 * max|h|, not disabled
+        bad = h + 1e-10 * np.max(np.abs(h)) * np.array([[0, 1j, 0], [0, 0, 0], [0, 0, 0]])
+        assert not is_hermitian(bad)
+        for call in (lambda: decompose(bad, 1), lambda: decompose_hamiltonian(bad),
+                     lambda: expm_hermitian(bad)):
+            with pytest.raises(ValueError, match=r"not Hermitian: \|\(h - h\^dagger\)\[0, 1\]\|"):
+                call()
+    # nor infinite where |h| overflows a float
+    big = np.array([[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]])
+    assert is_hermitian(big) and not is_hermitian(big + np.array([[0, 1e300], [0, 0]]))
 
 
 @pytest.mark.filterwarnings("error")

@@ -33,3 +33,11 @@ def test_local_gates_print_no_angle(tmp_path, capsys, steps):
     assert lines[:3] == [f"B{k}: non-entangling on the grid (max e_p <= 1e-09)"
                          for k in range(1, 4)]
     assert lines[3] == B4_LINES[steps]
+
+
+def test_b8_prints_each_perfect_entangler_run(tmp_path, capsys):
+    script = _load("entangling_power_sweep")
+    script.sweep(8, math.sqrt(3) * math.pi, 721, tmp_path)
+    assert capsys.readouterr().out == (
+        "B8: max e_p = 0.222222222222 at theta = 2.720699046351; perfect entangler for theta in "
+        "[0.816210, 1.360350], [2.229462, 3.211936], [4.081049, 4.625188]\n")

@@ -171,6 +171,15 @@ def test_decompose_build_round_trip(rng):
         np.testing.assert_allclose(build_hamiltonian(decompose_hamiltonian(h)), h, atol=1e-13)
 
 
+def test_build_hamiltonian_equals_the_tensordot_of_the_m_stack(rng):
+    # one product with the flattened M_k sums the same terms in the same order
+    stack = np.array(M)
+    for _ in range(500):
+        coeffs = rng.normal(size=9) * 10.0 ** rng.uniform(-3, 3)
+        assert np.array_equal(build_hamiltonian(coeffs),
+                              np.tensordot(coeffs.astype(complex), stack, axes=1) / 2)
+
+
 @pytest.mark.parametrize("scale", [1e4, 1e6, 1e12, 1e300])
 def test_decompose_hamiltonian_accepts_large_hermitian_matrices(rng, scale):
     # the imaginary parts of Tr(h M_k) are rounding, which grows with max|h|

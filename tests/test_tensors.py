@@ -233,6 +233,23 @@ def test_tensor_params_hermiticity_check_signs_odd_q_and_scales_with_h():
         TensorParams(j=0.5, coeffs={(1, 1): 1.0, (1, -1): 1.0})
     # conj(h^1_1) = -h^1_{-1} within 1e-12 * max(1, |h|)
     TensorParams(j=0.5, coeffs={(1, 1): 1e6 + 1j, (1, -1): -1e6 + 1j + 1e-7})
+    # max|h| is that of every coefficient, even where |h| overflows a float
+    big = 1.5e308 + 1.5e308j
+    TensorParams(j=0.5, coeffs={(0, 0): 1 + 1e-11j, (1, 1): big, (1, 0): 0.0,
+                                (1, -1): -big.conjugate()})
+
+
+@pytest.mark.parametrize("j", ALL_SPINS)
+def test_rotated_coefficients_of_large_matrices_pass_the_hermiticity_check(j):
+    # pair defects are rounding of the largest coefficient, 1e-12 * max|h| allowed
+    dim = round(2 * j) + 1
+    for scale in (1e4, 1e6, 1e8):
+        rng = np.random.default_rng(dim - 1)
+        for _ in range(300):
+            h = random_hermitian(rng, dim, scale)
+            rotated = rotate_params(decompose(h, j), 0.3, 1.1, -2.0)
+            np.testing.assert_allclose(reconstruct(rotated), reconstruct(rotated).conj().T,
+                                       atol=1e-12 * scale)
 
 
 def test_tensor_params_reject_keys_outside_the_basis():
