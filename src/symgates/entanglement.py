@@ -36,6 +36,12 @@ differently.  The |up up> concurrence column is written out the same
 way.  Hypothesis tests in tests/test_batch.py pin the two forms equal
 (==) on the B_k and LMG grids and on Haar-random 3x3 unitaries.
 
+The same S gives the concurrence of a symmetric gate's image without the
+4x4 matrix: a product-basis state with triplet coordinates t and singlet
+coordinate s has |psi^T (sigma_y x sigma_y) psi| = |t^T S t + s^2|, and
+the gate maps (t, s) to (u3 t, s).  `spe_condition` evaluates that form
+for every gate, whatever its label, and `apply_gate` embeds u3 @ vec3.
+
 `lmg_entanglement_profile` scores an LMG time series the same way and
 returns its columns t, e_p and the concurrence of the evolved |up up>
 state as float arrays, the rows of `symgates lmg --t-max`.
@@ -81,6 +87,9 @@ BELL_TRANSFORM = np.array([
 BELL_TRANSFORM.setflags(write=False)
 
 _QUBIT_TO_BELL = BELL_TRANSFORM @ U_QUBIT_TO_ANGULAR
+# Triplet coordinates to product-basis amplitudes; rows 1 and 2 are equal.
+_TRIPLET_TO_QUBIT = np.ascontiguousarray(U_QUBIT_TO_ANGULAR[:3].conj().T)
+_S = np.fliplr(np.diag([1.0, -1.0, 1.0]))  # W^T W, module docstring
 _BELL_TO_QUBIT = _QUBIT_TO_BELL.conj().T
 # Above this norm, squares of amplitudes that underflow change it by under 1e-23.
 _MIN_SAFE_NORM = 1e-150
@@ -127,8 +136,6 @@ class EntanglementReport:
     g1_abs: float
     ep: float
     classification: str
-    gate_label: str | None = None
-    theta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -191,17 +198,13 @@ def entangling_power(u4) -> EntanglementReport:
     1e-10, or a SymmetricGate, scored from its 3x3 block, which was checked
     unitary when the gate was built.
     """
-    label = None
-    theta = None
     if isinstance(u4, SymmetricGate):
-        label, theta = u4.label, u4.theta
         tr, det = _symmetric_invariants(u4.u3[None])
         g1 = _g1(tr[0], det[0])
     else:
         g1 = makhlin_g1(u4)
     g1_abs, ep, classification = _power(g1)
-    return EntanglementReport(g1=g1, g1_abs=g1_abs, ep=ep, classification=classification,
-                              gate_label=label, theta=theta)
+    return EntanglementReport(g1=g1, g1_abs=g1_abs, ep=ep, classification=classification)
 
 
 def entangling_power_batch(u4s) -> EntanglementBatch:
@@ -295,8 +298,9 @@ def separable_state(alpha: float, phi: float = 0.0) -> SeparableSymmetricState:
 
 
 def apply_gate(g: SymmetricGate, s: SeparableSymmetricState) -> tuple[np.ndarray, float]:
-    """Gate image of a symmetric product state and its concurrence."""
-    out = g.u4 @ s.vec4
+    """Gate image of a symmetric product state, u3 @ vec3 embedded (so its
+    up-down and down-up amplitudes are equal, ==), and its concurrence."""
+    out = _TRIPLET_TO_QUBIT @ (g.u3 @ s.vec3)
     return out, concurrence(out)
 
 
@@ -345,21 +349,14 @@ def product_basis(a, b, c, d, e, f) -> ProductBasis:
     return ProductBasis(a=a, b=b, c=c, d=d, e=e, f=f, states=states)
 
 
-_SPE_FAMILY_ABCD = ("B4", "B7", "B8")
-_SPE_FAMILY_SQUARES = ("B5", "B6")
-
-
 @dataclass(frozen=True)
 class SpeConditionResult:
-    """Outcome of a special-perfect-entangler basis check.
+    """Outcome of a special-perfect-entangler basis check: the concurrences
+    of the four basis-state images, derived from u3 (`condition_values`,
+    all maximal if `condition_holds`) and measured through u4
+    (`concurrences`, `all_maximal`).  `consistent` records whether the two
+    verdicts agree; disagreement is reported, never patched."""
 
-    `condition_holds` evaluates the family's algebraic criterion on the
-    spinor amplitudes; `concurrences` are measured directly by applying
-    the gate to all four basis states.  `consistent` records whether the
-    two verdicts agree; disagreement is reported, never patched.
-    """
-
-    family: str
     condition_values: tuple[float, ...]
     condition_holds: bool
     concurrences: tuple[float, ...]
@@ -371,36 +368,27 @@ class SpeConditionResult:
 
 
 def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
-    """Evaluate the maximal-entanglement criterion of a gate family.
+    """Check that a special perfect entangler (e_p = 2/9, else ValueError)
+    maps each state of a product basis to a maximally entangled one.
 
-    For B4/B7/B8 the criterion is |abcd| = |cdef| = 1/4; for B5/B6 it is
-    |(a^2+b^2)(c^2+d^2)| = |(e^2+f^2)(c^2+d^2)| = 1.  The gate must be at
-    its special-perfect-entangler parameter (e_p = 2/9).
+    The condition values are C(U psi) = |t^T (u3^T S u3) t + s^2| for each
+    basis state psi with triplet coordinates t and singlet coordinate s
+    (module docstring): one form for every gate, whatever its label.
     """
-    if g.label in _SPE_FAMILY_ABCD:
-        family = "abcd"
-    elif g.label in _SPE_FAMILY_SQUARES:
-        family = "squares"
-    else:
-        raise ValueError(f"gate {g.label} is not in the B4..B8 special-entangler families")
     report = entangling_power(g)
     if abs(report.ep - MAX_EP) > CLASSIFY_ATOL:
         raise ValueError(
             f"gate {g.label} has e_p = {report.ep}, not the special-perfect-entangler value 2/9"
         )
-    a, b, c, d, e, f = basis.a, basis.b, basis.c, basis.d, basis.e, basis.f
-    if family == "abcd":
-        values = (abs(a * b * c * d), abs(c * d * e * f))
-        holds = all(abs(v - 0.25) <= 2.5e-11 for v in values)
-    else:
-        values = (abs((a * a + b * b) * (c * c + d * d)),
-                  abs((e * e + f * f) * (c * c + d * d)))
-        holds = all(abs(v - 1.0) <= 1e-10 for v in values)
+    coords = basis.states @ U_QUBIT_TO_ANGULAR.T  # row n: (t, s) of state n
+    t, s = coords[:, :3], coords[:, 3]
+    form = g.u3.T @ _S @ g.u3
+    values = tuple(np.abs(((t @ form) * t).sum(axis=1) + s * s).tolist())
     concs = tuple(concurrence(g.u4 @ psi) for psi in basis.states)
-    all_maximal = all(cv >= 1.0 - 1e-10 for cv in concs)
-    return SpeConditionResult(family=family, condition_values=values,
-                              condition_holds=holds, concurrences=concs,
-                              all_maximal=all_maximal)
+    return SpeConditionResult(condition_values=values,
+                              condition_holds=all(v >= 1.0 - 1e-10 for v in values),
+                              concurrences=concs,
+                              all_maximal=all(cv >= 1.0 - 1e-10 for cv in concs))
 
 
 def _up_up_concurrences(u3: np.ndarray) -> np.ndarray:
@@ -422,8 +410,9 @@ def lmg_entanglement_profile(g1: float, g2: float,
 
     The concurrence of the evolved |up up> state equals |sin(4 g1 t)|:
     zero at t = n pi / (4 g1) and maximal when 4 g1 t is an odd multiple
-    of pi/2.  The entangling power reaches 2/9 whenever 2 g2 t - 2 g1 t
-    is congruent to pi/2 modulo pi.  t_grid must be strictly ascending.
+    of pi/2.  |G1| = ((cos 4 g1 t + cos 4 g2 t)/2)^2, so the entangling
+    power reaches 2/9 whenever 2 g2 t - 2 g1 t or 2 g2 t + 2 g1 t is
+    congruent to pi/2 modulo pi.  t_grid must be strictly ascending.
     """
     t_grid = _grid("t_grid", t_grid)
     if np.any(np.diff(t_grid) <= 0):

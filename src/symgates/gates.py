@@ -15,10 +15,12 @@ The LMG Hamiltonian H = g1 (J+^2 + J-^2) + g2 (J+J- + J-J+) is 2 g1 M7
 commutes with M8, so exp(i H t) = B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi})
 with xi = 2 g1 t, phi = 2 g2 t: the same closed forms, no eigendecomposition.
 
-`gates_batch` and `lmg_batch` build a whole grid of one family as an
-(N, 3, 3) stack, checked unitary once; its (N, 4, 4) embedding is built
-only if it is read.  `gate` and `lmg_gate` are their one-point case, so a
-gate is the same (==) whether it is built alone or in a grid.
+A symmetric gate is its 3x3 block u3: what is computed from a
+`SymmetricGate` depends on u3 alone; its label is display metadata.
+`gates_batch` and `lmg_batch` build a grid of one family as an (N, 3, 3)
+stack, checked unitary once, and `gate` and `lmg_gate` are their one-point
+case, so a gate is the same (==) alone or in a grid.  The 4x4 embedding
+`u4` of a gate or a grid is built only if it is read.
 """
 
 from __future__ import annotations
@@ -65,13 +67,18 @@ class LMGParams:
 
 @dataclass(frozen=True)
 class SymmetricGate:
-    """A symmetric two-qubit gate: 3x3 unitary plus 4x4 embedding."""
+    """A symmetric two-qubit gate: its 3x3 unitary u3, checked unitary when
+    built, and u4, its product-basis embedding, built on first access.
+    `label`, `theta` and `lmg` say how it was built."""
 
     label: str
     u3: np.ndarray
-    u4: np.ndarray
     theta: float | None = None
     lmg: LMGParams | None = None
+
+    @functools.cached_property
+    def u4(self) -> np.ndarray:
+        return to_qubit_basis(self.u3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,7 @@ def gate(k: int, theta: float) -> SymmetricGate:
     """
     k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
     theta = _finite("theta", theta)
-    batch = gates_batch(k, [theta])
-    return SymmetricGate(label=f"B{k}", u3=batch.u3[0], u4=batch.u4[0], theta=theta)
+    return SymmetricGate(label=f"B{k}", u3=gates_batch(k, [theta]).u3[0], theta=theta)
 
 
 def gates_batch(k: int, thetas) -> GateBatch:
@@ -129,7 +135,7 @@ def custom_gate(u3, label: str = "custom") -> SymmetricGate:
     """Wrap an arbitrary 3x3 unitary as a symmetric gate."""
     u3 = _matrix("u3", u3, 3)
     _require(is_unitary(u3), f"gate {label} is not unitary within 1e-12", "u3", u3)
-    return SymmetricGate(label=label, u3=u3, u4=to_qubit_basis(u3, 1.0))
+    return SymmetricGate(label=label, u3=u3)
 
 
 def lmg_hamiltonian(g1: float, g2: float) -> np.ndarray:
@@ -142,8 +148,8 @@ def lmg_hamiltonian(g1: float, g2: float) -> np.ndarray:
 
 def lmg_gate(params: LMGParams) -> SymmetricGate:
     """The evolution gate exp(i H t) of the collective-spin Hamiltonian."""
-    batch = lmg_batch(params.g1, params.g2, [_finite("t", params.t)])
-    return SymmetricGate(label="BL", u3=batch.u3[0], u4=batch.u4[0], lmg=params)
+    u3 = lmg_batch(params.g1, params.g2, [_finite("t", params.t)]).u3[0]
+    return SymmetricGate(label="BL", u3=u3, lmg=params)
 
 
 def lmg_batch(g1: float, g2: float, ts) -> GateBatch:

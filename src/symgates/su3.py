@@ -318,9 +318,11 @@ def to_qubit_basis(op3, singlet_value: complex = 0.0) -> np.ndarray:
 
     The operator acts as given on the triplet block and multiplies the
     singlet by `singlet_value` (0 for basis operators, 1 for gates).  A
-    (..., 3, 3) stack gives a (..., 4, 4) stack.
+    (..., 3, 3) stack gives a (..., 4, 4) stack.  InputError if an entry
+    of either is NaN or infinite.
     """
-    op3 = _matrix("op3", op3, 3, stack=True)
+    op3 = _finite("op3", _matrix("op3", op3, 3, stack=True))
+    _finite("singlet_value", np.ravel(singlet_value))  # 1-d: a complex value stays complex
     op_ang = np.zeros(op3.shape[:-2] + (4, 4), dtype=np.complex128)
     op_ang[..., :3, :3] = op3
     op_ang[..., 3, 3] = singlet_value

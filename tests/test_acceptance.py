@@ -223,13 +223,20 @@ def test_criterion_09_lmg():
         t_one = (2 * n + 1) * math.pi / (8 * g1v)
         ok = ok and lmg_entanglement_profile(g1v, g2v, [t_zero])[2][0] < 1e-10
         ok = ok and abs(lmg_entanglement_profile(g1v, g2v, [t_one])[2][0] - 1) < 1e-10
+    # |G1| = ((cos 4 g1 t + cos 4 g2 t)/2)^2 vanishes on two branches:
+    # 2 (g2 - g1) t or 2 (g2 + g1) t congruent to pi/2 modulo pi
     g1v, g2v = 0.4, 1.1
     for n in range(6):
-        t = (math.pi / 2 + n * math.pi) / (2 * (g2v - g1v))
-        report = entangling_power(lmg_gate(LMGParams(g1=g1v, g2=g2v, t=t)))
-        ok = ok and abs(report.ep - 2.0 / 9.0) < 1e-9
+        for g_sum in (g2v - g1v, g2v + g1v):
+            t = (math.pi / 2 + n * math.pi) / (2 * g_sum)
+            report = entangling_power(lmg_gate(LMGParams(g1=g1v, g2=g2v, t=t)))
+            ok = ok and abs(report.ep - 2.0 / 9.0) < 1e-9
+    # on the sum branch only: 2 g2 t - 2 g1 t = pi/6
+    report = entangling_power(lmg_gate(LMGParams(g1=1.0, g2=2.0, t=math.pi / 12)))
+    ok = ok and report.ep == 0.2222222222222222
+    ok = ok and abs(2 * 2.0 * math.pi / 12 - 2 * 1.0 * math.pi / 12 - math.pi / 6) < 1e-15
     _report(9, "ladder and basis Hamiltonian forms agree; gate matches exp(iHt); "
-               "concurrence timing and maximal-power condition hold", ok)
+               "concurrence timing and both maximal-power branches hold", ok)
 
 
 def test_criterion_10_local_invariance():

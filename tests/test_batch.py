@@ -153,12 +153,15 @@ def test_symmetric_invariants_match_the_bell_transform(seed, k, theta, g1, g2, t
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 8), thetas=st.lists(angles, min_size=1, max_size=24), g1=couplings,
-       g2=couplings, ts=times)
-def test_gate_batch_u4_is_built_on_first_access(k, thetas, g1, g2, ts):
-    for batch in (gates_batch(k, thetas), lmg_batch(g1, g2, ts)):
-        assert "u4" not in vars(batch)
-        assert np.array_equal(batch.u4, to_qubit_basis(batch.u3, 1.0))
-        assert batch.u4 is batch.u4
+       g2=couplings, ts=times, seed=st.integers(0, 2**32 - 1))
+def test_gate_batch_u4_is_built_on_first_access(k, thetas, g1, g2, ts, seed):
+    # GateBatch and SymmetricGate alike: construction builds u3 only
+    for g in (gates_batch(k, thetas), lmg_batch(g1, g2, ts), gate(k, thetas[0]),
+              lmg_gate(LMGParams(g1=g1, g2=g2, t=ts[0])),
+              custom_gate(haar_unitary(np.random.default_rng(seed), 3))):
+        assert "u4" not in vars(g)
+        assert np.array_equal(g.u4, to_qubit_basis(g.u3, 1.0))
+        assert g.u4 is g.u4
 
 
 def _closed_form_g1_abs(mpmath, k, theta):

@@ -2,8 +2,6 @@
 InputError whose message starts with the parameter, or the product, at
 fault, and no numpy warning comes before it.
 
-`to_qubit_basis` is left out: it is a linear embedding that maps a
-non-finite matrix to a non-finite one, as numpy's matmul does.
 `apply_gate`, `spe_condition` and `reconstruct` take objects that were
 checked when they were built.
 """
@@ -56,6 +54,12 @@ NON_FINITE = [
     ("decompose_hamiltonian", lambda b: sg.decompose_hamiltonian(_entry((3, 3), (2, 2), b)),
      "h"),
     ("m_coefficients", lambda b: sg.su3.m_coefficients(_entry((3, 3), (0, 1), b)), "x"),
+    ("to_qubit_basis_op3", lambda b: sg.to_qubit_basis(_entry((3, 3), (2, 0), b)), "op3"),
+    ("to_qubit_basis_stack",
+     lambda b: sg.to_qubit_basis(np.stack([np.eye(3), _entry((3, 3), (1, 2), b)])), "op3"),
+    ("to_qubit_basis_singlet_value", lambda b: sg.to_qubit_basis(np.eye(3), b), "singlet_value"),
+    ("to_qubit_basis_complex_singlet_value",
+     lambda b: sg.to_qubit_basis(np.eye(3), complex(0.5, b)), "singlet_value"),
     ("from_qubit_basis", lambda b: sg.from_qubit_basis(_entry((4, 4), (1, 1), b)), "op4"),
     ("m_matrix", lambda b: sg.m_matrix(b), "basis index k"),
     ("custom_gate", lambda b: sg.custom_gate(_entry((3, 3), (0, 1), b)), "u3"),

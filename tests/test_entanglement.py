@@ -20,10 +20,10 @@ from symgates.entanglement import (
     separable_state,
     spe_condition,
 )
-from symgates.gates import LMGParams, gate, lmg_gate
+from symgates.gates import LMGParams, custom_gate, gate, lmg_gate
 from symgates.linalg import InputError, is_unitary
 
-from helpers import kron_factor_2x2, max_phase_distance, random_spinor, random_su2
+from helpers import haar_unitary, kron_factor_2x2, max_phase_distance, random_spinor, random_su2
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -72,10 +72,8 @@ def test_classification_thresholds():
     assert entangling_power(gate(8, SQ3 * math.pi / 2)).classification == SPECIAL_PERFECT_ENTANGLER
 
 
-def test_report_carries_gate_provenance():
+def test_report_ep_is_two_ninths_of_one_minus_g1_abs():
     report = entangling_power(gate(4, 0.3))
-    assert report.gate_label == "B4"
-    assert report.theta == pytest.approx(0.3)
     assert report.ep == pytest.approx(2 / 9 * (1 - report.g1_abs), abs=1e-14)
 
 
@@ -179,6 +177,24 @@ def test_separable_states_have_zero_concurrence(alpha, phi):
     assert concurrence(state.vec4) < 1e-12
 
 
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["B", "BL", "custom"]),
+       k=st.integers(1, 8), angle=st.floats(-8.0, 8.0), g1=st.floats(-3.0, 3.0),
+       g2=st.floats(-3.0, 3.0), alpha=st.floats(-8.0, 8.0), phi=st.floats(-8.0, 8.0))
+@settings(max_examples=200, deadline=None)
+def test_apply_gate_image_is_exactly_symmetric(seed, family, k, angle, g1, g2, alpha, phi):
+    if family == "B":
+        g = gate(k, angle)
+    elif family == "BL":
+        g = lmg_gate(LMGParams(g1=g1, g2=g2, t=angle))
+    else:
+        g = custom_gate(haar_unitary(np.random.default_rng(seed), 3))
+    state = separable_state(alpha, phi)
+    out, conc = apply_gate(g, state)
+    assert out[1] == out[2]  # up-down and down-up amplitudes of a symmetric state
+    assert np.max(np.abs(out - g.u4 @ state.vec4)) <= 1e-15
+    assert conc == concurrence(out)
+
+
 def test_b4_action_on_equator_state():
     g = gate(4, math.pi / 2)
     for phi in (0.0, 0.7, 2.9):
@@ -265,7 +281,6 @@ def test_product_basis_rejects_unnormalized():
 def test_spe_condition_b4_uniform_amplitudes():
     basis = product_basis(*(1 / SQ2,) * 6)
     result = spe_condition(gate(4, math.pi / 2), basis)
-    assert result.family == "abcd"
     assert result.condition_holds
     assert result.all_maximal
     assert result.consistent
@@ -283,43 +298,103 @@ def test_spe_condition_requires_spe_parameter():
     basis = product_basis(*(1 / SQ2,) * 6)
     with pytest.raises(ValueError, match="2/9"):
         spe_condition(gate(4, 0.3), basis)
-    with pytest.raises(ValueError, match="families"):
+    with pytest.raises(ValueError, match="2/9"):
         spe_condition(gate(1, math.pi / 2), basis)
+
+
+def _random_basis(rng):
+    return product_basis(*random_spinor(rng), *random_spinor(rng), *random_spinor(rng))
 
 
 def test_spe_condition_b6_matches_concurrence_oracle(rng):
     g = gate(6, math.pi / 2)
     for _ in range(30):
-        basis = product_basis(*random_spinor(rng), *random_spinor(rng), *random_spinor(rng))
+        basis = _random_basis(rng)
         result = spe_condition(g, basis)
-        # For this gate the printed criterion is exact:
+        # For this gate the paper's criterion is exact:
         # C(image of psi1) = |(a^2+b^2)(c^2+d^2)|.
-        assert result.concurrences[0] == pytest.approx(result.condition_values[0], abs=1e-10)
+        a, b, c, d = basis.a, basis.b, basis.c, basis.d
+        printed = abs((a * a + b * b) * (c * c + d * d))
+        assert result.condition_values[0] == pytest.approx(printed, abs=1e-14)
+        assert result.concurrences[0] == pytest.approx(printed, abs=1e-10)
         assert result.consistent
 
 
 def test_spe_condition_b5_printed_criterion_has_counterexamples():
-    # Real spinors with a = b satisfy the printed squares criterion but
-    # this gate maps psi1 to a product state: the measured concurrence is
-    # |(a^2-b^2)(c^2-d^2)|, not |(a^2+b^2)(c^2+d^2)|.  The result object
-    # reports the disagreement rather than hiding it.
-    basis = product_basis(1 / SQ2, 1 / SQ2, 1, 0, 1, 0)
+    # Real spinors with a = b satisfy the paper's printed B5 criterion
+    # |(a^2+b^2)(c^2+d^2)| = 1, but this gate maps psi1 to a product state:
+    # the measured concurrence is |(a^2-b^2)(c^2-d^2)|.  The derived
+    # condition sees it.
+    a = b = 1 / SQ2
+    basis = product_basis(a, b, 1, 0, 1, 0)
+    assert abs((a * a + b * b) * (1 * 1 + 0 * 0)) == pytest.approx(1.0, abs=1e-15)
     result = spe_condition(gate(5, math.pi / 2), basis)
-    assert result.condition_holds
+    assert not result.condition_holds
     assert result.concurrences[0] == pytest.approx(0.0, abs=1e-12)
-    assert not result.all_maximal
-    assert not result.consistent
+    assert result.consistent
 
 
 def test_spe_condition_b5_concurrence_law(rng):
     g = gate(5, math.pi / 2)
     for _ in range(30):
-        a, b = random_spinor(rng)
-        c, d = random_spinor(rng)
-        e, f = random_spinor(rng)
-        result = spe_condition(g, product_basis(a, b, c, d, e, f))
+        basis = _random_basis(rng)
+        result = spe_condition(g, basis)
+        a, b, c, d = basis.a, basis.b, basis.c, basis.d
         expected = abs((a * a - b * b) * (c * c - d * d))
+        assert result.condition_values[0] == pytest.approx(expected, abs=1e-14)
         assert result.concurrences[0] == pytest.approx(expected, abs=1e-10)
+
+
+SPE_GATES = [gate(k, SPE_THETA[k]) for k in sorted(SPE_THETA)] + [
+    lmg_gate(LMGParams(1.0, 2.0, math.pi / 4))]
+
+
+@pytest.mark.parametrize("g", SPE_GATES, ids=[f"B{k}" for k in sorted(SPE_THETA)] + ["BL"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_spe_condition_derived_values_equal_the_measured_concurrences(g, seed):
+    result = spe_condition(g, _random_basis(np.random.default_rng(seed)))
+    assert max(abs(v - c) for v, c in zip(result.condition_values,
+                                          result.concurrences)) <= 1e-14
+    assert result.consistent
+
+
+@pytest.mark.parametrize("k", [4, 7, 8])
+@given(seed=st.integers(0, 2**32 - 1), uniform=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_spe_condition_of_b4_b7_b8_is_the_papers_abcd_criterion(k, seed, uniform):
+    # The paper's criterion |abcd| = |cdef| = 1/4 is an oracle here: the
+    # derived values are 4|abcd| for psi1, psi2 and 4|cdef| for psi3, psi4.
+    rng = np.random.default_rng(seed)
+    if uniform:  # every |amplitude| = 1/sqrt2, random phases: the criterion holds
+        basis = product_basis(*np.exp(1j * rng.uniform(0, 2 * math.pi, 6)) / SQ2)
+    else:
+        basis = _random_basis(rng)
+    abcd = abs(basis.a * basis.b * basis.c * basis.d)
+    cdef = abs(basis.c * basis.d * basis.e * basis.f)
+    result = spe_condition(gate(k, SPE_THETA[k]), basis)
+    np.testing.assert_allclose(result.condition_values, [4 * abcd, 4 * abcd, 4 * cdef, 4 * cdef],
+                               rtol=0, atol=1e-14)
+    assert result.condition_holds == (abs(abcd - 0.25) <= 2.5e-11 and abs(cdef - 0.25) <= 2.5e-11)
+    assert result.condition_holds or not uniform
+
+
+def test_spe_condition_accepts_an_lmg_special_perfect_entangler():
+    g = lmg_gate(LMGParams(1.0, 2.0, math.pi / 4))
+    assert entangling_power(g).classification == SPECIAL_PERFECT_ENTANGLER
+    result = spe_condition(g, product_basis(*(1 / SQ2,) * 6))
+    assert result.condition_holds and result.all_maximal and result.consistent
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_spe_condition_ignores_the_gate_label(k, rng):
+    # A B_k gate relabelled as another family gets the result of the gate it
+    # wraps: the label is display metadata.
+    g = gate(k, math.pi / 2)
+    for label in ("B4", "B5", "B8", "custom"):
+        for _ in range(5):
+            basis = _random_basis(rng)
+            assert spe_condition(custom_gate(g.u3, label=label), basis) == spe_condition(g, basis)
 
 
 def test_lmg_profile_structure():
