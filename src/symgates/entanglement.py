@@ -20,21 +20,28 @@ det(B_bell) = det(u3), and, since W^dagger W^* = S^* = S,
           = 1 + 2(u00 u22 + u02 u20 - u01 u21 - u10 u12) + u11^2.
 
 `_symmetric_invariants` evaluates these two closed forms elementwise over
-a (..., 3, 3) stack; `entangling_power` of a SymmetricGate (as a stack of
-one) and `entangling_power_batch` of a GateBatch both use it, so a gate
-scores the same (==) alone or in a grid.  A general 4x4 unitary, or an
-(N, 4, 4) stack, goes through the Bell transform, trace and determinant
-of `_bell_invariants` instead, once checked unitary within 1e-10.  The last step
-(G1 from tr(m) and det, then |G1|, e_p and the class) is `_g1` and
-`_power` on numpy scalars for one gate and `_power_batch`, elementwise
-over real arrays, for a stack.  Both round alike: for tr(m) = a + ib,
-numpy's scalar tr**2 is the complex product (a a - b b) + i (2 a b),
-which `_power_batch` writes out in real arithmetic, and Python's abs of
-a complex number is the hypot that `_power_batch` calls; numpy's array
-kernels for complex multiply and abs are not used, as they may round
-differently.  The |up up> concurrence column is written out the same
-way.  Hypothesis tests in tests/test_batch.py pin the two forms equal
-(==) on the B_k and LMG grids and on Haar-random 3x3 unitaries.
+a (..., 3, 3) stack for `entangling_power_batch` of a GateBatch, and
+`_gate_invariants` evaluates them for `entangling_power` of one
+SymmetricGate: its eleven products in one numpy array multiply over the
+gathered entries of u3, the row-0 terms of det in a second, the sums in
+Python.  Both take every complex product from numpy's array multiply
+kernel, with its factors in the same order, and sums are exactly rounded
+either way, so a gate scores the same (==) alone or in a grid.  (With FMA
+the imaginary part of a product depends on the order of its factors, and
+Python's own complex product can differ from numpy's array kernel.)  A
+general 4x4 unitary, or an (N, 4, 4) stack, goes through the Bell
+transform, trace and determinant of `_bell_invariants` instead, once
+checked unitary within 1e-10.  The last step (G1 from tr(m) and det, then
+|G1|, e_p and the class) is `_g1` and `_power` on numpy scalars for one
+gate and `_power_batch`, elementwise over real arrays, for a stack.  Both
+round alike: for tr(m) = a + ib, numpy's scalar tr**2 is the complex
+product (a a - b b) + i (2 a b), which `_power_batch` writes out in real
+arithmetic, and Python's abs of a complex number is the hypot that
+`_power_batch` calls; numpy's array kernels for complex multiply and abs
+are not used in this step, as they may round differently.  The |up up>
+concurrence column is written out the same way.  Hypothesis tests in
+tests/test_batch.py pin the two forms equal (==) on the B_k and LMG
+grids and on Haar-random 3x3 unitaries.
 
 The same S gives the concurrence of a symmetric gate's image without the
 4x4 matrix: a product-basis state with triplet coordinates t and singlet
@@ -111,9 +118,33 @@ def _symmetric_invariants(u3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u10, u11, u12 = u3[..., 1, 0], u3[..., 1, 1], u3[..., 1, 2]
     u20, u21, u22 = u3[..., 2, 0], u3[..., 2, 1], u3[..., 2, 2]
     tr = 1.0 + 2.0 * (u00 * u22 + u02 * u20 - u01 * u21 - u10 * u12) + u11 * u11
-    det = (u00 * (u11 * u22 - u12 * u21) - u01 * (u10 * u22 - u12 * u20)
-           + u02 * (u10 * u21 - u11 * u20))
+    # The cofactors are named: numpy multiplies an unnamed temporary of at
+    # least 256 KiB in place, as cofactor * u0c, and with FMA the imaginary
+    # part of a complex product depends on the order of its factors.
+    c0 = u11 * u22 - u12 * u21
+    c1 = u10 * u22 - u12 * u20
+    c2 = u10 * u21 - u11 * u20
+    det = u00 * c0 - u01 * c1 + u02 * c2
     return tr, det
+
+
+# Flat indices of the nine entries u_rc = u3.reshape(9)[3 r + c]: the five
+# products of tr(m), then the six of the cofactors of row 0, in the order
+# in which `_symmetric_invariants` multiplies them.
+_PRODUCT_LEFT = np.array([0, 2, 1, 3, 4, 4, 5, 3, 5, 3, 4])
+_PRODUCT_RIGHT = np.array([8, 6, 7, 5, 4, 8, 7, 8, 6, 7, 6])
+
+
+def _gate_invariants(u3: np.ndarray) -> tuple[np.complex128, np.complex128]:
+    """`_symmetric_invariants` of one 3x3 block, equal to it (==): every
+    product is taken by the same numpy array multiply, the additions and
+    subtractions, exactly rounded either way, in Python in the same order."""
+    flat = u3.reshape(9)
+    products = flat[_PRODUCT_LEFT] * flat[_PRODUCT_RIGHT]
+    p0, p1, p2, p3, p4 = products[:5].tolist()
+    x0, x1, x2 = (flat[:3] * (products[5::2] - products[6::2])).tolist()
+    return (np.complex128(1.0 + 2.0 * (p0 + p1 - p2 - p3) + p4),
+            np.complex128(x0 - x1 + x2))
 
 
 def _g1(tr, det) -> complex:
@@ -138,7 +169,7 @@ class EntanglementReport:
     classification: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglementBatch:
     """G1, |G1|, e_p and classification of each gate of a stack."""
 
@@ -199,8 +230,7 @@ def entangling_power(u4) -> EntanglementReport:
     unitary when the gate was built.
     """
     if isinstance(u4, SymmetricGate):
-        tr, det = _symmetric_invariants(u4.u3[None])
-        g1 = _g1(tr[0], det[0])
+        g1 = _g1(*_gate_invariants(u4.u3))
     else:
         g1 = makhlin_g1(u4)
     g1_abs, ep, classification = _power(g1)
@@ -256,7 +286,7 @@ def concurrence(psi) -> float:
     return _pure_concurrence(psi[0], psi[1], psi[2], psi[3])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparableSymmetricState:
     """A permutation-symmetric product state of two qubits.
 
@@ -304,7 +334,7 @@ def apply_gate(g: SymmetricGate, s: SeparableSymmetricState) -> tuple[np.ndarray
     return out, concurrence(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductBasis:
     """Orthonormal basis of four two-qubit product states.
 

@@ -65,7 +65,7 @@ class LMGParams:
         return 2.0 * self.g2 * self.t / _SQ3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricGate:
     """A symmetric two-qubit gate: its 3x3 unitary u3, checked unitary when
     built, and u4, its product-basis embedding, built on first access.
@@ -81,7 +81,7 @@ class SymmetricGate:
         return to_qubit_basis(self.u3, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateBatch:
     """Gates of one family on a 1-D grid: u3 (N, 3, 3), checked unitary by
     `gates_batch` / `lmg_batch`, and u4 (N, 4, 4), their product-basis

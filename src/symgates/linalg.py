@@ -25,6 +25,7 @@ row sum.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -155,7 +156,7 @@ def _hermitian(name: str, h: np.ndarray) -> float:
     return top
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FlatBasis:
     """The d x d matrices b_i of an (n, d, d) stack (`_flat_basis`), flattened
     for one matrix-vector product per expansion: row i of `flat_t` is b_i
@@ -195,6 +196,13 @@ def _sector_coupling(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
         return b, float(max(np.max(np.abs(b[-1, :-1])), np.max(np.abs(b[:-1, -1]))))
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
     """True if a, or every matrix of a (..., n, n) stack, is unitary within atol.
 
@@ -210,8 +218,8 @@ def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
         else:
             ac = a.conj()
             defect = sum(ac[..., k, :, None] * a[..., k, None, :] for k in range(n))
-    defect -= np.eye(n)
-    return bool(np.max(np.abs(defect)) <= atol)
+    defect -= _identity(n)
+    return bool(abs(defect).max() <= atol)
 
 
 def expm_hermitian(h, t: float = 1.0) -> np.ndarray:

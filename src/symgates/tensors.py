@@ -24,6 +24,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, mul
 from typing import Mapping
 
 import numpy as np
@@ -48,7 +49,15 @@ def _as_two(value, name: str) -> int:
     return int(rounded)
 
 
+# 2j of each supported spin, looked up before the general parse
+_TWO_J = {two_j / 2: two_j for two_j in range(MAX_TWO_J + 1)}
+
+
 def _as_two_j(j) -> int:
+    try:
+        return _TWO_J[j]
+    except (KeyError, TypeError):  # another number, or an unhashable one such as an array
+        pass
     two_j = _as_two(j, "j")
     if two_j < 0:
         raise ValueError(f"j must be non-negative, got {j}")
@@ -116,7 +125,7 @@ def clebsch_gordan(j1, m1, j2, m2, j3, m3) -> float:
     return prefactor * total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinMatrices:
     """Angular momentum matrices for a single spin (m descending)."""
 
@@ -151,7 +160,7 @@ def angular_momentum_matrices(j) -> SpinMatrices:
     return _spin_matrices(_as_two_j(j))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorOperator:
     """A tagged tensor-operator matrix of dimension 2j+1."""
 
@@ -226,46 +235,78 @@ class TensorParams:
 
     Keys must be (k, q) with 0 <= k <= 2j and |q| <= k.  Hermiticity of
     the represented operator requires conj(h^k_q) = (-1)^q h^k_{-q},
-    which is validated on construction.
+    which is validated on construction.  `vector` holds the coefficients
+    in the spin's (k, q) order (k = 0..2j, q = -k..k), 0 where missing.
     """
 
     j: float
     coeffs: Mapping[tuple[int, int], complex] = field(repr=False)
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         two_j = _as_two_j(self.j)
-        object.__setattr__(self, "j", two_j / 2)
         coeffs = dict(self.coeffs)
+        _check_pairs(two_j, coeffs)
+        keys = _spin_basis(two_j).keys
+        self._freeze(two_j, coeffs,
+                     np.array([coeffs.get(key, 0j) for key in keys], dtype=np.complex128))
+
+    @classmethod
+    def _of_vector(cls, two_j: int, vector: np.ndarray) -> TensorParams:
+        """The parameters of a fresh complex vector in the spin's key order,
+        as `decompose` and `rotate_params` compute it: the pair rule is
+        checked in one pass (`_SpinBasis.pairs_hold`), and key by key, for
+        the constructor's message, only if that pass fails."""
+        basis = _spin_basis(two_j)
+        values = vector.tolist()
+        coeffs = dict(zip(basis.keys, values))
+        if not basis.pairs_hold(values):
+            _check_pairs(two_j, coeffs)
+        params = object.__new__(cls)
+        params._freeze(two_j, coeffs, vector)
+        return params
+
+    def _freeze(self, two_j: int, coeffs: dict, vector: np.ndarray) -> None:
+        vector.setflags(write=False)
+        object.__setattr__(self, "j", two_j / 2)
         object.__setattr__(self, "coeffs", coeffs)
-        get = coeffs.get
-        # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, max|h|), the rule of
-        # `linalg.is_hermitian`; a non-finite h or partner gives an inf or
-        # NaN defect, or an infinite tolerance, which fails
-        atol = None
-        for (k, q), h in coeffs.items():
-            if not -k <= q <= k <= two_j:
-                raise ValueError(f"no tensor operator (k={k}, q={q}) for j = {two_j / 2}")
-            partner = get((k, -q))
-            if partner is None:
-                raise ValueError(f"missing partner coefficient for (k={k}, q={-q})")
-            if q % 2:
-                partner = -partner
-            defect = abs(h.conjugate() - partner)
-            if not defect <= 1e-12 and atol is None:  # max|h| once, when first needed,
-                # of h / 2, since |h| may overflow where h does not
-                atol = 2e-12 * max(0.5, max(abs(0.5 * c) for c in coeffs.values()))
-            if not (defect <= 1e-12 or defect <= atol < math.inf):
-                for key, value in coeffs.items():
-                    if not cmath.isfinite(value):
-                        raise InputError(f"coeffs[{key}] must be finite, got {value}")
-                raise ValueError(
-                    f"coefficients violate Hermiticity at (k={k}, q={q}): "
-                    f"conj(h) = {h.conjugate()}, (-1)^q h(-q) = {partner}"
-                )
+        object.__setattr__(self, "vector", vector)
 
     def rank_coefficients(self, k: int) -> np.ndarray:
         """Coefficients of rank k ordered by q descending from +k to -k."""
         return np.array([self.coeffs[(k, q)] for q in range(k, -k - 1, -1)])
+
+
+def _check_pairs(two_j: int, coeffs: dict) -> None:
+    """Check every key of `coeffs` and its Hermitian partner one by one, and
+    raise at the first that fails: the check of the public constructor, and
+    the reference of `_SpinBasis.pairs_hold`."""
+    index = _spin_basis(two_j).index
+    get = coeffs.get
+    # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, max|h|), the rule of
+    # `linalg.is_hermitian`; a non-finite h or partner gives an inf or
+    # NaN defect, or an infinite tolerance, which fails
+    atol = None
+    for (k, q), h in coeffs.items():
+        if (k, q) not in index:
+            raise ValueError(f"no tensor operator (k={k}, q={q}) for j = {two_j / 2}")
+        partner = get((k, -q))
+        if partner is None:
+            raise ValueError(f"missing partner coefficient for (k={k}, q={-q})")
+        if q % 2:
+            partner = -partner
+        defect = abs(h.conjugate() - partner)
+        if not defect <= 1e-12 and atol is None:  # max|h| once, when first needed,
+            # of h / 2, since |h| may overflow where h does not
+            atol = 2e-12 * max(0.5, max(abs(0.5 * c) for c in coeffs.values()))
+        if not (defect <= 1e-12 or defect <= atol < math.inf):
+            for key, value in coeffs.items():
+                if not cmath.isfinite(value):
+                    raise InputError(f"coeffs[{key}] must be finite, got {value}")
+            raise ValueError(
+                f"coefficients violate Hermiticity at (k={k}, q={q}): "
+                f"conj(h) = {h.conjugate()}, (-1)^q h(-q) = {partner}"
+            )
 
 
 def decompose(h, j) -> TensorParams:
@@ -275,21 +316,14 @@ def decompose(h, j) -> TensorParams:
     two_j = _as_two_j(j)
     h = _matrix("h", h, two_j + 1)
     basis = _spin_basis(two_j)
-    values = basis.tau.traces("h", h, _hermitian("h", h)).tolist()
-    return TensorParams(j=two_j / 2, coeffs=dict(zip(basis.keys, values)))
-
-
-def _coefficient_vector(params: TensorParams, keys) -> np.ndarray:
-    """The coefficients of `params` in the order of `keys`; missing ones are 0."""
-    coeffs = params.coeffs
-    return np.array([coeffs.get(key, 0j) for key in keys], dtype=np.complex128)
+    return TensorParams._of_vector(two_j, basis.tau.traces("h", h, _hermitian("h", h)))
 
 
 def reconstruct(params: TensorParams) -> np.ndarray:
     """Rebuild the operator (1/(2j+1)) sum_kq h^k_q tau^k_q^dagger."""
     two_j = _as_two_j(params.j)
     basis = _spin_basis(two_j)
-    return basis.tau.combine(_coefficient_vector(params, basis.keys)) / (two_j + 1)
+    return basis.tau.combine(params.vector) / (two_j + 1)
 
 
 def _exp_jy(w: np.ndarray, v: np.ndarray, vh: np.ndarray, beta) -> np.ndarray:
@@ -318,19 +352,51 @@ def wigner_d(k: int, beta: float) -> np.ndarray:
     return _exp_jy(*_jy_eigenbasis(_index("rank k", k, 0, MAX_TWO_J)), beta).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _SpinBasis:
     """Every tau^k_q of one spin, in (k, q) order with k = 0..2j and
-    q = -k..k: the keys, their flat basis, and J_y of every rank as one
-    block-diagonal matrix in the same order, by its eigendecomposition
-    (w, v, vh), with the q of each key."""
+    q = -k..k: the keys and the position of each, their flat basis, and J_y
+    of every rank as one block-diagonal matrix in the same order, by its
+    eigendecomposition (w, v, vh), with the q of each key.  `upper` holds
+    the positions of the keys with q >= 0, `partner` that of (k, -q) for
+    each of them, and `flip` is -(-1)^q, the factor of that partner in the
+    Hermiticity defect."""
 
     keys: tuple[tuple[int, int], ...]
+    index: dict[tuple[int, int], int]
     tau: _FlatBasis
     q: np.ndarray
     w: np.ndarray
     v: np.ndarray
     vh: np.ndarray
+    upper: tuple[int, ...]
+    partner: tuple[int, ...]
+    flip: tuple[int, ...]
+
+    def pairs_hold(self, values: list[complex]) -> bool:
+        """Whether the coefficients `values`, complex numbers in key order,
+        pass `_check_pairs`, by the same arithmetic in one pass over the
+        keys with q >= 0: every |conj(h) + flip h(-q)| within
+        1e-12 * max(1, max|h|).  Multiplying by flip = +-1 is exact, and
+        for finite h the defect of (k, -q) is that of (k, q) bit for bit,
+        as the two differ only in sign and in the order of an addition; a
+        non-finite h gives a non-finite defect either way.  Plain Python:
+        numpy's per-call cost, and the error state that NaN and inf would
+        need, exceed that of a spin's 4 to 36 coefficients."""
+        get = values.__getitem__
+        defects = list(map(abs, map(add, map(complex.conjugate, map(get, self.upper)),
+                                    map(mul, self.flip, map(get, self.partner)))))
+        total = sum(defects)
+        if total <= 1e-12:  # the sum of non-negative floats bounds each of them
+            return True
+        if math.isnan(total):  # a NaN defect, which max may pass over
+            return False
+        worst = max(defects)
+        if worst <= 1e-12:
+            return True
+        # max|h| of h / 2, since |h| may overflow where h does not
+        atol = 2e-12 * max(0.5, max(abs(0.5 * c) for c in values))
+        return worst <= atol < math.inf
 
 
 @lru_cache(maxsize=None)
@@ -346,12 +412,16 @@ def _spin_basis(two_j: int) -> _SpinBasis:
         w[block] = wk
         v[block, block] = vk[::-1]  # rows from q descending to the keys' q ascending
         start = block.stop
+    index = {key: i for i, key in enumerate(keys)}
     q = np.array([q for _k, q in keys], dtype=np.float64)
     vh = v.conj().T.copy()
     for a in (q, w, v, vh):
         a.setflags(write=False)
     tau = _flat_basis(np.stack([_tau_matrix(two_j, k, q) for k, q in keys]))
-    return _SpinBasis(keys, tau, q, w, v, vh)
+    upper = tuple(i for i, (_k, q) in enumerate(keys) if q >= 0)
+    partner = tuple(index[(k, -q)] for k, q in keys if q >= 0)
+    flip = tuple(1 if q % 2 else -1 for _k, q in keys if q >= 0)
+    return _SpinBasis(keys, index, tau, q, w, v, vh, upper, partner, flip)
 
 
 def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float) -> TensorParams:
@@ -369,6 +439,5 @@ def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float)
     basis = _spin_basis(two_j)
     # every rank's d-matrix at once, as the blocks of one matrix
     d = _exp_jy(basis.w, basis.v, basis.vh, beta)
-    values = _coefficient_vector(params, basis.keys) * np.exp(-1j * alpha * basis.q)
-    rotated = (values @ d) * np.exp(-1j * gamma * basis.q)
-    return TensorParams(j=two_j / 2, coeffs=dict(zip(basis.keys, rotated.tolist())))
+    values = params.vector * np.exp(-1j * alpha * basis.q)
+    return TensorParams._of_vector(two_j, (values @ d) * np.exp(-1j * gamma * basis.q))

@@ -1,10 +1,13 @@
 """The public surface: the names `symgates` exports, and the CLI's use of them."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 import types
+
+import numpy as np
 
 import symgates
 from symgates import cli
@@ -62,3 +65,32 @@ def test_failure_checks_live_in_linalg():
                             for n in ast.walk(node.args[1]))):
                 found.append(f"{info.name}:{node.lineno} isinstance(..., int)")
     assert found == []
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    """A frozen dataclass with an array field compares and hashes as an
+    object: a generated __eq__ would compare arrays elementwise and raise,
+    and a generated __hash__ would hash an array."""
+    holding = [value for value in vars(symgates).values()
+               if dataclasses.is_dataclass(value) and isinstance(value, type)
+               and any("ndarray" in str(f.type) for f in dataclasses.fields(value) if f.compare)]
+    assert {cls.__name__ for cls in holding} == {
+        "EntanglementBatch", "GateBatch", "ProductBasis", "SeparableSymmetricState",
+        "SpinMatrices", "SymmetricGate", "TensorOperator"}
+    assert all(cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+               for cls in holding)
+    a, b = symgates.gate(4, 0.3), symgates.gate(4, 0.3)
+    assert a == a and a != b and len({a, b, a}) == 2
+    batch = symgates.gates_batch(4, [0.3])
+    for record in (batch, symgates.entangling_power_batch(batch), symgates.separable_state(0.4),
+                   symgates.product_basis(1, 0, 1, 0, 1, 0), symgates.tau(1, 1, 0),
+                   symgates.angular_momentum_matrices(1)):
+        assert record == record and hash(record) == hash(record)
+
+
+def test_tensor_params_compare_by_j_and_coefficients():
+    h = np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -2.0]])
+    a, b = symgates.decompose(h, 0.5), symgates.decompose(h, 0.5)
+    assert a == b and a.vector is not b.vector
+    assert a != symgates.decompose(2 * h, 0.5)
+    assert "vector" not in repr(a)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from symgates.linalg import InputError, expm_hermitian
 from symgates.tensors import (
     TensorParams,
+    _check_pairs,
+    _spin_basis,
     angular_momentum_matrices,
     clebsch_gordan,
     decompose,
@@ -239,6 +242,65 @@ def test_tensor_params_hermiticity_check_signs_odd_q_and_scales_with_h():
                                 (1, -1): -big.conjugate()})
 
 
+def _per_key_outcome(two_j, coeffs):
+    """None if the per-key check passes, else its exception's type and message."""
+    try:
+        _check_pairs(two_j, coeffs)
+    except ValueError as err:  # InputError too
+        return type(err), str(err)
+    return None
+
+
+# (position, size in units of 1e-12 * max(1, max|h|), phase, non-finite part)
+perturbations = st.lists(st.tuples(
+    st.integers(0, 35), st.one_of(st.just(1.0), st.floats(0.25, 4.0)),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([None] * 9 + [math.nan, math.inf, -math.inf])),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(two_j=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 3e4, 1e300]), perturbed=perturbations)
+def test_vector_pair_check_accepts_and_rejects_as_the_per_key_check(two_j, seed, scale,
+                                                                     perturbed):
+    basis = _spin_basis(two_j)
+    h = random_hermitian(np.random.default_rng(seed), two_j + 1, scale)
+    vector = decompose(h, two_j / 2).vector.copy()
+    unit = 1e-12 * max(1.0, float(np.abs(vector).max()))
+    for i, size, phase, bad in perturbed:
+        i %= vector.size
+        if bad is None:
+            vector[i] += size * unit * cmath.exp(1j * phase)
+        else:
+            vector[i] = complex(bad, vector[i].imag) if phase < 0 else complex(vector[i].real, bad)
+    coeffs = dict(zip(basis.keys, vector.tolist()))
+    outcome = _per_key_outcome(two_j, coeffs)
+    assert basis.pairs_hold(vector.tolist()) == (outcome is None)
+    # the path of decompose and rotate_params, and the public constructor
+    for build in (lambda: TensorParams._of_vector(two_j, vector.copy()),
+                  lambda: TensorParams(two_j / 2, coeffs)):
+        if outcome is None:
+            assert np.array_equal(build().vector, vector)
+        else:
+            with pytest.raises(outcome[0]) as err:
+                build()
+            assert str(err.value) == outcome[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.sampled_from(ALL_SPINS), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e8]),
+       angles=st.tuples(*[st.floats(-10.0, 10.0, allow_nan=False)] * 3))
+def test_decompose_and_rotate_params_equal_the_public_constructor(j, seed, scale, angles):
+    params = decompose(random_hermitian(np.random.default_rng(seed), round(2 * j) + 1, scale), j)
+    for p in (params, rotate_params(params, *angles)):
+        rebuilt = TensorParams(p.j, p.coeffs)
+        assert p == rebuilt and list(p.coeffs) == list(rebuilt.coeffs)
+        assert p.vector.tobytes() == rebuilt.vector.tobytes()
+        assert not p.vector.flags.writeable
+
+
 @pytest.mark.parametrize("j", ALL_SPINS)
 def test_rotated_coefficients_of_large_matrices_pass_the_hermiticity_check(j):
     # pair defects are rounding of the largest coefficient, 1e-12 * max|h| allowed
@@ -259,6 +321,11 @@ def test_tensor_params_reject_keys_outside_the_basis():
         TensorParams(j=1, coeffs={(1, 2): 1.0, (1, -2): 1.0})
     with pytest.raises(ValueError, match="missing partner"):
         TensorParams(j=1, coeffs={(1, 1): 1.0})
+    # a half-integer q lies within |q| <= k but names no tensor operator
+    with pytest.raises(ValueError, match=r"no tensor operator \(k=1, q=0.5\)"):
+        TensorParams(j=0.5, coeffs={(1, 0.5): 0.0, (1, -0.5): 0.0})
+    # keys equal to integer ones are those keys
+    assert TensorParams(j=0.5, coeffs={(1.0, 0.0): 2.0}).vector.tolist() == [0, 0, 2, 0]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
