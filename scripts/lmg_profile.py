@@ -3,8 +3,10 @@
 
 Sweeps the evolution time, writes a CSV of (t, e_p, concurrence of the
 evolved |up up> state), and prints the observed concurrence zeros and
-maxima together with the times at which the gate reaches maximal
-entangling power (2 g2 t - 2 g1 t = pi/2 mod pi).
+maxima together with the first times at which the gate reaches maximal
+entangling power, on either branch of e_p = 2/9: the difference branch
+2 g2 t - 2 g1 t = pi/2 mod pi and the sum branch 2 g2 t + 2 g1 t = pi/2
+mod pi.
 """
 
 from __future__ import annotations

@@ -197,7 +197,7 @@ def _power(g1: complex) -> tuple[float, float, str]:
     """
     g1_abs = abs(g1)
     ep = MAX_EP * (1.0 - g1_abs)
-    if ep < -1e-12 or ep > MAX_EP + 1e-12:
+    if not -1e-12 <= ep <= MAX_EP + 1e-12:  # NaN fails too
         raise RuntimeError(f"entangling power {ep} out of range [0, 2/9]")
     if ep < 0.0:
         ep = 0.0
@@ -211,7 +211,7 @@ def _power_batch(tr: np.ndarray, det: np.ndarray) -> EntanglementBatch:
     g1 = ((a * a - b * b) + 1j * (2.0 * a * b)) / (16.0 * det)
     g1_abs = np.hypot(g1.real, g1.imag)
     ep = MAX_EP * (1.0 - g1_abs)
-    bad = np.flatnonzero((ep < -1e-12) | (ep > MAX_EP + 1e-12))
+    bad = np.flatnonzero(~((ep >= -1e-12) & (ep <= MAX_EP + 1e-12)))  # NaN fails too
     if bad.size:
         raise RuntimeError(f"entangling power {float(ep[bad[0]])} out of range [0, 2/9]")
     ep = np.where(ep < 0.0, 0.0, ep)
@@ -226,8 +226,8 @@ def entangling_power(u4) -> EntanglementReport:
     """Entangling power e_p = (2/9)(1 - |G1|) and its classification.
 
     Accepts either a 4x4 product-basis unitary, checked unitary within
-    1e-10, or a SymmetricGate, scored from its 3x3 block, which was checked
-    unitary when the gate was built.
+    1e-10, or a SymmetricGate, scored from its 3x3 block: a closed form, or
+    a matrix that `custom_gate` checked unitary.
     """
     if isinstance(u4, SymmetricGate):
         g1 = _g1(*_gate_invariants(u4.u3))
@@ -354,7 +354,9 @@ class ProductBasis:
 def product_basis(a, b, c, d, e, f) -> ProductBasis:
     """Build the general orthonormal product basis from spinor amplitudes.
 
-    Requires |a|^2+|b|^2 = |c|^2+|d|^2 = |e|^2+|f|^2 = 1 within 1e-12.
+    Requires |a|^2+|b|^2 = |c|^2+|d|^2 = |e|^2+|f|^2 = 1 within 1e-12.  The
+    states are Kronecker products of a spinor (x, y) or its orthogonal
+    partner (-conj y, conj x), so they are orthonormal by construction.
     """
     a, b, c, d, e, f = (complex(v) for v in (a, b, c, d, e, f))
     for name, (x, y) in (("(a, b)", (a, b)), ("(c, d)", (c, d)), ("(e, f)", (e, f))):
@@ -373,9 +375,6 @@ def product_basis(a, b, c, d, e, f) -> ProductBasis:
         np.kron(third, second_perp),
         np.kron(third_perp, second_perp),
     ])
-    gram = states @ states.conj().T
-    if np.max(np.abs(gram - np.eye(4))) > 1e-12:
-        raise RuntimeError("constructed product basis is not orthonormal")
     return ProductBasis(a=a, b=b, c=c, d=d, e=e, f=f, states=states)
 
 

@@ -18,9 +18,13 @@ with xi = 2 g1 t, phi = 2 g2 t: the same closed forms, no eigendecomposition.
 A symmetric gate is its 3x3 block u3: what is computed from a
 `SymmetricGate` depends on u3 alone; its label is display metadata.
 `gates_batch` and `lmg_batch` build a grid of one family as an (N, 3, 3)
-stack, checked unitary once, and `gate` and `lmg_gate` are their one-point
-case, so a gate is the same (==) alone or in a grid.  The 4x4 embedding
-`u4` of a gate or a grid is built only if it is read.
+stack, and `gate` and `lmg_gate` are their one-point case, so a gate is
+the same (==) alone or in a grid.  The closed forms are unitary by
+construction, so no grid is checked: a hypothesis property in the tests
+pins them unitary within 1e-12 at every finite angle that the grid and
+overflow checks admit.  `custom_gate`, which wraps a matrix from outside,
+checks it.  The 4x4 embedding `u4` of a gate or a grid is built only if
+it is read.
 """
 
 from __future__ import annotations
@@ -67,8 +71,9 @@ class LMGParams:
 
 @dataclass(frozen=True, eq=False)
 class SymmetricGate:
-    """A symmetric two-qubit gate: its 3x3 unitary u3, checked unitary when
-    built, and u4, its product-basis embedding, built on first access.
+    """A symmetric two-qubit gate: its 3x3 unitary u3, a closed form or a
+    matrix checked unitary by `custom_gate`, and u4, its product-basis
+    embedding, built on first access.
     `label`, `theta` and `lmg` say how it was built."""
 
     label: str
@@ -83,9 +88,9 @@ class SymmetricGate:
 
 @dataclass(frozen=True, eq=False)
 class GateBatch:
-    """Gates of one family on a 1-D grid: u3 (N, 3, 3), checked unitary by
-    `gates_batch` / `lmg_batch`, and u4 (N, 4, 4), their product-basis
-    embeddings, built on first access."""
+    """Gates of one family on a 1-D grid: u3 (N, 3, 3), the closed forms of
+    `gates_batch` / `lmg_batch`, unitary by construction, and u4 (N, 4, 4),
+    their product-basis embeddings, built on first access."""
 
     u3: np.ndarray
 
@@ -95,9 +100,9 @@ class GateBatch:
 
 
 def _exp_i(angles: np.ndarray, generator) -> np.ndarray:
-    """exp(i angle G) for each angle of a 1-D grid, not checked unitary, for
-    G = M_k with an index k in 1..7 (the B_k closed form of the module
-    docstring) or G = diag(w) with an array of weights w."""
+    """exp(i angle G) for each angle of a 1-D grid, for G = M_k with an index
+    k in 1..7 (the B_k closed form of the module docstring) or G = diag(w)
+    with an array of weights w."""
     if isinstance(generator, np.ndarray):
         u3 = np.zeros((angles.size, 3, 3), dtype=np.complex128)
         u3[:, _DIAG, _DIAG] = np.exp(1j * (angles[:, None] * generator))
@@ -127,7 +132,6 @@ def gates_batch(k: int, thetas) -> GateBatch:
     thetas = _grid("thetas", thetas)
     u3 = (_exp_i(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0), _B8_WEIGHTS) if k == 8
           else _exp_i(thetas, k))
-    _require(is_unitary(u3), f"gate B{k} is not unitary within 1e-12", "u3", u3)
     return GateBatch(u3)
 
 
@@ -165,6 +169,4 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
     # B7 times a diagonal matrix: column j of B7 times the j-th phase
     phase = _exp_i(2.0 * g2 * ts, _LMG_WEIGHTS)[:, _DIAG, _DIAG]
-    u3 = _exp_i(2.0 * g1 * ts, 7) * phase[:, None, :]
-    _require(is_unitary(u3), "gate BL is not unitary within 1e-12", "u3", u3)
-    return GateBatch(u3)
+    return GateBatch(_exp_i(2.0 * g1 * ts, 7) * phase[:, None, :])

@@ -18,9 +18,10 @@ tolerance check names a non-finite entry if there is one (`_require`;
 defects are computed here with numpy's warnings off), an index is what
 `operator.index` takes (`_index`), and a finite parameter times the
 largest weight it meets must be finite (`_bounded`): `2*g1*t`, `2*g2*t`,
-`4*g2*t`, `2*theta/sqrt3`, `beta*k`, `alpha*q`, `gamma*q`, `2*j`, and a
-matrix h (or x) expanded in a basis, times the basis' largest absolute
-row sum.
+`4*g2*t`, `2*theta/sqrt3`, `beta*k`, `alpha*q`, `gamma*q`, `2*j`, a matrix
+h (or x) expanded in a basis, times the basis' largest absolute row sum,
+the coefficients that `rotate_params` rotates (`coeffs*d`) and the `op4`
+of `from_qubit_basis`.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
-# Stack size from which `is_unitary` multiplies elementwise.  On 3x3
-# matrices (2-vCPU Xeon, numpy 2.4) the two forms cost the same at 16 to
-# 32 matrices; the matmul is faster below (20 us against 27 us for one
-# matrix) and the elementwise sum above (100 us against 165 us for 256).
-_ELEMENTWISE_MIN = 32
 
 
 class InputError(ValueError):
@@ -189,13 +185,6 @@ def _flat_basis(stack: np.ndarray) -> _FlatBasis:
     return _FlatBasis(dim, flat_t, flat_dagger, float(np.abs(flat_t).sum(axis=1).max()))
 
 
-def _sector_coupling(u: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
-    """b = u a u^dagger and how far it couples its last basis vector to the others."""
-    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0
-        b = u @ a @ u.conj().T
-        return b, float(max(np.max(np.abs(b[-1, :-1])), np.max(np.abs(b[:-1, -1]))))
-
-
 @functools.lru_cache(maxsize=None)
 def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
@@ -204,20 +193,12 @@ def _identity(n: int) -> np.ndarray:
 
 
 def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
-    """True if a, or every matrix of a (..., n, n) stack, is unitary within atol.
-
-    A stack of at least _ELEMENTWISE_MIN matrices forms a^dagger a as a sum
-    of n broadcast products, one per row k of a: a stacked matmul makes one
-    BLAS call per matrix, which is slower for a grid and faster for a few.
-    """
+    """True if a, or every matrix of a (..., n, n) stack, is unitary within atol:
+    every |(a^dagger a - I)_ij| <= atol; False if a is not finite."""
     a = _matrix("a", a, stack=True)
     n = a.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in a non-finite matrix
-        if a.size < _ELEMENTWISE_MIN * n * n:
-            defect = a.conj().swapaxes(-1, -2) @ a
-        else:
-            ac = a.conj()
-            defect = sum(ac[..., k, :, None] * a[..., k, None, :] for k in range(n))
+        defect = a.conj().swapaxes(-1, -2) @ a
     defect -= _identity(n)
     return bool(abs(defect).max() <= atol)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_finite, _flat_basis, _hermitian, _index, _matrix, _require,
-                     _sector_coupling, anticommutator, commutator)
+from .linalg import (_bounded, _finite, _flat_basis, _hermitian, _index, _matrix, _require,
+                     anticommutator, commutator)
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -186,14 +186,13 @@ def decompose_hamiltonian(h) -> np.ndarray:
     """Real coefficients h_k = Tr(h M_k) of a Hermitian 3x3 matrix, as
     `m_coefficients` takes them.
 
-    The matrix is recovered as (1/2) sum_k h_k M_k.
+    The matrix is recovered as (1/2) sum_k h_k M_k.  As the M_k are
+    Hermitian, the real part of Tr(h M_k) equals Tr(h_H M_k) for the
+    Hermitian part h_H = (h + h^dagger)/2: a matrix that passes the
+    Hermiticity check is expanded as its Hermitian part.
     """
     h = _matrix("h", h, 3)
-    top = _hermitian("h", h)
-    coeffs = _M_BASIS.traces("h", h, top)
-    if np.max(np.abs(coeffs.imag)) > 1e-12 * max(1.0, top):  # rounding grows with max|h|
-        raise ValueError("expansion coefficients of a Hermitian matrix must be real")
-    return coeffs.real.copy()
+    return _M_BASIS.traces("h", h, _hermitian("h", h)).real.copy()
 
 
 def build_hamiltonian(coeffs) -> np.ndarray:
@@ -334,10 +333,16 @@ def from_qubit_basis(op4) -> tuple[np.ndarray, complex]:
     """Inverse of `to_qubit_basis`: the triplet block and singlet value.
 
     Raises ValueError if the operator couples the symmetric and singlet
-    sectors beyond 1e-10.
+    sectors beyond 1e-10, and InputError if op4 is not finite or so large
+    that its change of basis would overflow.
     """
-    op4 = _matrix("op4", op4, 4)
-    op_ang, coupling = _sector_coupling(U_QUBIT_TO_ANGULAR, op4)
+    op4 = _finite("op4", _matrix("op4", op4, 4))
+    # a row of |u| sums to at most sqrt2, so no entry of u op4 u^dagger, nor
+    # its modulus, exceeds 2 sqrt2 times the largest component of op4
+    _bounded("op4", np.maximum(abs(op4.real), abs(op4.imag)), 3.0)
+    u = U_QUBIT_TO_ANGULAR
+    op_ang = u @ op4 @ u.conj().T
+    coupling = float(max(np.max(np.abs(op_ang[3, :3])), np.max(np.abs(op_ang[:3, 3]))))
     _require(coupling <= 1e-10, "operator couples the symmetric and singlet sectors "
              f"(residual {coupling:.3e})", "op4", op4)
     return op_ang[:3, :3].copy(), complex(op_ang[3, 3])

@@ -24,7 +24,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, mul
 from typing import Mapping
 
 import numpy as np
@@ -234,9 +233,11 @@ class TensorParams:
     """Expansion coefficients h^k_q of a Hermitian operator.
 
     Keys must be (k, q) with 0 <= k <= 2j and |q| <= k.  Hermiticity of
-    the represented operator requires conj(h^k_q) = (-1)^q h^k_{-q},
-    which is validated on construction.  `vector` holds the coefficients
-    in the spin's (k, q) order (k = 0..2j, q = -k..k), 0 where missing.
+    the represented operator requires conj(h^k_q) = (-1)^q h^k_{-q}, within
+    the tolerance of `linalg.is_hermitian`, which `TensorParams(j, coeffs)`
+    validates; the results of `decompose` and `rotate_params` meet it
+    exactly, by construction.  `vector` holds the coefficients in the
+    spin's (k, q) order (k = 0..2j, q = -k..k), 0 where missing.
     """
 
     j: float
@@ -253,17 +254,16 @@ class TensorParams:
 
     @classmethod
     def _of_vector(cls, two_j: int, vector: np.ndarray) -> TensorParams:
-        """The parameters of a fresh complex vector in the spin's key order,
-        as `decompose` and `rotate_params` compute it: the pair rule is
-        checked in one pass (`_SpinBasis.pairs_hold`), and key by key, for
-        the constructor's message, only if that pass fails."""
+        """The parameters of a finite complex vector in the spin's key order,
+        as `decompose` and `rotate_params` compute it, projected onto the
+        pair rule: h^k_q becomes (h^k_q + (-1)^q conj(h^k_{-q})) / 2, halved
+        before the sum so that it stays finite.  Then conj(h^k_q) and
+        (-1)^q h^k_{-q} are the same two halves added in the other order,
+        so they are equal (==), and h^k_0 is real."""
         basis = _spin_basis(two_j)
-        values = vector.tolist()
-        coeffs = dict(zip(basis.keys, values))
-        if not basis.pairs_hold(values):
-            _check_pairs(two_j, coeffs)
+        vector = 0.5 * vector + basis.half_sign * vector[basis.partner].conj()
         params = object.__new__(cls)
-        params._freeze(two_j, coeffs, vector)
+        params._freeze(two_j, dict(zip(basis.keys, vector.tolist())), vector)
         return params
 
     def _freeze(self, two_j: int, coeffs: dict, vector: np.ndarray) -> None:
@@ -279,8 +279,7 @@ class TensorParams:
 
 def _check_pairs(two_j: int, coeffs: dict) -> None:
     """Check every key of `coeffs` and its Hermitian partner one by one, and
-    raise at the first that fails: the check of the public constructor, and
-    the reference of `_SpinBasis.pairs_hold`."""
+    raise at the first that fails: the check of the public constructor."""
     index = _spin_basis(two_j).index
     get = coeffs.get
     # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, max|h|), the rule of
@@ -312,7 +311,10 @@ def _check_pairs(two_j: int, coeffs: dict) -> None:
 def decompose(h, j) -> TensorParams:
     """Coefficients h^k_q = Tr(h tau^k_q) of a Hermitian matrix, by one
     matrix-vector product (`linalg._FlatBasis`): within 2 d eps max|h|
-    (d = 2j + 1) of a per-(k, q) trace(h @ tau) loop."""
+    (d = 2j + 1) of a per-(k, q) trace(h @ tau) loop.  The projection of
+    `TensorParams._of_vector` turns them into those of the Hermitian part
+    (h + h^dagger)/2, as tau^k_q^dagger = (-1)^q tau^k_{-q}: a matrix that
+    passes the Hermiticity check is expanded as its Hermitian part."""
     two_j = _as_two_j(j)
     h = _matrix("h", h, two_j + 1)
     basis = _spin_basis(two_j)
@@ -357,10 +359,9 @@ class _SpinBasis:
     """Every tau^k_q of one spin, in (k, q) order with k = 0..2j and
     q = -k..k: the keys and the position of each, their flat basis, and J_y
     of every rank as one block-diagonal matrix in the same order, by its
-    eigendecomposition (w, v, vh), with the q of each key.  `upper` holds
-    the positions of the keys with q >= 0, `partner` that of (k, -q) for
-    each of them, and `flip` is -(-1)^q, the factor of that partner in the
-    Hermiticity defect."""
+    eigendecomposition (w, v, vh), with the q of each key.  `partner` holds
+    the position of (k, -q) for each key, and `half_sign` is (-1)^q / 2, the
+    factor of that partner's conjugate in `TensorParams._of_vector`."""
 
     keys: tuple[tuple[int, int], ...]
     index: dict[tuple[int, int], int]
@@ -369,34 +370,8 @@ class _SpinBasis:
     w: np.ndarray
     v: np.ndarray
     vh: np.ndarray
-    upper: tuple[int, ...]
-    partner: tuple[int, ...]
-    flip: tuple[int, ...]
-
-    def pairs_hold(self, values: list[complex]) -> bool:
-        """Whether the coefficients `values`, complex numbers in key order,
-        pass `_check_pairs`, by the same arithmetic in one pass over the
-        keys with q >= 0: every |conj(h) + flip h(-q)| within
-        1e-12 * max(1, max|h|).  Multiplying by flip = +-1 is exact, and
-        for finite h the defect of (k, -q) is that of (k, q) bit for bit,
-        as the two differ only in sign and in the order of an addition; a
-        non-finite h gives a non-finite defect either way.  Plain Python:
-        numpy's per-call cost, and the error state that NaN and inf would
-        need, exceed that of a spin's 4 to 36 coefficients."""
-        get = values.__getitem__
-        defects = list(map(abs, map(add, map(complex.conjugate, map(get, self.upper)),
-                                    map(mul, self.flip, map(get, self.partner)))))
-        total = sum(defects)
-        if total <= 1e-12:  # the sum of non-negative floats bounds each of them
-            return True
-        if math.isnan(total):  # a NaN defect, which max may pass over
-            return False
-        worst = max(defects)
-        if worst <= 1e-12:
-            return True
-        # max|h| of h / 2, since |h| may overflow where h does not
-        atol = 2e-12 * max(0.5, max(abs(0.5 * c) for c in values))
-        return worst <= atol < math.inf
+    partner: np.ndarray
+    half_sign: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -415,13 +390,12 @@ def _spin_basis(two_j: int) -> _SpinBasis:
     index = {key: i for i, key in enumerate(keys)}
     q = np.array([q for _k, q in keys], dtype=np.float64)
     vh = v.conj().T.copy()
-    for a in (q, w, v, vh):
+    partner = np.array([index[(k, -q)] for k, q in keys])
+    half_sign = np.array([-0.5 if q % 2 else 0.5 for _k, q in keys])
+    for a in (q, w, v, vh, partner, half_sign):
         a.setflags(write=False)
     tau = _flat_basis(np.stack([_tau_matrix(two_j, k, q) for k, q in keys]))
-    upper = tuple(i for i, (_k, q) in enumerate(keys) if q >= 0)
-    partner = tuple(index[(k, -q)] for k, q in keys if q >= 0)
-    flip = tuple(1 if q % 2 else -1 for _k, q in keys if q >= 0)
-    return _SpinBasis(keys, index, tau, q, w, v, vh, upper, partner, flip)
+    return _SpinBasis(keys, index, tau, q, w, v, vh, partner, half_sign)
 
 
 def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float) -> TensorParams:
@@ -431,11 +405,16 @@ def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float)
     Equivalent to conjugating the represented operator by the inverse of
     R = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz).  Coefficients
     missing from `params` count as 0, and the result holds every (k, q)
-    of the spin.
+    of the spin.  InputError names `coeffs*d` if 10 times the largest real
+    or imaginary part of a coefficient overflows.
     """
     two_j = _as_two_j(params.j)
     alpha = _bounded("alpha*q", _finite("alpha", alpha), two_j)
     gamma = _bounded("gamma*q", _finite("gamma", gamma), two_j)
+    # no partial sum exceeds 10 times the largest coefficient component:
+    # sqrt(2) for its modulus, sqrt(2k + 1) <= sqrt(11) for a column of |d|
+    # (unitary) and 2 for a component of the gamma phase product
+    _bounded("coeffs*d", params.vector.view(np.float64), 10.0)
     basis = _spin_basis(two_j)
     # every rank's d-matrix at once, as the blocks of one matrix
     d = _exp_jy(basis.w, basis.v, basis.vh, beta)

@@ -33,6 +33,17 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
     return scale * (a + a.conj().T) / 2
 
 
+def near_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0,
+                   frac: float = 0.98) -> np.ndarray:
+    """`random_hermitian` plus a non-Hermitian part whose largest defect
+    |(h - h^dagger)_ij| is `frac` of the Hermiticity tolerance
+    1e-12 * max(1, max|h|), up to rounding."""
+    h = random_hermitian(rng, dim, scale)
+    e = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    e *= frac * 1e-12 * max(1.0, float(np.abs(h).max())) / np.abs(e - e.conj().T).max()
+    return h + e
+
+
 def random_spinor(rng: np.random.Generator) -> tuple[complex, complex]:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v = v / np.linalg.norm(v)

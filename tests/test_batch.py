@@ -31,6 +31,7 @@ from symgates.entanglement import (
 from symgates.gates import (
     GateBatch,
     LMGParams,
+    SymmetricGate,
     custom_gate,
     gate,
     gates_batch,
@@ -188,6 +189,17 @@ def test_vector_tail_rejects_e_p_out_of_range():
         _power(_g1(tr[1], np.complex128(1.0)))
     assert str(vector.value) == str(scalar.value)
     assert float(str(vector.value).split()[2]) == pytest.approx(-1e-11, rel=1e-3)
+
+
+def test_nan_e_p_is_out_of_range():
+    # records built around the checked constructors: NaN fails every
+    # comparison, so the range test must be written to reject it
+    nan_u3 = np.full((2, 3, 3), np.nan, dtype=np.complex128)
+    with np.errstate(invalid="ignore"):  # NaN / NaN, as in any NaN arithmetic
+        with pytest.raises(RuntimeError, match=r"entangling power nan out of range"):
+            entangling_power(SymmetricGate("x", nan_u3[0]))
+        with pytest.raises(RuntimeError, match=r"entangling power nan out of range"):
+            entangling_power_batch(GateBatch(nan_u3))
 
 
 @settings(max_examples=100, deadline=None)

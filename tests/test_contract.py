@@ -1,6 +1,7 @@
 """The failure contract: bad input to a public entry point raises an
 InputError whose message starts with the parameter, or the product, at
-fault, and no numpy warning comes before it.
+fault, and no numpy warning comes before it; input that passes the
+checks where it enters gets a result.
 
 `apply_gate`, `spe_condition` and `reconstruct` take objects that were
 checked when they were built.
@@ -11,9 +12,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symgates as sg
 from symgates import InputError, LMGParams, TensorParams
+
+from helpers import near_hermitian
 
 BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 ROTATED = TensorParams(2, {})  # j = 2: every |q| up to 4
@@ -115,6 +120,13 @@ OVERFLOW = [
     ("m_coefficients", lambda: sg.su3.m_coefficients(np.full((3, 3), 1e308)), "x"),
     ("decompose_j1", lambda: sg.decompose(np.diag([1e308, -1e308, 1e308]), 1), "h"),
     ("decompose_j2.5", lambda: sg.decompose(np.diag([1e308, 0, 0, 0, 0, -1e308]), 2.5), "h"),
+    # the rotated coefficients: 10 times the largest component bounds each partial sum
+    ("rotate_params_coeffs",
+     lambda: sg.rotate_params(TensorParams(1, {(1, 1): 1.5e308 + 1.5e308j, (1, 0): 1.7e308,
+                                               (1, -1): -1.5e308 + 1.5e308j}), 0.0, 0.3, 0.0),
+     "coeffs*d"),
+    # the change of basis: 3 times the largest component bounds each entry and its modulus
+    ("from_qubit_basis", lambda: sg.from_qubit_basis(np.full((4, 4), 1e308)), "op4"),
 ]
 
 # Finite input outside a function's domain: the documented ValueError, not an overflow.
@@ -208,3 +220,74 @@ def test_non_integer_indices_are_rejected(index):
         sg.tau(2, index, 0)
     with pytest.raises(InputError, match=r"^projection q must be an integer in -1\.\.1"):
         sg.tau(1, 1, index)
+
+
+# Every public entry point with its numbers passed through `c`: a numpy scalar
+# type, drawn per number.  The values stay in the domain under each type (a
+# gate index or a rank becomes True, which no index check takes), and the
+# grids run backwards.
+E3, SWAP3 = np.eye(3), np.eye(3)[[2, 1, 0]]
+ENTRY_POINTS = [
+    ("commutator", lambda c, m: sg.commutator(m(SWAP3), m(E3))),
+    ("anticommutator", lambda c, m: sg.anticommutator(m(SWAP3), m(E3))),
+    ("is_hermitian", lambda c, m: sg.is_hermitian(m(SWAP3))),
+    ("is_unitary", lambda c, m: sg.is_unitary(m(SWAP3), atol=c(1e-12))),
+    ("expm_hermitian", lambda c, m: sg.expm_hermitian(m(SWAP3), c(0.7))),
+    ("angular_momentum_matrices", lambda c, m: sg.angular_momentum_matrices(c(2))),
+    ("clebsch_gordan", lambda c, m: sg.clebsch_gordan(c(1), c(1), c(1), c(-1), c(1), c(0))),
+    ("tau", lambda c, m: sg.tau(c(2), c(2), c(1))),
+    ("spherical_basis", lambda c, m: sg.spherical_basis(c(1))),
+    ("hermitian_basis", lambda c, m: sg.hermitian_basis(c(2))),
+    # not a coefficient: the pair check subtracts them, which np.bool_ does not support
+    ("TensorParams", lambda c, m: TensorParams(c(2), {(1, 0): 2.5, (0, 0): -1.0})),
+    ("decompose", lambda c, m: sg.decompose(m(SWAP3), c(1))),
+    ("rotate_params", lambda c, m: sg.rotate_params(ROTATED, c(0.4), c(-1.5), c(3.0))),
+    ("wigner_d", lambda c, m: sg.wigner_d(c(2), c(0.9))),
+    ("m_matrix", lambda c, m: sg.m_matrix(c(7))),
+    ("m_coefficients", lambda c, m: sg.su3.m_coefficients(m(SWAP3))),
+    ("decompose_hamiltonian", lambda c, m: sg.decompose_hamiltonian(m(SWAP3))),
+    ("build_hamiltonian", lambda c, m: sg.build_hamiltonian([c(x) for x in range(-4, 5)])),
+    ("to_qubit_basis", lambda c, m: sg.to_qubit_basis(m(SWAP3), c(1))),
+    ("from_qubit_basis", lambda c, m: sg.from_qubit_basis(m(np.eye(4)))),
+    ("gate", lambda c, m: sg.gate(c(8), c(-2.5))),
+    ("gates_batch", lambda c, m: sg.gates_batch(c(4), [c(3.0), c(0.5), c(-2.0)])),
+    ("custom_gate", lambda c, m: sg.custom_gate(m(SWAP3))),
+    ("lmg_hamiltonian", lambda c, m: sg.lmg_hamiltonian(c(1.5), c(-2.0))),
+    ("lmg_gate", lambda c, m: sg.lmg_gate(LMGParams(c(1.0), c(2.0), c(0.5)))),
+    ("lmg_batch", lambda c, m: sg.lmg_batch(c(1.0), c(-2.0), [c(3.0), c(1.0), c(0.0)])),
+    ("lmg_entanglement_profile",
+     lambda c, m: sg.lmg_entanglement_profile(c(1.0), c(2.0), [c(3.0), c(1.0), c(0.0)])),
+    ("concurrence", lambda c, m: sg.concurrence([c(1), c(0), c(0), c(0)])),
+    ("makhlin_g1", lambda c, m: sg.makhlin_g1(m(np.eye(4)))),
+    ("entangling_power", lambda c, m: sg.entangling_power(m(np.eye(4)))),
+    ("entangling_power_batch", lambda c, m: sg.entangling_power_batch(m(np.eye(4)[None]))),
+    ("separable_state", lambda c, m: sg.separable_state(c(2.0), c(-1.0))),
+    ("product_basis",
+     lambda c, m: sg.product_basis(c(0), c(1), c(1), c(0), c(-1), c(0))),
+]
+SCALAR_KINDS = (np.float32, np.int64, np.bool_)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry=st.sampled_from(ENTRY_POINTS),
+       kinds=st.lists(st.sampled_from(SCALAR_KINDS), min_size=9, max_size=9))
+def test_numpy_scalars_and_reversed_grids_give_a_result_or_a_named_input_error(entry, kinds):
+    _, call = entry
+    drawn = iter(kinds)  # nine, as many as build_hamiltonian takes
+    try:
+        call(lambda x: next(drawn)(x), lambda a: a.astype(kinds[0]))
+    except InputError as err:
+        assert re.match(r"^[\w*()\[\], ]+ must be ", str(err)), str(err)
+
+
+def test_input_that_passes_the_boundary_checks_gets_a_result():
+    # Hermiticity defects of 0.98 of the tolerance, and spinor norms within
+    # theirs, which checks of internal results used to reject
+    h2, h3 = (near_hermitian(np.random.default_rng(seed), dim) for seed, dim in ((0, 2), (6, 3)))
+    assert sg.is_hermitian(h2) and sg.is_hermitian(h3)
+    sg.decompose(h2, 0.5)
+    np.testing.assert_allclose(sg.build_hamiltonian(sg.decompose_hamiltonian(h3)),
+                               (h3 + h3.conj().T) / 2, rtol=0, atol=1e-13)
+    s = math.sqrt(1.0 + 0.99e-12)
+    states = sg.product_basis(s, 0, s, 0, 1, 0).states
+    np.testing.assert_allclose(states @ states.conj().T, np.eye(4), rtol=0, atol=2e-12)

@@ -1,18 +1,21 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symgates.gates import (
     LMGParams,
     custom_gate,
     gate,
+    gates_batch,
+    lmg_batch,
     lmg_gate,
     lmg_hamiltonian,
 )
-from symgates.linalg import commutator, expm_hermitian, is_unitary
+from symgates.linalg import InputError, commutator, expm_hermitian, is_unitary
 from symgates.su3 import M, m_matrix, to_qubit_basis
 
 from helpers import kron_factor_2x2, max_phase_distance
@@ -83,6 +86,52 @@ def test_gate_unitary_and_invertible(k, theta):
     assert is_unitary(g.u3, atol=1e-12)
     assert is_unitary(g.u4, atol=1e-12)
     np.testing.assert_allclose(g.u3 @ gate(k, -theta).u3, np.eye(3), atol=1e-12)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# gates_batch and lmg_batch check no grid for unitarity, so their closed
+# forms must be unitary at every angle that the grid and overflow checks
+# admit: +-0, subnormals and the largest finite angles included.
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 8), thetas=st.lists(finite, min_size=1, max_size=8))
+@example(k=8, thetas=[SQ3 / 2 * sys.float_info.max, -0.0, 5e-324])
+@example(k=4, thetas=[sys.float_info.max, -sys.float_info.max, 0.0, -5e-324])
+def test_gate_grids_are_unitary_at_every_admitted_angle(k, thetas):
+    try:
+        u3 = gates_batch(k, thetas).u3
+    except InputError:  # only B8's 2*theta/sqrt3 can overflow
+        assert k == 8 and math.isinf(max(abs(t / SQ3) for t in thetas) * 2.0)
+        return
+    assert is_unitary(u3, atol=1e-12)
+
+
+@st.composite
+def lmg_arguments(draw):
+    """g1, g2 and a time grid, with |t| up to where 2 g1 t or 4 g2 t overflows."""
+    g1, g2 = draw(finite), draw(finite)
+    weight = max(2.0 * abs(g1), 4.0 * abs(g2))
+    limit = sys.float_info.max / weight if weight else math.inf
+    ts = draw(st.lists(st.floats(-limit, limit, allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=8))
+    return g1, g2, ts
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=lmg_arguments())
+@example(args=(1.0, 2.0, [sys.float_info.max / 4, -0.0, 5e-324]))
+@example(args=(sys.float_info.max / 2, 5e-324, [1.0, -1.0]))
+def test_lmg_grids_are_unitary_at_every_admitted_time(args):
+    g1, g2, ts = args
+    try:
+        u3 = lmg_batch(g1, g2, ts).u3
+    except InputError:  # a product rounded past the largest float
+        t_top = max(map(abs, ts))
+        assert not all(map(math.isfinite, (2.0 * g1 * t_top, 2.0 * g2 * t_top,
+                                           2.0 * g2 * t_top * 2.0)))
+        return
+    assert is_unitary(u3, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -132,7 +132,7 @@ def test_hermiticity_checks_accept_rounding_that_grows_with_the_matrix(rng):
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
        size=st.sampled_from([1, 31, 32, 33, 256]), defect=st.sampled_from([0.0, 1e-11, np.inf]))
 def test_stack_unitarity_verdict_is_the_per_matrix_verdict(seed, n, size, defect):
-    # stacks below and above the size at which is_unitary multiplies elementwise
+    # single matrices, stacks and a stack nested one level deeper
     rng = np.random.default_rng(seed)
     stack = np.stack([expm_hermitian(random_hermitian(rng, n)) for _ in range(size)])
     stack[rng.integers(size), rng.integers(n), rng.integers(n)] += defect

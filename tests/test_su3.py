@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from symgates.linalg import commutator
+from symgates.linalg import commutator, is_hermitian
 from symgates.su3 import (
     ANTICOMMUTATOR_TABLE,
     COMMUTATOR_TABLE,
@@ -24,7 +24,7 @@ from symgates.su3 import (
 )
 from symgates.tensors import angular_momentum_matrices, hermitian_basis
 
-from helpers import m_coefficients_reference, random_hermitian
+from helpers import m_coefficients_reference, near_hermitian, random_hermitian
 
 SQ3 = math.sqrt(3.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -187,6 +187,19 @@ def test_decompose_hamiltonian_accepts_large_hermitian_matrices(rng, scale):
         h = random_hermitian(rng, 3, scale)
         np.testing.assert_allclose(build_hamiltonian(decompose_hamiltonian(h)), h,
                                    atol=1e-13 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-6, 1.0, 3e4, 1e300]),
+       frac=st.floats(0.0, 1.0))
+@example(seed=6, scale=1.0, frac=0.98)
+def test_decompose_hamiltonian_expands_the_hermitian_part_of_every_accepted_matrix(seed, scale,
+                                                                                   frac):
+    # defects up to the Hermiticity tolerance included
+    h = near_hermitian(np.random.default_rng(seed), 3, scale, frac)
+    assume(is_hermitian(h))
+    np.testing.assert_allclose(build_hamiltonian(decompose_hamiltonian(h)), (h + h.conj().T) / 2,
+                               rtol=0, atol=1e-13 * max(1.0, scale))
 
 
 def test_decompose_hamiltonian_rejects_non_hermitian():
