@@ -16,6 +16,15 @@ through `entangling_power_batch` of `gates_batch` and through
 `lmg_entanglement_profile`, and write each block's rows as they go, to a
 file that replaces --out once the last block is written.  The module uses
 only the public names of the library.
+
+A CSV float cell holds the bytes of '%.15g' % (x + 0.0), as `fmt_float`
+prints the text reports.  A block's float cells go through one numpy
+kernel, `_float_cells`, which rounds each to 15 digits exactly (a
+double-double product with a power of ten) and lays out its digits from
+tables; a cell falls back to '%.15g' itself when its rounding remainder
+lies within 2**-50 of a tie, when it is subnormal, inf or nan, or when it
+is outside the kernel's exponent range (|x| below 1e-25 or rounding to
+1e15 or more).  The class column is written as its text.
 """
 
 from __future__ import annotations
@@ -97,6 +106,8 @@ def parse_spin(text: str) -> float:
             value = float(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse spin {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"spin must be finite, got {text!r}")
     if round(2 * value) != 2 * value or value < 0:
         raise argparse.ArgumentTypeError(f"spin must be a non-negative half-integer, got {text!r}")
     return value
@@ -150,6 +161,204 @@ def parse_matrix_file(path: str) -> np.ndarray:
     return matrix
 
 
+# Float cells of a CSV row, formatted by `_float_cells`.  Decimal exponents
+# e (|x| rounds to 15 digits in [10**e, 10**(e + 1))) in [_E_MIN, _E_MAX] are
+# formatted by the kernel; every nonzero cell of the sweep and LMG CSVs has e
+# in [-17, 0].  A cell takes _CELL bytes of the row buffer, and _PAD, a byte
+# that UTF-8 text never holds, marks the bytes that are not written.
+_E_MIN, _E_MAX = -25, 14
+_CELL = 40
+_PAD = 0xFF
+_TIE = 2.0 ** -50  # a rounding remainder this close to 1/2 falls back to '%.15g'
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)  # bits of |x|
+_CAP = np.array(1e300).view(np.int64)  # inf and nan become this; |x| * _SPLIT stays finite
+
+
+def _above(num: int, den: int) -> float:
+    """The least double greater than num / den."""
+    f = num / den  # correctly rounded
+    p, q = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if p * den <= num * q else f
+
+
+def _layouts() -> np.ndarray:
+    """Cell layouts per (case, significant digits s), case 0 zero, 1..19 fixed
+    notation with e = -4..14, 20 exponent notation.  Cell bytes: 0 sign, 1-2
+    '0.', 3-5 zeros after it, 4 + 2i digit i (1..15; the layer's byte 4 is the
+    '0' before digit 1), 5 + 2i the gap after digit i, which holds a '.', 35
+    'e', 36-38 the exponent, 39 ','.  Byte value 0 keeps the layer's byte, and
+    a byte is kept when its rank <= s."""
+    values, ranks = [], []
+    for e in [None, *range(-4, 15), 15]:  # None: zero, 15: exponent notation
+        value, rank = bytearray([_PAD] * _CELL), [0] * _CELL
+        value[39] = ord(",")
+        if e is None:
+            value[1] = ord("0")
+        else:
+            first = 1 if e == 15 else max(e + 1, 0)  # digits kept at every s
+            for i in range(1, 16):
+                value[4 + 2 * i], rank[4 + 2 * i] = 0, 0 if i <= first else i
+        if e is not None and e < 0:
+            value[1:3] = b"0."
+            value[7 + e:6] = b"0" * (-1 - e)
+        elif e is not None and e != 14:
+            value[5 + 2 * first], rank[5 + 2 * first] = ord("."), first + 1
+        if e == 15:
+            value[35:39] = b"e\0\0\0"
+        values.append(value)
+        ranks.append(rank)
+    value = np.frombuffer(b"".join(values), np.uint8).reshape(-1, _CELL)
+    s = np.arange(1, 16)[:, None]
+    plus = np.where(np.array(ranks)[:, None, :] <= s, value[:, None, :], _PAD).reshape(-1, _CELL)
+    minus = plus.copy()
+    minus[:, 0] = ord("-")
+    return np.concatenate([plus, minus])
+
+
+@functools.cache
+def _cell_tables() -> tuple:
+    """The kernel's tables, built on the first CSV block:
+    - above: per binary exponent, the least |x| of the next decade row, or inf;
+    - rows: per 2 * binary exponent + (|x| >= above), the decade's power of
+      ten (h = hh + hl, lo), its tie threshold, layout key and exponent word;
+    - layer: uint64 words, 4 digits interleaved with zero bytes, then the exponents;
+    - zeros: (4, 10000), the trailing zeros of m if group j is its last nonzero one;
+    - templates: _CELL-byte layouts by key (0 keeps the layer's byte);
+    - neg: the key offset of the layouts with a '-' sign."""
+    # Decade e holds the doubles whose 15-digit rounding lies in [10**e,
+    # 10**(e + 1)); it ends at the least double above the midpoint
+    # (10**15 - 1/2) * 10**(e - 14), which tops[j] gives for e = _E_MIN - 1 + j.
+    tops = np.array([_above(2 * 10 ** 15 - 1, 2 * 10 ** (14 - e))
+                     for e in range(_E_MIN - 1, _E_MAX + 1)])
+    last = len(tops) + 1  # row index t: 0 zero, 1 below, 2 + e - _E_MIN, last above
+    start = (np.arange(2048, dtype=np.int64) << 52).view(np.float64)  # binade starts
+    first = np.searchsorted(tops, start, "right")
+    nxt = np.append(tops, math.inf)[first]
+    above = np.where(nxt * 0.5 < start, nxt, math.inf)  # one decade end per binade at most
+    first += 1
+    first[0], above[0] = 0, 5e-324  # zero, then the subnormals
+    powers = [10 ** (14 - e) for e in range(_E_MIN, _E_MAX + 1)]
+    h = np.array([float(p) for p in powers])
+    c = _SPLIT * h
+    hh = c - (c - h)
+    rows = np.zeros(last + 1, [("h", "f8"), ("hh", "f8"), ("hl", "f8"), ("lo", "f8"),
+                               ("tie", "f8"), ("key", "i8"), ("exp", "i8")])
+    decades = slice(2, last)
+    rows["h"][decades], rows["hh"][decades], rows["hl"][decades] = h, hh, h - hh
+    rows["lo"][decades] = [float(p - int(f)) for p, f in zip(powers, h.tolist())]
+    rows["tie"] = math.inf
+    rows["tie"][0], rows["tie"][decades] = -1.0, _TIE
+    e = np.arange(last + 1) + _E_MIN - 2
+    case = np.where(e >= -4, e + 5, 20)
+    case[[0, 1, last]] = 0
+    rows["key"] = case * 15 + 14
+    rows["exp"] = 10000 + np.arange(last + 1)
+    d = np.indices((10,) * 4, np.uint64).reshape(4, -1)  # the digits of 0..9999
+    digits = (d[0] | d[1] << 16 | d[2] << 32 | d[3] << 48) + 0x0030_0030_0030_0030
+    exps = np.zeros((last + 1, 8), np.uint8)
+    exps[:, :3] = np.frombuffer(b"".join(b"%+03d" % v for v in e.tolist()), np.uint8).reshape(-1, 3)
+    z = d == 0
+    tail = z[3].astype(np.int8) + (z[3] & z[2]) + (z[3] & z[2] & z[1])  # within a group
+    zeros = np.arange(12, -1, -4, dtype=np.int8)[:, None] + tail
+    zeros[:, 0] = 14  # m = 0
+    templates = _layouts()
+    u = np.minimum(np.stack([first, first + 1], axis=1).ravel(), last)
+    layer = np.concatenate([digits.astype("<u8"), exps.view("<u8").ravel()])
+    return (above, rows[u], layer, zeros, templates.view(f"V{_CELL}").ravel(),
+            len(templates) // 2)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """(n, _CELL) bytes: '%.15g' % (v + 0.0) of each value of x, then ',',
+    with _PAD bytes between.
+
+    Exactness.  For |x| in decade e of the table, y = |x| * 10**(14 - e)
+    lies in (10**14 - 1/20, 10**15 - 1/2], so m = round(y) has 15 digits
+    and m * 10**(e - 14) is the 15-digit rounding of |x|.  10**(14 - e) is
+    hi + lo with hi the nearest double; Dekker's product gives p + err =
+    |x| * hi exactly (26-bit Veltkamp halves of both factors, no FMA), and
+    err + |x| * lo then leaves y within 4 u^2 y < 5e-17 (u = 2**-53).  The
+    remainder r = (p - floor(p)) + err - 1/2 is then within 1.7e-16 of the
+    exact y - floor(p) - 1/2, so m = floor(p) + (r > 0) is the correctly
+    rounded value whenever |r| > _TIE = 2**-50.  Otherwise, ties included
+    (which '%.15g' breaks to even), the cell falls back to '%.15g' itself,
+    as do subnormals, |x| beyond the table, inf and nan: the table's
+    fallback rows compute m = 0 and mark every cell.  Decades end at the
+    15-digit rounding midpoints rather than at powers of ten, so a value
+    that rounds up to 10**(e + 1) is in decade e + 1 already, and the
+    notation follows the exponent of the rounded value, as %g chooses it:
+    fixed for -4 <= e < 15, else exponent.  0 and -0.0 print "0" (the sign
+    is x < 0).  Every step is an IEEE basic operation, a comparison or an
+    integer operation, so numpy's SIMD kernels cannot change a byte.
+
+    Layout.  m splits into four 4-digit groups; a table word per group
+    holds its digits, each followed by a zero byte, and a layout table
+    keyed by (sign, notation and e, significant digits) fills the other
+    bytes: the sign, '0.' and leading zeros, the '.' in the gap after the
+    last integer digit, 'e' and ','.  Digits past the last significant one
+    and unused gaps are _PAD.  The digit words are OR-ed into the layout.
+    """
+    above, rows, layer, zeros, templates, neg = _cell_tables()
+    n = x.size
+    bits = x.view(np.int64) & _MAGNITUDE
+    np.minimum(bits, _CAP, out=bits)
+    a = bits.view(np.float64)
+    u = bits >> 52
+    up = a >= above.take(u)
+    u += u
+    u += up
+    row = rows.take(u)
+    hh, hl = row["hh"], row["hl"]
+    p = a * row["h"]
+    ah = a * _SPLIT
+    ah -= ah - a  # Veltkamp: (a * _SPLIT) - (a * _SPLIT - a)
+    al = a - ah
+    err = ah * hh
+    err -= p
+    err += ah * hl
+    err += al * hh
+    err += al * hl
+    err += a * row["lo"]
+    whole = np.floor(p)
+    r = p - whole
+    r += err
+    r -= 0.5
+    fallback = np.abs(r) <= row["tie"]
+    words = np.empty((n, 5), np.intp)  # layer words: the four digit groups, the exponent
+    m = np.add(whole, r > 0, out=words[:, 4], casting="unsafe")
+    high, low = np.divmod(m, 10 ** 8)
+    np.divmod(high, 10 ** 4, out=(words[:, 0], words[:, 1]))
+    np.divmod(low, 10 ** 4, out=(words[:, 2], words[:, 3]))
+    tz = zeros[0].take(words[:, 0])
+    for j in 1, 2, 3:
+        np.minimum(tz, zeros[j].take(words[:, j]), out=tz)
+    words[:, 4] = row["exp"]
+    key = row["key"] - tz
+    np.add(key, neg, out=key, where=x < 0)
+    # the layer words start 4 bytes into each cell; the last one's upper
+    # half, which is zero, spills into the next cell or the 8 spare bytes
+    buf = np.empty(n * _CELL + 8, np.uint8)
+    templates.take(key, out=buf[:n * _CELL].view(templates.dtype))
+    buf.view(np.uint32)[1:1 + 10 * n] |= layer.take(words).view(np.uint32).ravel()
+    cells = buf[:n * _CELL].reshape(n, _CELL)
+    if fallback.any():
+        i = np.flatnonzero(fallback)
+        text = b"".join((b"%.15g" % (v + 0.0)).ljust(_CELL - 1, bytes([_PAD])) for v in x[i].tolist())
+        cells[i, :_CELL - 1] = np.frombuffer(text, np.uint8).reshape(-1, _CELL - 1)
+    return cells
+
+
+def _text_cells(column) -> np.ndarray:
+    """(n, width) bytes: each str of `column`, then ',', with _PAD bytes between."""
+    labels = {c: i for i, c in enumerate(dict.fromkeys(column))}
+    texts = [str(c).encode() for c in labels]
+    width = max(map(len, texts), default=0) + 1
+    table = np.frombuffer(b"".join(t.ljust(width - 1, bytes([_PAD])) + b"," for t in texts),
+                          np.uint8).reshape(-1, width)
+    return table.take(np.fromiter(map(labels.__getitem__, column), np.intp, len(column)), axis=0)
+
+
 def _blocks(grid: np.ndarray):
     for start in range(0, len(grid), _BLOCK):
         yield grid[start:start + _BLOCK]
@@ -170,20 +379,27 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
 
 def _write_rows(fh, header: str, blocks) -> int:
     """Write `header`, then one row per entry of each block's columns: a
-    float array column as fmt_float prints it, any other column as text.
-    A block is formatted by one '%' over its row format repeated, with the
-    cells laid out row by row."""
+    float array column as fmt_float prints it (`_float_cells`), any other
+    column (a sequence of str) as text.  A block's rows are laid out in one
+    byte buffer whose pad bytes one translate drops."""
     fh.write(header + "\n")
     count = 0
     for columns in blocks:
-        is_float = [isinstance(c, np.ndarray) for c in columns]
-        # '%.15g' of x + 0.0 is fmt_float(x), -0.0 included
-        row_format = ",".join("%.15g" if f else "%s" for f in is_float) + "\n"
-        n, width = len(columns[0]), len(columns)
-        cells = [None] * (n * width)
-        for j, (c, f) in enumerate(zip(columns, is_float)):
-            cells[j::width] = (c + 0.0).tolist() if f else c
-        fh.write((row_format * n) % tuple(cells))
+        n = len(columns[0])
+        floats = [c for c in columns if isinstance(c, np.ndarray)]
+        if floats:
+            cells = _float_cells(np.stack(floats, axis=1, dtype=np.float64).ravel())
+            cells = cells.reshape(n, len(floats), _CELL)
+        parts, j = [], 0
+        for c in columns:
+            if isinstance(c, np.ndarray):
+                parts.append(cells[:, j])
+                j += 1
+            else:
+                parts.append(_text_cells(c))
+        parts[-1][:, -1] = ord("\n")  # the last cell's ',' ends the row
+        rows = np.concatenate(parts, axis=1)
+        fh.write(rows.tobytes().translate(None, bytes([_PAD])).decode())
         count += n
     return count
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
@@ -232,7 +233,10 @@ def hermitian_basis(j) -> list[TensorOperator]:
 class TensorParams:
     """Expansion coefficients h^k_q of a Hermitian operator.
 
-    Keys must be (k, q) with 0 <= k <= 2j and |q| <= k.  Hermiticity of
+    Keys must be (k, q) with 0 <= k <= 2j and |q| <= k, and values Python
+    or numpy numbers (np.bool_ included), which are stored as Python
+    complex numbers; any other value, a str included, raises InputError
+    naming coeffs[(k, q)].  Hermiticity of
     the represented operator requires conj(h^k_q) = (-1)^q h^k_{-q}, within
     the tolerance of `linalg.is_hermitian`, which `TensorParams(j, coeffs)`
     validates; the results of `decompose` and `rotate_params` meet it
@@ -246,7 +250,7 @@ class TensorParams:
 
     def __post_init__(self) -> None:
         two_j = _as_two_j(self.j)
-        coeffs = dict(self.coeffs)
+        coeffs = {key: _coefficient(key, h) for key, h in self.coeffs.items()}
         _check_pairs(two_j, coeffs)
         keys = _spin_basis(two_j).keys
         self._freeze(two_j, coeffs,
@@ -275,6 +279,16 @@ class TensorParams:
     def rank_coefficients(self, k: int) -> np.ndarray:
         """Coefficients of rank k ordered by q descending from +k to -k."""
         return np.array([self.coeffs[(k, q)] for q in range(k, -k - 1, -1)])
+
+
+def _coefficient(key, h) -> complex:
+    """The coefficient h of `key` as a Python complex number."""
+    if not isinstance(h, (numbers.Number, np.bool_)):
+        raise InputError(f"coeffs[{key}] must be a number, got {type(h).__name__} {h!r}")
+    try:
+        return complex(h)
+    except OverflowError:  # an int beyond the float range
+        raise InputError(f"coeffs[{key}] must be finite, got {h}") from None
 
 
 def _check_pairs(two_j: int, coeffs: dict) -> None:

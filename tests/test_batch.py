@@ -561,6 +561,50 @@ def test_row_format_equals_fmt_float(rows):
     assert fh.getvalue() == "x,y,class\n" + expected
 
 
+# Any float64 by its bits, and values that put the 15-digit rounding on
+# edge: ties and near-ties of a 15-digit mantissa, and the neighbours of
+# powers of ten, which round to a different exponent or notation.
+any_float = st.integers(0, 2 ** 64 - 1).map(lambda b: np.array(b, np.uint64).view(np.float64).item())
+rounding_edges = st.builds(lambda m, half, e: (m + half) * 10.0 ** e,
+                           st.integers(10 ** 14, 10 ** 15 - 1), st.sampled_from([0.0, 0.5]),
+                           st.integers(-32, 2))
+power_neighbours = st.builds(lambda e, toward, sign: sign * np.nextafter(10.0 ** e, toward),
+                             st.integers(-27, 16), st.sampled_from([-math.inf, math.inf]),
+                             st.sampled_from([-1.0, 1.0]))
+float_cells = st.one_of(any_float, rounding_edges, power_neighbours, st.floats())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(float_cells, float_cells, float_cells,
+                               st.sampled_from(["entangling", "local", "perfect entangler", "é"])),
+                     min_size=1, max_size=256))
+def test_row_kernel_equals_the_per_cell_format_on_any_float64(rows):
+    xs, ys, zs, labels = zip(*rows)
+    fh = io.StringIO()
+    columns = [np.array(xs), labels, np.array(ys), np.array(zs)]
+    assert cli._write_rows(fh, "x,class,y,z", [columns]) == len(rows)
+    expected = "".join(f"{fmt_float(x)},{label},{fmt_float(y)},{fmt_float(z)}\n"
+                       for x, y, z, label in rows)
+    assert fh.getvalue() == "x,class,y,z\n" + expected
+
+
+@pytest.mark.parametrize("value, text", [
+    (9.999999999999995e-05, "0.0001"),  # rounds up into fixed notation
+    (99999.99999999999, "100000"),
+    (999999999999999.5, "1e+15"),
+    (1000000000000005.0, "1e+15"),  # ties, which '%.15g' breaks to even
+    (1000000000000015.0, "1.00000000000002e+15"),
+    (5e-324, "4.94065645841247e-324"),
+    (1.7976931348623157e308, "1.79769313486232e+308"),
+    (0.0, "0"), (-0.0, "0"), (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+])
+def test_row_kernel_pins_rounding_and_special_cells(value, text):
+    assert "%.15g" % (value + 0.0) == text
+    fh = io.StringIO()
+    cli._write_rows(fh, "x,y", [[np.array([value, 0.25]), np.array([-1.5, value])]])
+    assert fh.getvalue() == f"x,y\n{text},-1.5\n0.25,{text}\n"
+
+
 def test_write_csv_writes_through_a_symlink(tmp_path):
     (tmp_path / "data").mkdir()
     link = tmp_path / "latest.csv"

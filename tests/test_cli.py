@@ -145,6 +145,15 @@ def test_basis_count(capsys):
     assert capsys.readouterr().out.strip() == "16"
 
 
+@pytest.mark.parametrize("spin", ["1e400", "inf", "-inf", "nan", "1e400/2", "inf/inf"])
+def test_basis_rejects_a_non_finite_spin(capsys, spin):
+    assert main(["basis", f"--j={spin}", "--count"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"symgates basis: error: argument --j: spin must be finite, got {spin!r}")
+
+
 def test_basis_default_prints_all(capsys):
     assert main(["basis"]) == 0
     out = capsys.readouterr().out

@@ -238,8 +238,7 @@ ENTRY_POINTS = [
     ("tau", lambda c, m: sg.tau(c(2), c(2), c(1))),
     ("spherical_basis", lambda c, m: sg.spherical_basis(c(1))),
     ("hermitian_basis", lambda c, m: sg.hermitian_basis(c(2))),
-    # not a coefficient: the pair check subtracts them, which np.bool_ does not support
-    ("TensorParams", lambda c, m: TensorParams(c(2), {(1, 0): 2.5, (0, 0): -1.0})),
+    ("TensorParams", lambda c, m: TensorParams(c(2), {(1, 0): c(2.5), (0, 0): c(-1.0)})),
     ("decompose", lambda c, m: sg.decompose(m(SWAP3), c(1))),
     ("rotate_params", lambda c, m: sg.rotate_params(ROTATED, c(0.4), c(-1.5), c(3.0))),
     ("wigner_d", lambda c, m: sg.wigner_d(c(2), c(0.9))),

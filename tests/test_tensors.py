@@ -301,6 +301,20 @@ def test_tensor_params_reject_keys_outside_the_basis():
     assert TensorParams(j=0.5, coeffs={(1.0, 0.0): 2.0}).vector.tolist() == [0, 0, 2, 0]
 
 
+def test_tensor_params_convert_each_coefficient_once():
+    # numpy numbers, np.bool_ included, give what the Python numbers give
+    for value in (np.False_, np.True_, np.int64(3), np.float32(2.5), np.complex64(1.5)):
+        params = TensorParams(j=1, coeffs={(1, 1): 0.0, (1, -1): 0.0, (1, 0): value})
+        assert params.vector.tolist() == TensorParams(1, {(1, 0): value.item()}).vector.tolist()
+        assert type(params.coeffs[(1, 0)]) is complex
+    assert TensorParams(0.5, {(1, 1): np.False_, (1, -1): np.False_}).vector.tolist() == [0] * 4
+    for value in ("1", "1+2j", b"1", None, [1.0], np.array(1.0)):
+        with pytest.raises(InputError, match=r"^coeffs\[\(1, -1\)\] must be a number"):
+            TensorParams(0.5, {(1, 1): 0.0, (1, -1): value})
+    with pytest.raises(InputError, match=r"^coeffs\[\(0, 0\)\] must be finite"):
+        TensorParams(0.5, {(0, 0): 10 ** 400})
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_wigner_d_at_zero_is_identity(k):
     np.testing.assert_allclose(wigner_d(k, 0.0), np.eye(2 * k + 1), atol=1e-15)
