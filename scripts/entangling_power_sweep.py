@@ -17,7 +17,8 @@ import pathlib
 import numpy as np
 
 from symgates.cli import SWEEP_HEADER, sweep_blocks, write_csv
-from symgates.entanglement import CLASSIFY_ATOL, PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER
+from symgates.entanglement import (CLASSIFY_ATOL, NON_ENTANGLING, PERFECT_ENTANGLER,
+                                   SPECIAL_PERFECT_ENTANGLER)
 
 
 def sweep(k: int, theta_max: float, steps: int, out_dir: pathlib.Path) -> None:
@@ -27,8 +28,8 @@ def sweep(k: int, theta_max: float, steps: int, out_dir: pathlib.Path) -> None:
     # the angles of each maximal run of consecutive perfect-entangler rows
     runs = [[row[0] for row in run] for labelled, run in itertools.groupby(
         rows, lambda row: row[3] in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)) if labelled]
-    best_theta, _, best_ep, _ = max(rows, key=lambda row: row[2])
-    if best_ep <= CLASSIFY_ATOL:
+    best_theta, _, best_ep, best_class = max(rows, key=lambda row: row[2])
+    if best_class == NON_ENTANGLING:
         # e_p this small is rounding noise: the angle of its maximum says nothing
         print(f"B{k}: non-entangling on the grid (max e_p <= {CLASSIFY_ATOL:g})")
         return

@@ -56,12 +56,7 @@ LMG_HEADER = "t,ep,concurrence"
 # its peak, so a long grid needs no more memory than a short one.
 _BLOCK = 256
 
-# Options whose value may start with '-' ('-pi/2', '-1e-3'), which argparse
-# would read as an option when it is a separate argument; `main` joins such
-# a pair into the '--opt=value' form, which argparse reads as a value.
-_SIGNED_OPTIONS = frozenset({"--theta", "--theta-min", "--theta-max", "--alpha", "--phi",
-                             "--t", "--t-min", "--t-max", "--g1", "--g2"})
-
+_LONG_OPTION = re.compile(r"--\w[\w-]*")  # without '=value'
 _ANGLE_RE = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?(?:e[+-]?\d+)?)?\*?"
     r"(?:sqrt\(?(?P<root>\d+)\)?)?\*?(?P<pi>pi)?(?:/(?P<div>\d+(?:\.\d+)?))?$"
@@ -643,10 +638,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
-    """argv with each '--opt -value' of a _SIGNED_OPTIONS option written '--opt=-value'."""
+    """argv with each '--opt -value' written '--opt=-value', which argparse
+    reads as a value ('-pi/2', '-inf') rather than an option: the parser's
+    only single-dash option is -h."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _SIGNED_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+        if (out and _LONG_OPTION.fullmatch(out[-1]) and arg.startswith("-")
+                and not arg.startswith("--") and arg != "-h"):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -59,6 +59,7 @@ down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -179,14 +180,12 @@ class EntanglementBatch:
     classification: tuple[str, ...]
 
 
-def _classify(ep: float) -> str:
-    if ep >= MAX_EP - CLASSIFY_ATOL:
-        return SPECIAL_PERFECT_ENTANGLER
-    if ep >= PERFECT_EP - CLASSIFY_ATOL:
-        return PERFECT_ENTANGLER
-    if ep > CLASSIFY_ATOL:
-        return ENTANGLING
-    return NON_ENTANGLING
+def _level(ep):
+    """The class of e_p, a float or each entry of an array, as its index into
+    _LABELS: the number of the three nested thresholds that e_p reaches."""
+    # `* 1` counts in integers: numpy adds two bool arrays as a logical or
+    return ((ep > CLASSIFY_ATOL) * 1 + (ep >= PERFECT_EP - CLASSIFY_ATOL)
+            + (ep >= MAX_EP - CLASSIFY_ATOL))
 
 
 def _power(g1: complex) -> tuple[float, float, str]:
@@ -201,7 +200,7 @@ def _power(g1: complex) -> tuple[float, float, str]:
         raise RuntimeError(f"entangling power {ep} out of range [0, 2/9]")
     if ep < 0.0:
         ep = 0.0
-    return g1_abs, ep, _classify(ep)
+    return g1_abs, ep, _LABELS[_level(ep)]
 
 
 def _power_batch(tr: np.ndarray, det: np.ndarray) -> EntanglementBatch:
@@ -215,11 +214,8 @@ def _power_batch(tr: np.ndarray, det: np.ndarray) -> EntanglementBatch:
     if bad.size:
         raise RuntimeError(f"entangling power {float(ep[bad[0]])} out of range [0, 2/9]")
     ep = np.where(ep < 0.0, 0.0, ep)
-    # _classify's three nested boundaries: the number passed indexes _LABELS
-    level = ((ep > CLASSIFY_ATOL).astype(np.intp) + (ep >= PERFECT_EP - CLASSIFY_ATOL)
-             + (ep >= MAX_EP - CLASSIFY_ATOL))
     return EntanglementBatch(g1=g1, g1_abs=g1_abs, ep=ep,
-                             classification=tuple(_LABELS[level].tolist()))
+                             classification=tuple(_LABELS[_level(ep)].tolist()))
 
 
 def entangling_power(u4) -> EntanglementReport:
@@ -290,14 +286,21 @@ def concurrence(psi) -> float:
 class SeparableSymmetricState:
     """A permutation-symmetric product state of two qubits.
 
-    vec3 holds the symmetric-subspace coordinates (|1 1>, |1 0>, |1 -1>)
-    and vec4 the product-basis amplitudes of the same state.
+    vec3 holds the symmetric-subspace coordinates (|1 1>, |1 0>, |1 -1>),
+    and vec4, built from alpha and phi on first access, the product-basis
+    amplitudes of the same state.
     """
 
     alpha: float
     phi: float
     vec3: np.ndarray
-    vec4: np.ndarray
+
+    @functools.cached_property
+    def vec4(self) -> np.ndarray:
+        # the spinor as `separable_state` computes its factors, bit for bit
+        spinor = np.array([math.cos(self.alpha / 2),
+                           math.sin(self.alpha / 2) * np.exp(1j * self.phi)])
+        return np.multiply.outer(spinor, spinor).reshape(4)
 
 
 def separable_state(alpha: float, phi: float = 0.0) -> SeparableSymmetricState:
@@ -321,10 +324,8 @@ def separable_state(alpha: float, phi: float = 0.0) -> SeparableSymmetricState:
         phi = _wrap(phi + math.pi)
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     phase = np.exp(1j * phi)
-    spinor = np.array([c, s * phase])
     vec3 = np.array([c * c, _SQ2 * s * c * phase, s * s * phase * phase])
-    vec4 = np.multiply.outer(spinor, spinor).reshape(4)
-    return SeparableSymmetricState(alpha=alpha, phi=phi, vec3=vec3, vec4=vec4)
+    return SeparableSymmetricState(alpha=alpha, phi=phi, vec3=vec3)
 
 
 def apply_gate(g: SymmetricGate, s: SeparableSymmetricState) -> tuple[np.ndarray, float]:
@@ -405,7 +406,7 @@ def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
     (module docstring): one form for every gate, whatever its label.
     """
     report = entangling_power(g)
-    if abs(report.ep - MAX_EP) > CLASSIFY_ATOL:
+    if report.classification != SPECIAL_PERFECT_ENTANGLER:
         raise ValueError(
             f"gate {g.label} has e_p = {report.ep}, not the special-perfect-entangler value 2/9"
         )

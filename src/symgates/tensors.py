@@ -24,7 +24,8 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -229,32 +230,32 @@ def hermitian_basis(j) -> list[TensorOperator]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TensorParams:
-    """Expansion coefficients h^k_q of a Hermitian operator.
+    """Expansion coefficients h^k_q of a Hermitian operator, stored once as
+    the read-only `vector` in the spin's (k, q) order (k = 0..2j, q = -k..k).
 
-    Keys must be (k, q) with 0 <= k <= 2j and |q| <= k, and values Python
-    or numpy numbers (np.bool_ included), which are stored as Python
-    complex numbers; any other value, a str included, raises InputError
-    naming coeffs[(k, q)].  Hermiticity of
-    the represented operator requires conj(h^k_q) = (-1)^q h^k_{-q}, within
-    the tolerance of `linalg.is_hermitian`, which `TensorParams(j, coeffs)`
-    validates; the results of `decompose` and `rotate_params` meet it
-    exactly, by construction.  `vector` holds the coefficients in the
-    spin's (k, q) order (k = 0..2j, q = -k..k), 0 where missing.
+    `TensorParams(j, coeffs)` takes keys (k, q) with 0 <= k <= 2j and
+    |q| <= k, a missing key counting as 0, and values Python or numpy
+    numbers (np.bool_ included), each converted once to a Python complex;
+    any other value, a str included, raises InputError naming
+    coeffs[(k, q)].  Hermiticity of the represented operator requires
+    conj(h^k_q) = (-1)^q h^k_{-q}, within the tolerance of
+    `linalg.is_hermitian`, which the constructor validates; the results of
+    `decompose` and `rotate_params` meet it exactly, by construction.
+    `coeffs` is a read-only view of every (k, q), built on first read, and
+    equality compares j and `vector`.
     """
 
     j: float
-    coeffs: Mapping[tuple[int, int], complex] = field(repr=False)
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
+    vector: np.ndarray = field(repr=False, compare=False)  # compared by __eq__
 
-    def __post_init__(self) -> None:
-        two_j = _as_two_j(self.j)
-        coeffs = {key: _coefficient(key, h) for key, h in self.coeffs.items()}
+    def __init__(self, j: float, coeffs: Mapping[tuple[int, int], complex]) -> None:
+        two_j = _as_two_j(j)
+        coeffs = {key: _coefficient(key, h) for key, h in coeffs.items()}
         _check_pairs(two_j, coeffs)
         keys = _spin_basis(two_j).keys
-        self._freeze(two_j, coeffs,
-                     np.array([coeffs.get(key, 0j) for key in keys], dtype=np.complex128))
+        self._freeze(two_j, np.array([coeffs.get(key, 0j) for key in keys], dtype=np.complex128))
 
     @classmethod
     def _of_vector(cls, two_j: int, vector: np.ndarray) -> TensorParams:
@@ -265,20 +266,39 @@ class TensorParams:
         (-1)^q h^k_{-q} are the same two halves added in the other order,
         so they are equal (==), and h^k_0 is real."""
         basis = _spin_basis(two_j)
-        vector = 0.5 * vector + basis.half_sign * vector[basis.partner].conj()
         params = object.__new__(cls)
-        params._freeze(two_j, dict(zip(basis.keys, vector.tolist())), vector)
+        params._freeze(two_j, 0.5 * vector + basis.half_sign * vector[basis.partner].conj())
         return params
 
-    def _freeze(self, two_j: int, coeffs: dict, vector: np.ndarray) -> None:
+    def _freeze(self, two_j: int, vector: np.ndarray) -> None:
         vector.setflags(write=False)
         object.__setattr__(self, "j", two_j / 2)
-        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "vector", vector)
 
+    @cached_property
+    def coeffs(self) -> Mapping[tuple[int, int], complex]:
+        """Every (k, q) of the spin with its coefficient, a Python complex."""
+        keys = _spin_basis(_as_two_j(self.j)).keys
+        return MappingProxyType(dict(zip(keys, self.vector.tolist())))
+
+    def __getstate__(self) -> dict:
+        # the stored form, for pickle and copy: a mappingproxy does not pickle
+        return {"j": self.j, "vector": self.vector}
+
+    def __setstate__(self, state: dict) -> None:
+        # an unpickled or deep-copied array comes back writable
+        self._freeze(round(2 * state["j"]), state["vector"])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.j == other.j and np.array_equal(self.vector, other.vector)
+
     def rank_coefficients(self, k: int) -> np.ndarray:
-        """Coefficients of rank k ordered by q descending from +k to -k."""
-        return np.array([self.coeffs[(k, q)] for q in range(k, -k - 1, -1)])
+        """Coefficients of rank k ordered by q descending from +k to -k, a
+        read-only view of `vector`; InputError unless k is an integer in 0..2j."""
+        k = _index("rank k", k, 0, _as_two_j(self.j))
+        return self.vector[k * k:(k + 1) ** 2][::-1]
 
 
 def _coefficient(key, h) -> complex:
@@ -417,10 +437,9 @@ def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float)
 
     Uses D^k_{q'q} = exp(-i q' alpha) d^k_{q'q}(beta) exp(-i q gamma).
     Equivalent to conjugating the represented operator by the inverse of
-    R = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz).  Coefficients
-    missing from `params` count as 0, and the result holds every (k, q)
-    of the spin.  InputError names `coeffs*d` if 10 times the largest real
-    or imaginary part of a coefficient overflows.
+    R = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz).  InputError
+    names `coeffs*d` if 10 times the largest real or imaginary part of a
+    coefficient overflows.
     """
     two_j = _as_two_j(params.j)
     alpha = _bounded("alpha*q", _finite("alpha", alpha), two_j)

@@ -154,6 +154,24 @@ def test_basis_rejects_a_non_finite_spin(capsys, spin):
         f"symgates basis: error: argument --j: spin must be finite, got {spin!r}")
 
 
+@pytest.mark.parametrize("spin, message", [
+    ("-1/2", "spin must be a non-negative half-integer, got '-1/2'"),
+    ("-inf", "spin must be finite, got '-inf'"),
+])
+def test_basis_reads_a_negative_spin_given_either_way(capsys, spin, message):
+    for argv in (["basis", "--j", spin, "--count"], ["basis", f"--j={spin}", "--count"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [f"symgates basis: error: argument --j: {message}"]
+
+
+def test_help_after_a_flag_is_still_help(capsys):
+    assert main(["basis", "--count", "-h"]) == 0
+    assert "--tensor-basis" in capsys.readouterr().out
+
+
 def test_basis_default_prints_all(capsys):
     assert main(["basis"]) == 0
     out = capsys.readouterr().out

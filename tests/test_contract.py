@@ -52,6 +52,7 @@ NON_FINITE = [
     ("TensorParams_coeff", lambda b: TensorParams(1, {(0, 0): b}), "coeffs[(0, 0)]"),
     ("TensorParams_partner", lambda b: TensorParams(1, {(1, 1): 0.5, (1, -1): b}),
      "coeffs[(1, -1)]"),
+    ("rank_coefficients", lambda b: ROTATED.rank_coefficients(b), "rank k"),
     ("rotate_params_alpha", lambda b: sg.rotate_params(ROTATED, b, 0.0, 0.0), "alpha"),
     ("rotate_params_beta", lambda b: sg.rotate_params(ROTATED, 0.0, b, 0.0), "beta"),
     ("rotate_params_gamma", lambda b: sg.rotate_params(ROTATED, 0.0, 0.0, b), "gamma"),
@@ -240,6 +241,7 @@ ENTRY_POINTS = [
     ("hermitian_basis", lambda c, m: sg.hermitian_basis(c(2))),
     ("TensorParams", lambda c, m: TensorParams(c(2), {(1, 0): c(2.5), (0, 0): c(-1.0)})),
     ("decompose", lambda c, m: sg.decompose(m(SWAP3), c(1))),
+    ("rank_coefficients", lambda c, m: ROTATED.rank_coefficients(c(3))),
     ("rotate_params", lambda c, m: sg.rotate_params(ROTATED, c(0.4), c(-1.5), c(3.0))),
     ("wigner_d", lambda c, m: sg.wigner_d(c(2), c(0.9))),
     ("m_matrix", lambda c, m: sg.m_matrix(c(7))),

@@ -7,10 +7,15 @@ from hypothesis import strategies as st
 
 from symgates.entanglement import (
     BELL_TRANSFORM,
+    CLASSIFY_ATOL,
     ENTANGLING,
+    MAX_EP,
     NON_ENTANGLING,
     PERFECT_ENTANGLER,
+    PERFECT_EP,
     SPECIAL_PERFECT_ENTANGLER,
+    _LABELS,
+    _level,
     apply_gate,
     concurrence,
     entangling_power,
@@ -70,6 +75,25 @@ def test_classification_thresholds():
     assert boundary.ep == pytest.approx(1 / 6, abs=1e-12)
     assert entangling_power(gate(4, 0.1)).classification == ENTANGLING
     assert entangling_power(gate(8, SQ3 * math.pi / 2)).classification == SPECIAL_PERFECT_ENTANGLER
+
+
+@pytest.mark.parametrize("threshold, label", [
+    (PERFECT_EP - CLASSIFY_ATOL, PERFECT_ENTANGLER),
+    (MAX_EP - CLASSIFY_ATOL, SPECIAL_PERFECT_ENTANGLER),
+])
+def test_level_at_the_inclusive_thresholds_and_one_ulp_below(threshold, label):
+    below = math.nextafter(threshold, 0.0)
+    levels = [_level(ep) for ep in (below, threshold)]
+    assert levels[1] == levels[0] + 1 and _LABELS[levels[1]] == label
+    assert _level(np.array([below, threshold])).tolist() == levels
+
+
+def test_level_at_the_strict_entangling_threshold_and_one_ulp_either_side():
+    grid = [math.nextafter(CLASSIFY_ATOL, 0.0), CLASSIFY_ATOL, math.nextafter(CLASSIFY_ATOL, 1.0)]
+    assert [_LABELS[_level(ep)] for ep in grid] == [NON_ENTANGLING, NON_ENTANGLING, ENTANGLING]
+    assert _level(np.array(grid)).tolist() == [_level(ep) for ep in grid]
+    # the four classes in order, one array entry each
+    assert _level(np.array([0.0, 0.1, PERFECT_EP, MAX_EP])).tolist() == [0, 1, 2, 3]
 
 
 def test_report_ep_is_two_ninths_of_one_minus_g1_abs():
@@ -135,6 +159,16 @@ def test_separable_state_poles_and_equator():
     np.testing.assert_allclose(north.vec4, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
     equator = separable_state(math.pi / 2, 0.0)
     np.testing.assert_allclose(equator.vec3, [0.5, 1 / SQ2, 0.5], atol=1e-15)
+
+
+@given(alpha=st.floats(0.0, math.pi), phi=st.floats(0.0, 6.28))
+@settings(max_examples=40, deadline=None)
+def test_separable_state_builds_vec4_on_first_access(alpha, phi):
+    state = separable_state(alpha, phi)
+    assert "vec4" not in vars(state)
+    spinor = np.array([math.cos(alpha / 2), math.sin(alpha / 2) * np.exp(1j * phi)])
+    assert np.array_equal(state.vec4, np.kron(spinor, spinor))
+    assert state.vec4 is vars(state)["vec4"]
 
 
 def test_separable_state_wrapping_preserves_the_state():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -299,6 +301,35 @@ def test_tensor_params_reject_keys_outside_the_basis():
         TensorParams(j=0.5, coeffs={(1, 0.5): 0.0, (1, -0.5): 0.0})
     # keys equal to integer ones are those keys
     assert TensorParams(j=0.5, coeffs={(1.0, 0.0): 2.0}).vector.tolist() == [0, 0, 2, 0]
+
+
+def test_tensor_params_store_one_vector_and_view_it_read_only(rng):
+    h = random_hermitian(rng, 3)
+    for params in (decompose(h, 1), rotate_params(decompose(h, 1), 0.3, 1.1, -2.0),
+                   TensorParams(1, {(1, 0): 2.0})):
+        assert "coeffs" not in vars(params)
+        assert list(params.coeffs) == [(k, q) for k in range(3) for q in range(-k, k + 1)]
+        assert list(params.coeffs.values()) == params.vector.tolist()
+        assert params.coeffs is vars(params)["coeffs"]
+    with pytest.raises(TypeError):
+        decompose(np.diag([1.0, 0.0, -1.0]), 1).coeffs[(1, 0)] = 0
+    # once the view is read, a copy or a pickle carries the vector, not the view
+    for twin in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert twin == params and "coeffs" not in vars(twin) and twin.coeffs == params.coeffs
+        assert not twin.vector.flags.writeable
+
+
+def test_tensor_params_count_missing_keys_as_zero():
+    params = TensorParams(1, {(1, 0): 2.0})
+    assert params.rank_coefficients(1).tolist() == [0, 2, 0]
+    assert params == TensorParams(1, {(1, 0): 2.0, (0, 0): 0.0})
+    assert params != TensorParams(1, {(1, 0): 2.5}) and params != TensorParams(2, {(1, 0): 2.0})
+
+
+@pytest.mark.parametrize("k", [5, 3, -1, 1.5, "1", None])
+def test_rank_coefficients_rejects_a_rank_outside_the_spin(k):
+    with pytest.raises(InputError, match=r"^rank k must be an integer in 0\.\.2, got "):
+        TensorParams(1, {}).rank_coefficients(k)
 
 
 def test_tensor_params_convert_each_coefficient_once():
