@@ -17,14 +17,14 @@ import pathlib
 import numpy as np
 
 from symgates.cli import SWEEP_HEADER, sweep_blocks, write_csv
-from symgates.entanglement import (CLASSIFY_ATOL, NON_ENTANGLING, PERFECT_ENTANGLER,
+from symgates.entanglement import (CLASSES, CLASSIFY_ATOL, NON_ENTANGLING, PERFECT_ENTANGLER,
                                    SPECIAL_PERFECT_ENTANGLER)
 
 
 def sweep(k: int, theta_max: float, steps: int, out_dir: pathlib.Path) -> None:
     blocks = list(sweep_blocks(k, np.linspace(0.0, theta_max, steps)))
     write_csv(out_dir / f"b{k}_sweep.csv", SWEEP_HEADER, blocks)
-    rows = [row for block in blocks for row in zip(*block)]
+    rows = [(*row[:3], CLASSES[row[3]]) for block in blocks for row in zip(*block)]
     # the angles of each maximal run of consecutive perfect-entangler rows
     runs = [[row[0] for row in run] for labelled, run in itertools.groupby(
         rows, lambda row: row[3] in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)) if labelled]

@@ -24,7 +24,8 @@ double-double product with a power of ten) and lays out its digits from
 tables; a cell falls back to '%.15g' itself when its rounding remainder
 lies within 2**-50 of a tie, when it is subnormal, inf or nan, or when it
 is outside the kernel's exponent range (|x| below 1e-25 or rounding to
-1e15 or more).  The class column is written as its text.
+1e15 or more).  The class column, each gate's index into
+`entanglement.CLASSES`, is one `take` from a table of the labels' bytes.
 """
 
 from __future__ import annotations
@@ -50,11 +51,12 @@ EXIT_INTERNAL = 3
 
 SWEEP_HEADER = "theta,g1_abs,ep,class"
 LMG_HEADER = "t,ep,concurrence"
-# Grid points computed and written together.  Numpy's per-call cost is
-# spread over the block, and a block's stacked arrays and temporaries stay
-# under 0.5 MB, about what the per-point loop this path replaced held at
-# its peak, so a long grid needs no more memory than a short one.
-_BLOCK = 256
+# Grid points computed and written together, spreading numpy's per-call
+# cost.  A block's arrays stay under the 256 KiB at which numpy reuses a
+# temporary in place, which can swap a product's factors (a (1024, 3, 3)
+# complex stack is 144 KiB), and a 16384-point sweep peaks at 1.3 MiB
+# traced, the 1441-point LMG series at 0.8 MiB, whatever the grid's length.
+_BLOCK = 1024
 
 _LONG_OPTION = re.compile(r"--\w[\w-]*")  # without '=value'
 _ANGLE_RE = re.compile(
@@ -344,14 +346,14 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _text_cells(column) -> np.ndarray:
-    """(n, width) bytes: each str of `column`, then ',', with _PAD bytes between."""
-    labels = {c: i for i, c in enumerate(dict.fromkeys(column))}
-    texts = [str(c).encode() for c in labels]
-    width = max(map(len, texts), default=0) + 1
-    table = np.frombuffer(b"".join(t.ljust(width - 1, bytes([_PAD])) + b"," for t in texts),
-                          np.uint8).reshape(-1, width)
-    return table.take(np.fromiter(map(labels.__getitem__, column), np.intp, len(column)), axis=0)
+@functools.cache
+def _class_cells() -> np.ndarray:
+    """(4, width) bytes: each label of entanglement.CLASSES, then ',', with
+    _PAD bytes between; row i is the cell of level i."""
+    texts = [c.encode() for c in entanglement.CLASSES]
+    width = max(map(len, texts)) + 1
+    return np.frombuffer(b"".join(t.ljust(width - 1, bytes([_PAD])) + b"," for t in texts),
+                         np.uint8).reshape(-1, width)
 
 
 def _blocks(grid: np.ndarray):
@@ -360,10 +362,10 @@ def _blocks(grid: np.ndarray):
 
 
 def sweep_blocks(k: int, thetas: np.ndarray):
-    """Columns (theta, |G1|, e_p, class) of a B_k sweep, one block of angles at a time."""
+    """Columns (theta, |G1|, e_p, class level) of a B_k sweep, block by block."""
     for block in _blocks(thetas):
         report = entanglement.entangling_power_batch(gates.gates_batch(k, block))
-        yield block, report.g1_abs, report.ep, report.classification
+        yield block, report.g1_abs, report.ep, report.level
 
 
 def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
@@ -374,28 +376,21 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
 
 def _write_rows(fh, header: str, blocks) -> int:
     """Write `header`, then one row per entry of each block's columns: a
-    float array column as fmt_float prints it (`_float_cells`), any other
-    column (a sequence of str) as text.  A block's rows are laid out in one
-    byte buffer whose pad bytes one translate drops."""
+    float array as fmt_float prints it (`_float_cells`), an integer one, of
+    class levels, as the labels of entanglement.CLASSES.  A block's rows are
+    laid out in one byte buffer whose pad bytes one translate drops."""
     fh.write(header + "\n")
     count = 0
     for columns in blocks:
-        n = len(columns[0])
-        floats = [c for c in columns if isinstance(c, np.ndarray)]
-        if floats:
-            cells = _float_cells(np.stack(floats, axis=1, dtype=np.float64).ravel())
-            cells = cells.reshape(n, len(floats), _CELL)
-        parts, j = [], 0
-        for c in columns:
-            if isinstance(c, np.ndarray):
-                parts.append(cells[:, j])
-                j += 1
-            else:
-                parts.append(_text_cells(c))
+        floats = [c for c in columns if c.dtype.kind == "f"]
+        cells = _float_cells(np.stack(floats, axis=1, dtype=np.float64).ravel())
+        cells = iter(cells.reshape(-1, len(floats), _CELL).swapaxes(0, 1))
+        parts = [next(cells) if c.dtype.kind == "f" else _class_cells().take(c, axis=0)
+                 for c in columns]
         parts[-1][:, -1] = ord("\n")  # the last cell's ',' ends the row
         rows = np.concatenate(parts, axis=1)
         fh.write(rows.tobytes().translate(None, bytes([_PAD])).decode())
-        count += n
+        count += len(rows)
     return count
 
 

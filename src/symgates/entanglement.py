@@ -35,13 +35,14 @@ checked unitary within 1e-10.  The last step (G1 from tr(m) and det, then
 |G1|, e_p and the class) is `_g1` and `_power` on numpy scalars for one
 gate and `_power_batch`, elementwise over real arrays, for a stack.  Both
 round alike: for tr(m) = a + ib, numpy's scalar tr**2 is the complex
-product (a a - b b) + i (2 a b), which `_power_batch` writes out in real
-arithmetic, and Python's abs of a complex number is the hypot that
-`_power_batch` calls; numpy's array kernels for complex multiply and abs
-are not used in this step, as they may round differently.  The |up up>
-concurrence column is written out the same way.  Hypothesis tests in
-tests/test_batch.py pin the two forms equal (==) on the B_k and LMG
-grids and on Haar-random 3x3 unitaries.
+product (a a - b b) + i (a b + b a), which `_power_batch` writes out in
+real arithmetic (2 a b would round apart where a b is subnormal), and
+Python's abs of a complex number is the hypot that `_power_batch` calls;
+numpy's array kernels for complex multiply and abs are not used in this
+step, as they may round differently.  The |up up> concurrence column is
+written out the same way.  Hypothesis tests in tests/test_batch.py pin
+the two forms equal (==) on the B_k and LMG grids and on Haar-random
+3x3 unitaries.
 
 The same S gives the concurrence of a symmetric gate's image without the
 4x4 matrix: a product-basis state with triplet coordinates t and singlet
@@ -80,8 +81,7 @@ NON_ENTANGLING = "non-entangling"
 ENTANGLING = "entangling"
 PERFECT_ENTANGLER = "perfect-entangler"
 SPECIAL_PERFECT_ENTANGLER = "special-perfect-entangler"
-_LABELS = np.array([NON_ENTANGLING, ENTANGLING, PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER],
-                   dtype=object)
+CLASSES = (NON_ENTANGLING, ENTANGLING, PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)
 
 # Maps angular momentum coordinates (|1 1>, |1 0>, |1 -1>, |0 0>) to the
 # Bell combinations ((dd + uu)/sqrt2, i(du + ud)/sqrt2, (du - ud)/sqrt2,
@@ -172,17 +172,23 @@ class EntanglementReport:
 
 @dataclass(frozen=True, eq=False)
 class EntanglementBatch:
-    """G1, |G1|, e_p and classification of each gate of a stack."""
+    """G1, |G1|, e_p and class of each gate of a stack: `level` holds the
+    class as its index into CLASSES, `classification` (built on first read)
+    as its label."""
 
     g1: np.ndarray
     g1_abs: np.ndarray
     ep: np.ndarray
-    classification: tuple[str, ...]
+    level: np.ndarray
+
+    @functools.cached_property
+    def classification(self) -> tuple[str, ...]:
+        return tuple(map(CLASSES.__getitem__, self.level.tolist()))
 
 
 def _level(ep):
     """The class of e_p, a float or each entry of an array, as its index into
-    _LABELS: the number of the three nested thresholds that e_p reaches."""
+    CLASSES: the number of the three nested thresholds that e_p reaches."""
     # `* 1` counts in integers: numpy adds two bool arrays as a logical or
     return ((ep > CLASSIFY_ATOL) * 1 + (ep >= PERFECT_EP - CLASSIFY_ATOL)
             + (ep >= MAX_EP - CLASSIFY_ATOL))
@@ -200,22 +206,21 @@ def _power(g1: complex) -> tuple[float, float, str]:
         raise RuntimeError(f"entangling power {ep} out of range [0, 2/9]")
     if ep < 0.0:
         ep = 0.0
-    return g1_abs, ep, _LABELS[_level(ep)]
+    return g1_abs, ep, CLASSES[_level(ep)]
 
 
 def _power_batch(tr: np.ndarray, det: np.ndarray) -> EntanglementBatch:
     """`_g1` and `_power` of each entry of the stacks tr(m) and det(B_bell),
     elementwise, rounded as the scalar helpers round (module docstring)."""
     a, b = tr.real, tr.imag
-    g1 = ((a * a - b * b) + 1j * (2.0 * a * b)) / (16.0 * det)
+    g1 = ((a * a - b * b) + 1j * (a * b + b * a)) / (16.0 * det)
     g1_abs = np.hypot(g1.real, g1.imag)
     ep = MAX_EP * (1.0 - g1_abs)
     bad = np.flatnonzero(~((ep >= -1e-12) & (ep <= MAX_EP + 1e-12)))  # NaN fails too
     if bad.size:
         raise RuntimeError(f"entangling power {float(ep[bad[0]])} out of range [0, 2/9]")
     ep = np.where(ep < 0.0, 0.0, ep)
-    return EntanglementBatch(g1=g1, g1_abs=g1_abs, ep=ep,
-                             classification=tuple(_LABELS[_level(ep)].tolist()))
+    return EntanglementBatch(g1=g1, g1_abs=g1_abs, ep=ep, level=_level(ep))
 
 
 def entangling_power(u4) -> EntanglementReport:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from symgates.entanglement import (
     BELL_TRANSFORM,
+    CLASSES,
     CLASSIFY_ATOL,
     ENTANGLING,
     MAX_EP,
@@ -14,7 +15,6 @@ from symgates.entanglement import (
     PERFECT_ENTANGLER,
     PERFECT_EP,
     SPECIAL_PERFECT_ENTANGLER,
-    _LABELS,
     _level,
     apply_gate,
     concurrence,
@@ -84,13 +84,13 @@ def test_classification_thresholds():
 def test_level_at_the_inclusive_thresholds_and_one_ulp_below(threshold, label):
     below = math.nextafter(threshold, 0.0)
     levels = [_level(ep) for ep in (below, threshold)]
-    assert levels[1] == levels[0] + 1 and _LABELS[levels[1]] == label
+    assert levels[1] == levels[0] + 1 and CLASSES[levels[1]] == label
     assert _level(np.array([below, threshold])).tolist() == levels
 
 
 def test_level_at_the_strict_entangling_threshold_and_one_ulp_either_side():
     grid = [math.nextafter(CLASSIFY_ATOL, 0.0), CLASSIFY_ATOL, math.nextafter(CLASSIFY_ATOL, 1.0)]
-    assert [_LABELS[_level(ep)] for ep in grid] == [NON_ENTANGLING, NON_ENTANGLING, ENTANGLING]
+    assert [CLASSES[_level(ep)] for ep in grid] == [NON_ENTANGLING, NON_ENTANGLING, ENTANGLING]
     assert _level(np.array(grid)).tolist() == [_level(ep) for ep in grid]
     # the four classes in order, one array entry each
     assert _level(np.array([0.0, 0.1, PERFECT_EP, MAX_EP])).tolist() == [0, 1, 2, 3]
