@@ -491,14 +491,18 @@ def cmd_gate(args) -> int:
 def _write_series(args, start: float, stop: float, header: str, blocks, error=None) -> int:
     """Write the CSV of `blocks(grid)` for the --steps point grid from start to
     stop and print its row count; exit 2 on one stderr line if --steps is
-    below 2, else on `error`, or if --out cannot be written."""
+    below 2 or too large for memory, else on `error`, or if --out cannot be written."""
     if args.steps is None or args.steps < 2:
         error = "--steps must be at least 2"
+    if not error:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # the library names an overflow
+                grid = np.linspace(start, stop, args.steps)
+        except (MemoryError, ValueError, IndexError):  # numpy's refusals of a huge array
+            error = f"--steps {args.steps} is too large: the grid does not fit in memory"
     if error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
-    with np.errstate(over="ignore", invalid="ignore"):  # the library names an overflowing grid
-        grid = np.linspace(start, stop, args.steps)
     try:
         count = write_csv(args.out, header, blocks(grid))
     except OSError as exc:

@@ -48,7 +48,8 @@ The same S gives the concurrence of a symmetric gate's image without the
 4x4 matrix: a product-basis state with triplet coordinates t and singlet
 coordinate s has |psi^T (sigma_y x sigma_y) psi| = |t^T S t + s^2|, and
 the gate maps (t, s) to (u3 t, s).  `spe_condition` evaluates that form
-for every gate, whatever its label, and `apply_gate` embeds u3 @ vec3.
+for every gate, whatever its label.  `apply_gate` embeds u3 @ vec3, a
+unit vector, and takes its 2|ad - bc| without `concurrence`'s checks.
 
 `lmg_entanglement_profile` scores an LMG time series the same way and
 returns its columns t, e_p and the concurrence of the evolved |up up>
@@ -335,9 +336,10 @@ def separable_state(alpha: float, phi: float = 0.0) -> SeparableSymmetricState:
 
 def apply_gate(g: SymmetricGate, s: SeparableSymmetricState) -> tuple[np.ndarray, float]:
     """Gate image of a symmetric product state, u3 @ vec3 embedded (so its
-    up-down and down-up amplitudes are equal, ==), and its concurrence."""
+    up-down and down-up amplitudes are equal, ==), and its concurrence,
+    2|ad - bc| of a unit vector that `concurrence` need not check again."""
     out = _TRIPLET_TO_QUBIT @ (g.u3 @ s.vec3)
-    return out, concurrence(out)
+    return out, _pure_concurrence(*out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,13 +7,13 @@ gates admit the closed form
     B_k = I + (cos theta - 1) M_k^2 + i sin theta M_k,
 
 while B8, whose generator has eigenvalues {1, -2, 1}/sqrt(3), is a pure
-phase gate handled explicitly.  The 4x4 product-basis embedding acts as
-the identity on the singlet state.
+phase gate: `_rotation` is the closed form, `_phases` a phase diagonal.
+The 4x4 product-basis embedding acts as the identity on the singlet state.
 
 The LMG Hamiltonian H = g1 (J+^2 + J-^2) + g2 (J+J- + J-J+) is 2 g1 M7
 + (2/sqrt(3)) g2 (sqrt(8) M0 - M8) = 2 g1 M7 + 2 g2 diag(1, 2, 1), and M7
 commutes with M8, so exp(i H t) = B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi})
-with xi = 2 g1 t, phi = 2 g2 t: the same closed forms, no eigendecomposition.
+with xi = 2 g1 t, phi = 2 g2 t: the same two helpers, no eigendecomposition.
 
 A symmetric gate is its 3x3 block u3: what is computed from a
 `SymmetricGate` depends on u3 alone; its label is display metadata.
@@ -99,21 +99,22 @@ class GateBatch:
         return to_qubit_basis(self.u3, 1.0)
 
 
-def _exp_i(angles: np.ndarray, generator) -> np.ndarray:
-    """exp(i angle G) for each angle of a 1-D grid, for G = M_k with an index
-    k in 1..7 (the B_k closed form of the module docstring) or G = diag(w)
-    with an array of weights w."""
-    if isinstance(generator, np.ndarray):
-        u3 = np.zeros((angles.size, 3, 3), dtype=np.complex128)
-        u3[:, _DIAG, _DIAG] = np.exp(1j * (angles[:, None] * generator))
-        return u3
+def _rotation(angles: np.ndarray, k: int) -> np.ndarray:
+    """exp(i angle M_k), k in 1..7, for each angle of a 1-D grid: the B_k
+    closed form of the module docstring, an (N, 3, 3) stack."""
     # math.cos/sin per angle: numpy's vector kernels may round differently,
     # which would change the printed digits
     values = angles.tolist()
     cos = np.fromiter(map(math.cos, values), np.float64, angles.size)
     sin = np.fromiter(map(math.sin, values), np.float64, angles.size)
-    return (np.eye(3) + (cos - 1.0)[:, None, None] * _M_SQUARED[generator]
-            + (1j * sin)[:, None, None] * M[generator])
+    return (np.eye(3) + (cos - 1.0)[:, None, None] * _M_SQUARED[k]
+            + (1j * sin)[:, None, None] * M[k])
+
+
+def _phases(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The diagonal of exp(i angle diag(weights)) for each angle of a 1-D
+    grid, an (N, 3) array."""
+    return np.exp(1j * (angles[:, None] * weights))
 
 
 def gate(k: int, theta: float) -> SymmetricGate:
@@ -130,8 +131,10 @@ def gates_batch(k: int, thetas) -> GateBatch:
     """B_k(theta) for every angle of a 1-D grid; entry by entry equal to `gate`."""
     k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
     thetas = _grid("thetas", thetas)
-    u3 = (_exp_i(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0), _B8_WEIGHTS) if k == 8
-          else _exp_i(thetas, k))
+    if k != 8:
+        return GateBatch(_rotation(thetas, k))
+    u3 = np.zeros((thetas.size, 3, 3), dtype=np.complex128)
+    u3[:, _DIAG, _DIAG] = _phases(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0), _B8_WEIGHTS)
     return GateBatch(u3)
 
 
@@ -168,5 +171,5 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     _bounded("2*g2*t", 2.0 * g2, t_top)
     _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
     # B7 times a diagonal matrix: column j of B7 times the j-th phase
-    phase = _exp_i(2.0 * g2 * ts, _LMG_WEIGHTS)[:, _DIAG, _DIAG]
-    return GateBatch(_exp_i(2.0 * g1 * ts, 7) * phase[:, None, :])
+    phases = _phases(2.0 * g2 * ts, _LMG_WEIGHTS)
+    return GateBatch(_rotation(2.0 * g1 * ts, 7) * phases[:, None, :])

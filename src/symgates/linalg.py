@@ -7,9 +7,10 @@ independent reference the tests compare the closed-form gates with.
 
 It owns the matrix plumbing of every module: the shape of a matrix or
 stack argument (`_matrix`), the one Hermiticity rule, a defect of at most
-HERMITICITY_ATOL * max(1, max|h|) entrywise (`is_hermitian`, `_hermitian`),
-and the expansion in a basis of matrices as one matrix-vector product
-(`_FlatBasis`, for the M_k and the tau^k_q).
+HERMITICITY_ATOL * max(1, max|h|) entrywise (`_hermiticity`, for matrices
+and the coefficient pairs of `TensorParams`), and the expansion in a basis
+of matrices as one matrix-vector product (`_FlatBasis`, for the M_k and
+the tau^k_q).
 
 It also owns the failure contract: bad input raises `InputError`, named
 by the parameter or product at fault, with no numpy warning first.  A
@@ -122,13 +123,14 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-def _hermiticity(a: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """|a - a^dagger| entrywise, max|a| and the Hermiticity tolerance
+def _hermiticity(a: np.ndarray, a_dagger: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """|a - a_dagger| entrywise (a matrix and its adjoint, or coefficients
+    conj(h^k_q) and (-1)^q h^k_{-q}), max|a| and the Hermiticity tolerance
     HERMITICITY_ATOL * max(1, max|a|), as rounding grows with max|a|.  The
     tolerance stays finite (|a| may overflow where a does not), so a
     non-finite entry, which gives an inf or NaN defect, fails."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
-        d = np.abs(a - a.conj().T)
+        d = np.abs(a - a_dagger)
         top = float(np.abs(a).max())
     return d, top, HERMITICITY_ATOL * max(1.0, min(top, sys.float_info.max))
 
@@ -136,14 +138,15 @@ def _hermiticity(a: np.ndarray) -> tuple[np.ndarray, float, float]:
 def is_hermitian(a) -> bool:
     """True if every |(a - a^dagger)_ij| <= HERMITICITY_ATOL * max(1, max|a|),
     the rule of every Hermiticity check; False if a is not finite."""
-    d, _, atol = _hermiticity(_matrix("a", a))
+    a = _matrix("a", a)
+    d, _, atol = _hermiticity(a, a.conj().T)
     return bool(d.max() <= atol)
 
 
 def _hermitian(name: str, h: np.ndarray) -> float:
     """max|h|, once the square matrix h passes `is_hermitian`; else InputError
     naming `name` if h is not finite, or ValueError naming the worst entry."""
-    d, top, atol = _hermiticity(h)
+    d, top, atol = _hermiticity(h, h.conj().T)
     if not d.max() <= atol:
         _finite(name, h)
         i, j = divmod(int(np.argmax(d)), h.shape[1])

@@ -30,8 +30,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import (InputError, _bounded, _finite, _flat_basis, _FlatBasis, _hermitian, _index,
-                     _matrix)
+from .linalg import (InputError, _bounded, _finite, _flat_basis, _FlatBasis, _hermitian,
+                     _hermiticity, _index, _matrix)
 
 MAX_TWO_J = 5
 
@@ -235,14 +235,15 @@ class TensorParams:
     """Expansion coefficients h^k_q of a Hermitian operator, stored once as
     the read-only `vector` in the spin's (k, q) order (k = 0..2j, q = -k..k).
 
-    `TensorParams(j, coeffs)` takes keys (k, q) with 0 <= k <= 2j and
-    |q| <= k, a missing key counting as 0, and values Python or numpy
-    numbers (np.bool_ included), each converted once to a Python complex;
-    any other value, a str included, raises InputError naming
-    coeffs[(k, q)].  Hermiticity of the represented operator requires
-    conj(h^k_q) = (-1)^q h^k_{-q}, within the tolerance of
-    `linalg.is_hermitian`, which the constructor validates; the results of
-    `decompose` and `rotate_params` meet it exactly, by construction.
+    `TensorParams(j, coeffs)` checks each entry once: a key (k, q) with
+    0 <= k <= 2j, |q| <= k and its partner (k, -q) given too (a missing
+    pair counts as 0), and a finite Python or numpy number (np.bool_
+    included), converted to a Python complex; any other value, a str
+    included, raises InputError naming coeffs[(k, q)].  Then one check
+    holds the pair rule conj(h^k_q) = (-1)^q h^k_{-q} of a Hermitian
+    operator to the tolerance of `linalg.is_hermitian`, naming the first
+    failing key in (k, q) order, and every instance meets it exactly (==),
+    as it stores the projection of `_of_vector` for a pair that does not.
     `coeffs` is a read-only view of every (k, q), built on first read, and
     equality compares j and `vector`.
     """
@@ -252,10 +253,24 @@ class TensorParams:
 
     def __init__(self, j: float, coeffs: Mapping[tuple[int, int], complex]) -> None:
         two_j = _as_two_j(j)
-        coeffs = {key: _coefficient(key, h) for key, h in coeffs.items()}
-        _check_pairs(two_j, coeffs)
-        keys = _spin_basis(two_j).keys
-        self._freeze(two_j, np.array([coeffs.get(key, 0j) for key in keys], dtype=np.complex128))
+        basis = _spin_basis(two_j)
+        vector = np.zeros(len(basis.keys), dtype=np.complex128)
+        for (k, q), h in coeffs.items():
+            if (k, q) not in basis.index:
+                raise ValueError(f"no tensor operator (k={k}, q={q}) for j = {two_j / 2}")
+            if (k, -q) not in coeffs:
+                raise ValueError(f"missing partner coefficient for (k={k}, q={-q})")
+            vector[basis.index[(k, q)]] = _coefficient((k, q), h)
+        partner = vector[basis.partner]
+        d, _, atol = _hermiticity(vector.conj(), 2.0 * basis.half_sign * partner)
+        bad = np.flatnonzero(~(d <= atol))  # in (k, q) order
+        if bad.size:
+            (k, q), h, p = basis.keys[bad[0]], complex(vector[bad[0]]), complex(partner[bad[0]])
+            raise ValueError(f"coefficients violate Hermiticity at (k={k}, q={q}): "
+                             f"conj(h) = {h.conjugate()}, (-1)^q h(-q) = {-p if q % 2 else p}")
+        # a pair that meets the rule is kept as given: the projection halves
+        # before it adds, which drops the last bit of an odd subnormal
+        self._freeze(two_j, np.where(d == 0.0, vector, self._of_vector(two_j, vector).vector))
 
     @classmethod
     def _of_vector(cls, two_j: int, vector: np.ndarray) -> TensorParams:
@@ -302,44 +317,16 @@ class TensorParams:
 
 
 def _coefficient(key, h) -> complex:
-    """The coefficient h of `key` as a Python complex number."""
+    """The coefficient h of `key` as a finite Python complex number."""
     if not isinstance(h, (numbers.Number, np.bool_)):
         raise InputError(f"coeffs[{key}] must be a number, got {type(h).__name__} {h!r}")
     try:
-        return complex(h)
+        value = complex(h)
     except OverflowError:  # an int beyond the float range
-        raise InputError(f"coeffs[{key}] must be finite, got {h}") from None
-
-
-def _check_pairs(two_j: int, coeffs: dict) -> None:
-    """Check every key of `coeffs` and its Hermitian partner one by one, and
-    raise at the first that fails: the check of the public constructor."""
-    index = _spin_basis(two_j).index
-    get = coeffs.get
-    # |conj(h) - (-1)^q h(-q)| within 1e-12 * max(1, max|h|), the rule of
-    # `linalg.is_hermitian`; a non-finite h or partner gives an inf or
-    # NaN defect, or an infinite tolerance, which fails
-    atol = None
-    for (k, q), h in coeffs.items():
-        if (k, q) not in index:
-            raise ValueError(f"no tensor operator (k={k}, q={q}) for j = {two_j / 2}")
-        partner = get((k, -q))
-        if partner is None:
-            raise ValueError(f"missing partner coefficient for (k={k}, q={-q})")
-        if q % 2:
-            partner = -partner
-        defect = abs(h.conjugate() - partner)
-        if not defect <= 1e-12 and atol is None:  # max|h| once, when first needed,
-            # of h / 2, since |h| may overflow where h does not
-            atol = 2e-12 * max(0.5, max(abs(0.5 * c) for c in coeffs.values()))
-        if not (defect <= 1e-12 or defect <= atol < math.inf):
-            for key, value in coeffs.items():
-                if not cmath.isfinite(value):
-                    raise InputError(f"coeffs[{key}] must be finite, got {value}")
-            raise ValueError(
-                f"coefficients violate Hermiticity at (k={k}, q={q}): "
-                f"conj(h) = {h.conjugate()}, (-1)^q h(-q) = {partner}"
-            )
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise InputError(f"coeffs[{key}] must be finite, got {h}")
+    return value
 
 
 def decompose(h, j) -> TensorParams:

@@ -263,6 +263,37 @@ def test_sweep_rejects_few_steps(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+HUGE_SERIES = [["sweep", "4", "--theta-max", "pi"],
+               ["lmg", "--g1", "1", "--g2", "1", "--t-max", "2"]]
+
+
+@pytest.mark.parametrize("steps", [2**62, 2**63])
+@pytest.mark.parametrize("series", HUGE_SERIES, ids=["sweep", "lmg"])
+def test_a_grid_numpy_refuses_to_allocate_exits_2_naming_steps(tmp_path, capsys, series, steps):
+    # numpy refuses these sizes before it allocates: a ValueError at 2**62,
+    # an IndexError at 2**63
+    out = tmp_path / "big.csv"
+    assert main(series + ["--steps", str(steps), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --steps {steps} is too large: "
+                            "the grid does not fit in memory\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("series", HUGE_SERIES, ids=["sweep", "lmg"])
+def test_a_grid_that_does_not_fit_in_memory_exits_2_naming_steps(tmp_path, capsys, monkeypatch,
+                                                                 series):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    out = tmp_path / "big.csv"
+    assert main(series + ["--steps", "1000000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --steps 1000000000000 is too large: "
+                                       "the grid does not fit in memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_act_maximally_entangling(capsys):
     assert main(["act", "4", "--theta", "pi/2", "--alpha", "pi/2", "--phi", "0"]) == 0
     out = capsys.readouterr().out

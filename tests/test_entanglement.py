@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symgates import entanglement
 from symgates.entanglement import (
     BELL_TRANSFORM,
     CLASSES,
@@ -211,22 +212,49 @@ def test_separable_states_have_zero_concurrence(alpha, phi):
     assert concurrence(state.vec4) < 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["B", "BL", "custom"]),
-       k=st.integers(1, 8), angle=st.floats(-8.0, 8.0), g1=st.floats(-3.0, 3.0),
-       g2=st.floats(-3.0, 3.0), alpha=st.floats(-8.0, 8.0), phi=st.floats(-8.0, 8.0))
+def _drawn_gate(seed, family, k, angle, g1, g2):
+    """B_k(angle), the LMG gate at t = angle or a Haar-random custom gate."""
+    if family == "B":
+        return gate(k, angle)
+    if family == "BL":
+        return lmg_gate(LMGParams(g1=g1, g2=g2, t=angle))
+    return custom_gate(haar_unitary(np.random.default_rng(seed), 3))
+
+
+# a gate drawn by _drawn_gate and the angles of a separable state
+given_gate_and_state = given(
+    seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["B", "BL", "custom"]),
+    k=st.integers(1, 8), angle=st.floats(-8.0, 8.0), g1=st.floats(-3.0, 3.0),
+    g2=st.floats(-3.0, 3.0), alpha=st.floats(-8.0, 8.0), phi=st.floats(-8.0, 8.0))
+
+
+@given_gate_and_state
 @settings(max_examples=200, deadline=None)
 def test_apply_gate_image_is_exactly_symmetric(seed, family, k, angle, g1, g2, alpha, phi):
-    if family == "B":
-        g = gate(k, angle)
-    elif family == "BL":
-        g = lmg_gate(LMGParams(g1=g1, g2=g2, t=angle))
-    else:
-        g = custom_gate(haar_unitary(np.random.default_rng(seed), 3))
+    g = _drawn_gate(seed, family, k, angle, g1, g2)
     state = separable_state(alpha, phi)
     out, conc = apply_gate(g, state)
     assert out[1] == out[2]  # up-down and down-up amplitudes of a symmetric state
     assert np.max(np.abs(out - g.u4 @ state.vec4)) <= 1e-15
     assert conc == concurrence(out)
+
+
+@given_gate_and_state
+@settings(max_examples=200, deadline=None)
+def test_apply_gate_scores_its_image_without_the_public_check(seed, family, k, angle, g1, g2,
+                                                              alpha, phi):
+    g = _drawn_gate(seed, family, k, angle, g1, g2)
+    state = separable_state(alpha, phi)
+    out, _ = apply_gate(g, state)
+    expected = concurrence(out)
+
+    def checked(psi):
+        raise AssertionError("apply_gate called concurrence")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entanglement, "concurrence", checked)
+        again, conc = apply_gate(g, state)
+    assert again.tobytes() == out.tobytes() and conc.hex() == expected.hex()
 
 
 def test_b4_action_on_equator_state():

@@ -243,6 +243,45 @@ def test_tensor_params_hermiticity_check_signs_odd_q_and_scales_with_h():
                                 (1, -1): -big.conjugate()})
 
 
+def test_tensor_params_name_the_first_failing_key_in_key_order():
+    # both keys of the pair fail; (1, -1) comes first in (k, q) order
+    with pytest.raises(ValueError) as err:
+        TensorParams(j=0.5, coeffs={(1, 1): 1.0, (1, -1): 1.0})
+    assert str(err.value) == ("coefficients violate Hermiticity at (k=1, q=-1): "
+                              "conj(h) = (1-0j), (-1)^q h(-q) = (-1-0j)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_j=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 3e4, 1e300]), frac=st.floats(0.0, 0.98))
+def test_tensor_params_project_pairs_within_the_tolerance_onto_the_pair_rule(two_j, seed,
+                                                                             scale, frac):
+    rng = np.random.default_rng(seed)
+    exact = decompose(random_hermitian(rng, two_j + 1, scale), two_j / 2)
+    atol = 1e-12 * max(1.0, float(np.abs(exact.vector).max()))
+    # a pair's defect is at most |e_q| + |e_-q| <= frac * atol, plus rounding
+    noise = rng.normal(size=exact.vector.size) + 1j * rng.normal(size=exact.vector.size)
+    noise *= frac * atol / 2 / np.abs(noise).max()
+    given_coeffs = {key: h + e for (key, h), e in zip(exact.coeffs.items(), noise.tolist())}
+    params = TensorParams(exact.j, given_coeffs)
+    for (k, q), value in params.coeffs.items():
+        partner = params.coeffs[(k, -q)]
+        assert value.conjugate() == (-partner if q % 2 else partner)
+        assert abs(value - given_coeffs[(k, q)]) <= atol
+
+
+def test_tensor_params_store_an_exactly_paired_input_as_given():
+    # halving rounds an odd multiple of the smallest subnormal to even: the
+    # projection would store 1.5e-323 as 1e-323 + 1e-323 = 2e-323
+    tiny = 5e-324
+    for coeffs in ({(0, 0): 1.5e-323},
+                   {(1, 1): tiny + 3 * tiny * 1j, (1, -1): -tiny + 3 * tiny * 1j, (1, 0): -0.0}):
+        params = TensorParams(0.5, coeffs)
+        for key, h in coeffs.items():
+            stored, h = params.coeffs[key], complex(h)
+            assert (stored.real.hex(), stored.imag.hex()) == (h.real.hex(), h.imag.hex())
+
+
 @settings(max_examples=300, deadline=None)
 @given(two_j=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-6, 1.0, 3e4, 1e300]), frac=st.floats(0.0, 1.0),
