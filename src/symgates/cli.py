@@ -9,7 +9,8 @@ endings).  Exit codes: 0 success/verified, 1 verification failure,
 its domain (non-finite numbers, reversed time ranges), 3 a failed
 internal check (a RuntimeError, such as e_p outside [0, 2/9]).  A
 library error is reported as one 'error: ...' line on stderr, with no
-traceback and no numpy warning before it.
+traceback and no numpy warning before it; a reader that closes stdout
+before the report ends (`| head`) ends the command quietly, with exit 0.
 
 `sweep` and `lmg --t-max` compute their grid in blocks of _BLOCK points,
 through `entangling_power_batch` of `gates_batch` and through
@@ -37,6 +38,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 
 import numpy as np
@@ -60,7 +62,7 @@ _BLOCK = 1024
 
 _LONG_OPTION = re.compile(r"--\w[\w-]*")  # without '=value'
 _ANGLE_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d+)?(?:e[+-]?\d+)?)?\*?"
+    r"^(?P<sign>[+-]?)(?P<coef>(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?)?\*?"
     r"(?:sqrt\(?(?P<root>\d+)\)?)?\*?(?P<pi>pi)?(?:/(?P<div>\d+(?:\.\d+)?))?$"
 )
 
@@ -68,8 +70,8 @@ _ANGLE_RE = re.compile(
 def parse_angle(text: str) -> float:
     """Parse an angle given in radians or as a multiple of pi.
 
-    Accepts plain decimals ('0.785', '1e-3', '-1E2') and symbolic forms
-    such as 'pi', 'pi/2', '2pi/3', 'sqrt3*pi/2', '-pi/4', '2.5e-1pi'.
+    Accepts decimals as float() reads them ('0.785', '.5', '5.', '-1E2') and
+    symbolic forms such as 'pi', 'pi/2', '2pi/3', 'sqrt3*pi/2', '-.25pi', '2.5e-1pi'.
     """
     token = text.strip().lower().replace(" ", "")
     match = _ANGLE_RE.match(token)
@@ -132,10 +134,8 @@ def fmt_complex(z: complex) -> str:
 
 
 def fmt_matrix(m: np.ndarray, indent: str = "  ") -> str:
-    rows = []
-    for row in np.asarray(m, dtype=np.complex128):
-        rows.append(indent + "[" + ", ".join(fmt_complex(z) for z in row) + "]")
-    return "\n".join(rows)
+    return "\n".join(indent + "[" + ", ".join(fmt_complex(z) for z in row) + "]"
+                     for row in np.asarray(m, dtype=np.complex128))
 
 
 def fmt_vector(v: np.ndarray) -> str:
@@ -403,10 +403,14 @@ def write_csv(path, header: str, blocks) -> int:
     regular file (a pipe, a device) is written directly.  Returns the
     number of rows written.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+    try:  # the path as given: /dev/stdout would resolve to a /proc name
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             return _write_rows(fh, header, blocks)
+    target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -419,8 +423,10 @@ def write_csv(path, header: str, blocks) -> int:
     return count
 
 
-def _print_gate_report(g, report) -> None:
-    print(f"gate {g.label}" + (f"  theta = {fmt_float(g.theta)}" if g.theta is not None else ""))
+def cmd_gate(args) -> int:
+    g = gates.gate(args.k, args.theta)
+    report = entanglement.entangling_power(g)
+    print(f"gate {g.label}  theta = {fmt_float(g.theta)}")
     print("u3 =")
     print(fmt_matrix(g.u3))
     print("u4 =")
@@ -429,15 +435,14 @@ def _print_gate_report(g, report) -> None:
     print(f"|G1| = {fmt_float(report.g1_abs)}")
     print(f"e_p = {fmt_float(report.ep)}")
     print(f"class = {report.classification}")
+    return EXIT_OK
 
 
 def cmd_basis(args) -> int:
     rc = EXIT_OK
     did_something = False
     if args.show is not None:
-        token = args.show.strip().upper()
-        if token.startswith("M"):
-            token = token[1:]
+        token = args.show.strip().upper().removeprefix("M")
         try:
             index = int(token)
             matrix = su3.m_matrix(index)
@@ -448,8 +453,7 @@ def cmd_basis(args) -> int:
         print(fmt_matrix(matrix))
         did_something = True
     if args.count:
-        dim = int(round(2 * args.j)) + 1
-        print(dim * dim)
+        print((int(round(2 * args.j)) + 1) ** 2)  # (2j + 1)^2 matrices
         did_something = True
     if args.tensor_basis:
         for op in tensors.hermitian_basis(args.j):
@@ -479,13 +483,6 @@ def cmd_basis(args) -> int:
             print(f"M{k} =")
             print(fmt_matrix(su3.m_matrix(k)))
     return rc
-
-
-def cmd_gate(args) -> int:
-    g = gates.gate(args.k, args.theta)
-    report = entanglement.entangling_power(g)
-    _print_gate_report(g, report)
-    return EXIT_OK
 
 
 def _write_series(args, start: float, stop: float, header: str, blocks, error=None) -> int:
@@ -670,7 +667,13 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a reader gone early (`| head`) shows here
+    except BrokenPipeError:  # the run is done; only the rest of its report is unread
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -205,8 +205,7 @@ def _power(g1: complex) -> tuple[float, float, str]:
     ep = MAX_EP * (1.0 - g1_abs)
     if not -1e-12 <= ep <= MAX_EP + 1e-12:  # NaN fails too
         raise RuntimeError(f"entangling power {ep} out of range [0, 2/9]")
-    if ep < 0.0:
-        ep = 0.0
+    ep = max(ep, 0.0)
     return g1_abs, ep, CLASSES[_level(ep)]
 
 
@@ -371,12 +370,9 @@ def product_basis(a, b, c, d, e, f) -> ProductBasis:
         norm = math.hypot(x.real, x.imag, y.real, y.imag)  # inf, not OverflowError, if too large
         _require(abs(norm * norm - 1.0) <= 1e-12,
                  f"spinor {name} is not normalized within 1e-12", f"spinor {name}", (x, y))
-    first = np.array([a, b])
-    first_perp = np.array([-np.conj(b), np.conj(a)])
-    second = np.array([c, d])
-    second_perp = np.array([-np.conj(d), np.conj(c)])
-    third = np.array([e, f])
-    third_perp = np.array([-np.conj(f), np.conj(e)])
+    # each spinor (x, y) and its orthogonal partner (-conj y, conj x)
+    (first, first_perp), (second, second_perp), (third, third_perp) = (
+        (np.array([x, y]), np.array([-np.conj(y), np.conj(x)])) for x, y in ((a, b), (c, d), (e, f)))
     states = np.stack([
         np.kron(first, second),
         np.kron(first_perp, second),

@@ -8,6 +8,10 @@ gates admit the closed form
 
 while B8, whose generator has eigenvalues {1, -2, 1}/sqrt(3), is a pure
 phase gate: `_rotation` is the closed form, `_phases` a phase diagonal.
+Both take their values from numpy's complex exp of 1j * angle (libm's cexp),
+which gives math.cos and math.sin bit for bit, but +0.0 for sin(-0.0); numpy's
+np.cos and np.sin kernels may round apart from them (tests/test_gates.py,
+`test_complex_exp_is_math_cos_and_sin`).
 The 4x4 product-basis embedding acts as the identity on the singlet state.
 
 The LMG Hamiltonian H = g1 (J+^2 + J-^2) + g2 (J+J- + J-J+) is 2 g1 M7
@@ -102,11 +106,8 @@ class GateBatch:
 def _rotation(angles: np.ndarray, k: int) -> np.ndarray:
     """exp(i angle M_k), k in 1..7, for each angle of a 1-D grid: the B_k
     closed form of the module docstring, an (N, 3, 3) stack."""
-    # math.cos/sin per angle: numpy's vector kernels may round differently,
-    # which would change the printed digits
-    values = angles.tolist()
-    cos = np.fromiter(map(math.cos, values), np.float64, angles.size)
-    sin = np.fromiter(map(math.sin, values), np.float64, angles.size)
+    e = np.exp(1j * angles)  # cos + i sin, the kernel of `_phases` (module docstring)
+    cos, sin = e.real, e.imag
     return (np.eye(3) + (cos - 1.0)[:, None, None] * _M_SQUARED[k]
             + (1j * sin)[:, None, None] * M[k])
 

@@ -1,10 +1,18 @@
+import argparse
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symgates import cli
 from symgates.cli import main, parse_angle, parse_spin
 from symgates.su3 import M
 
@@ -39,7 +47,6 @@ def test_parse_angle(text, value):
 
 
 def test_parse_angle_rejects_junk():
-    import argparse
     with pytest.raises(argparse.ArgumentTypeError):
         parse_angle("two*pi")
     with pytest.raises(argparse.ArgumentTypeError):
@@ -48,6 +55,34 @@ def test_parse_angle_rejects_junk():
         parse_angle("1e")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_angle("1e400")
+
+
+@pytest.mark.parametrize("text, value", [
+    (".5", 0.5), ("5.", 5.0), ("-.25pi", -0.25 * math.pi), (".5e1", 5.0), ("+5.e-1", 0.5),
+    ("-.5*sqrt3", -0.5 * SQ3), ("3.*pi/2", 1.5 * math.pi),
+])
+def test_parse_angle_reads_a_decimal_as_float_does(text, value):
+    assert parse_angle(text) == value
+
+
+@pytest.mark.parametrize("text", [".", "-.", "pi.", "e5", ".e5", "5..", "1.2.3", "pi/."])
+def test_parse_angle_rejects_a_bare_point_or_exponent(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="cannot parse angle"):
+        parse_angle(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_parse_angle_reads_back_repr(x):
+    value = parse_angle(repr(x))
+    assert value == x and math.copysign(1.0, value) == math.copysign(1.0, x)
+
+
+def test_a_point_decimal_angle_gives_the_same_report(capsys):
+    assert main(["gate", "4", "--theta", ".5"]) == 0
+    short = capsys.readouterr().out
+    assert main(["gate", "4", "--theta", "0.5"]) == 0
+    assert short == capsys.readouterr().out
 
 
 def test_exponent_angle_prints_the_decimal_report(capsys):
@@ -261,6 +296,49 @@ def test_sweep_is_deterministic(tmp_path):
 def test_sweep_rejects_few_steps(tmp_path, capsys):
     assert main(["sweep", "4", "--theta-max", "pi", "--steps", "1",
                  "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def _symgates(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """`symgates argv` in a child process, through the console script's entry point."""
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = "from symgates.cli import main_entry; main_entry()"
+    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_sweep_writes_its_csv_into_a_stdout_pipe(tmp_path):
+    # /dev/stdout links to /proc/<pid>/fd/1, which names a pipe as
+    # 'pipe:[N]': resolving that link gives a path that does not exist
+    argv = ["sweep", "4", "--theta-max", "pi", "--steps", "3"]
+    run = _symgates(argv + ["--out", "/dev/stdout"])
+    assert run.returncode == 0 and run.stderr == b""
+    assert main(argv + ["--out", str(tmp_path / "b4.csv")]) == 0
+    csv = (tmp_path / "b4.csv").read_bytes()
+    assert run.stdout == csv + b"wrote 3 rows to /dev/stdout\n"
+    assert csv.startswith(b"theta,g1_abs,ep,class\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_stdout_early_is_not_an_error(tmp_path, unbuffered):
+    # as `symgates ... | head -1` when head exits before the report's last
+    # line: the CSV is complete, and no traceback or error line follows
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = tmp_path / "b4.csv"
+        sweep = _symgates(["sweep", "4", "--theta-max", "pi", "--steps", "3", "--out", str(out)],
+                          stdout=write_end, unbuffered=unbuffered)
+        report = _symgates(["gate", "4", "--theta", "pi/2"], stdout=write_end,
+                           unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (sweep.returncode, sweep.stderr) == (0, b"")
+    assert (report.returncode, report.stderr) == (0, b"")
+    assert out.read_text().count("\n") == 4
 
 
 HUGE_SERIES = [["sweep", "4", "--theta-max", "pi"],

@@ -134,6 +134,76 @@ def test_lmg_grids_are_unitary_at_every_admitted_time(args):
     assert is_unitary(u3, atol=1e-12)
 
 
+def _zero_sine(x):
+    """math.sin(x), with sin(-0.0) as +0.0: 1j * -0.0 is (-0.0 + 0.0j), so
+    the sign of that zero is gone before numpy's complex exp sees it."""
+    return math.sin(x) + 0.0
+
+
+# The closed forms take cos and sin from numpy's complex exp of 1j * angle,
+# which must give the bits of math.cos and math.sin at every finite angle,
+# on every numpy kernel, or the printed digits would depend on the kernel.
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(finite, min_size=1, max_size=64))
+@example(xs=[0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022])
+@example(xs=[math.pi / 2, -math.pi / 2, 2.0 ** 52, 1.7976931348623157e308,
+             -1.7976931348623157e308])
+def test_complex_exp_is_math_cos_and_sin(xs):
+    e = np.exp(1j * np.array(xs))
+    assert e.real.tobytes() == np.array([math.cos(x) for x in xs]).tobytes()
+    assert e.imag.tobytes() == np.array([_zero_sine(x) for x in xs]).tobytes()
+
+
+def _per_angle_rotation(angles, k):
+    """B_k of each angle from math.cos and math.sin, one angle at a time, as
+    the closed form was built before it took them from numpy's complex exp."""
+    cos = np.array([math.cos(a) for a in angles])
+    sin = np.array([math.sin(a) for a in angles])
+    return (np.eye(3) + (cos - 1.0)[:, None, None] * (M[k] @ M[k])
+            + (1j * sin)[:, None, None] * M[k])
+
+
+def _per_angle_phases(angles, weights):
+    return np.array([[complex(math.cos(a * w), _zero_sine(a * w)) for w in weights]
+                     for a in angles])
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 8), thetas=st.lists(finite, min_size=1, max_size=8))
+@example(k=8, thetas=[SQ3 / 2 * sys.float_info.max, -0.0, 5e-324])
+@example(k=4, thetas=[sys.float_info.max, -sys.float_info.max, 0.0, -5e-324])
+@example(k=7, thetas=[0.0, -0.0, 5e-324, -5e-324, math.pi / 2, 2.0 ** 52])
+def test_gate_grids_equal_the_per_angle_formula_bit_for_bit(k, thetas):
+    try:
+        u3 = gates_batch(k, thetas).u3
+    except InputError:  # only B8's 2*theta/sqrt3 can overflow
+        assert k == 8
+        return
+    if k == 8:
+        expected = np.zeros((len(thetas), 3, 3), dtype=complex)
+        expected[:, range(3), range(3)] = _per_angle_phases([t / SQ3 for t in thetas],
+                                                            [1.0, -2.0, 1.0])
+    else:
+        expected = _per_angle_rotation(thetas, k)
+    assert u3.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=lmg_arguments())
+@example(args=(1.0, 2.0, [sys.float_info.max / 4, -0.0, 5e-324]))
+@example(args=(sys.float_info.max / 2, 5e-324, [1.0, -1.0]))
+@example(args=(1.0, 2.0, [0.0, -0.0, 5e-324, -5e-324, math.pi / 4]))
+def test_lmg_grids_equal_the_per_angle_formula_bit_for_bit(args):
+    g1, g2, ts = args
+    try:
+        u3 = lmg_batch(g1, g2, ts).u3
+    except InputError:  # a product rounded past the largest float
+        return
+    phases = _per_angle_phases([2.0 * g2 * t for t in ts], [1.0, 2.0, 1.0])
+    expected = _per_angle_rotation([2.0 * g1 * t for t in ts], 7) * phases[:, None, :]
+    assert u3.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_embedding_is_identity_on_singlet(k):
     g = gate(k, 1.234)
