@@ -15,8 +15,9 @@ before the report ends (`| head`) ends the command quietly, with exit 0.
 `sweep` and `lmg --t-max` compute their grid in blocks of _BLOCK points,
 through `entangling_power_batch` of `gates_batch` and through
 `lmg_entanglement_profile`, and write each block's rows as they go, to a
-file that replaces --out once the last block is written.  The module uses
-only the public names of the library.
+file that replaces --out once the last block is written.  Then they print
+the row count and a summary folded from the blocks as they passed, on
+stderr if --out is stdout.  The module uses only the library's public names.
 
 A CSV float cell holds the bytes of '%.15g' % (x + 0.0), as `fmt_float`
 prints the text reports.  A block's float cells go through one numpy
@@ -59,11 +60,14 @@ LMG_HEADER = "t,ep,concurrence"
 # complex stack is 144 KiB), and a 16384-point sweep peaks at 1.3 MiB
 # traced, the 1441-point LMG series at 0.8 MiB, whatever the grid's length.
 _BLOCK = 1024
+# The class levels from here up are perfect entanglers.
+_PERFECT = entanglement.CLASSES.index(entanglement.PERFECT_ENTANGLER)
 
 _LONG_OPTION = re.compile(r"--\w[\w-]*")  # without '=value'
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?"  # as float() reads it, without a sign
 _ANGLE_RE = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coef>(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?)?\*?"
-    r"(?:sqrt\(?(?P<root>\d+)\)?)?\*?(?P<pi>pi)?(?:/(?P<div>\d+(?:\.\d+)?))?$"
+    rf"^(?P<sign>[+-]?)(?P<coef>{_NUMBER})?\*?"
+    rf"(?:sqrt\(?(?P<root>\d+)\)?)?\*?(?P<pi>pi)?(?:/(?P<div>{_NUMBER}))?$"
 )
 
 
@@ -71,7 +75,8 @@ def parse_angle(text: str) -> float:
     """Parse an angle given in radians or as a multiple of pi.
 
     Accepts decimals as float() reads them ('0.785', '.5', '5.', '-1E2') and
-    symbolic forms such as 'pi', 'pi/2', '2pi/3', 'sqrt3*pi/2', '-.25pi', '2.5e-1pi'.
+    symbolic forms such as 'pi', 'pi/2', '2pi/3', 'sqrt3*pi/2', '-.25pi', '2.5e-1pi',
+    'pi/.5'; a divisor that reads as zero or inf is rejected.
     """
     token = text.strip().lower().replace(" ", "")
     match = _ANGLE_RE.match(token)
@@ -85,9 +90,10 @@ def parse_angle(text: str) -> float:
     if match.group("pi"):
         value *= math.pi
     if match.group("div"):
-        divisor = float(match.group("div"))
-        if divisor == 0:
-            raise argparse.ArgumentTypeError("division by zero in angle")
+        divisor = float(match.group("div"))  # 1e400 reads inf, 1e-400 reads 0
+        if not 0 < divisor < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse angle {text!r}: its divisor is zero or not finite")
         value /= divisor
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
@@ -96,13 +102,9 @@ def parse_angle(text: str) -> float:
 
 def parse_spin(text: str) -> float:
     """Parse a spin value such as '1', '0.5' or '3/2'."""
-    token = text.strip()
+    num, slash, den = text.strip().partition("/")
     try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            value = float(num) / float(den)
-        else:
-            value = float(token)
+        value = float(num) / float(den) if slash else float(num)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"cannot parse spin {text!r}") from exc
     if not math.isfinite(value):
@@ -362,16 +364,58 @@ def _blocks(grid: np.ndarray):
 
 
 def sweep_blocks(k: int, thetas: np.ndarray):
-    """Columns (theta, |G1|, e_p, class level) of a B_k sweep, block by block."""
-    for block in _blocks(thetas):
-        report = entanglement.entangling_power_batch(gates.gates_batch(k, block))
-        yield block, report.g1_abs, report.ep, report.level
+    """Columns (theta, |G1|, e_p, class level) of a B_k sweep, block by block.
+
+    Returns the sweep's summary line: the largest e_p and the angle of its
+    first row, and the first and last angle of each run of consecutive
+    perfect-entangler rows; or only that the sweep is non-entangling, when
+    its largest e_p is classed so."""
+    best_ep, best_theta, best_level = -math.inf, 0.0, 0
+    starts, ends, in_run = [], [], False
+    for theta in _blocks(thetas):
+        report = entanglement.entangling_power_batch(gates.gates_batch(k, theta))
+        ep, level = report.ep, report.level
+        yield theta, report.g1_abs, ep, level
+        i = int(np.argmax(ep))
+        if ep[i] > best_ep:
+            best_ep, best_theta, best_level = float(ep[i]), float(theta[i]), int(level[i])
+        perfect = level >= _PERFECT
+        if in_run and perfect[0]:
+            ends.pop()  # the run that ended the last block goes on
+        starts += theta[perfect & ~np.append(in_run, perfect[:-1])].tolist()
+        ends += theta[perfect & ~np.append(perfect[1:], False)].tolist()
+        in_run = bool(perfect[-1])
+    if entanglement.CLASSES[best_level] == entanglement.NON_ENTANGLING:
+        # e_p this small is rounding noise: the angle of its maximum says nothing
+        return f"B{k}: non-entangling on the grid (max e_p <= {entanglement.CLASSIFY_ATOL:g})"
+    windows = ", ".join(f"[{a:.6f}, {b:.6f}]" for a, b in zip(starts, ends))
+    summary = f"perfect entangler for theta in {windows}" if windows else "never a perfect entangler"
+    return f"B{k}: max e_p = {best_ep:.12f} at theta = {best_theta:.12f}; {summary}"
 
 
 def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
-    """Columns (t, e_p, concurrence of B_L |up up>) of an LMG series, block by block."""
+    """Columns (t, e_p, concurrence of B_L |up up>) of an LMG series, block by block.
+
+    Returns the series' summary lines: the first 8 times of concurrence
+    zeros (< 1e-9) and maxima (> 1 - 1e-9), and of e_p within 1e-9 of 2/9,
+    each beside the times the closed forms give."""
+    zeros, maxima, hits = [], [], []
     for block in _blocks(t_grid):
-        yield entanglement.lmg_entanglement_profile(g1, g2, block)
+        t, ep, conc = entanglement.lmg_entanglement_profile(g1, g2, block)
+        yield t, ep, conc
+        for found, mask in ((zeros, conc < 1e-9), (maxima, conc > 1.0 - 1e-9),
+                            (hits, np.abs(ep - 2.0 / 9.0) < 1e-9)):
+            found += (f"{x:.6f}" for x in t[mask][:8 - len(found)].tolist())
+    # e_p = 2/9 iff cos(4 g1 t) = -cos(4 g2 t): a difference branch
+    # 2(g2 - g1) t = pi/2 + n pi and a sum branch 2(g2 + g1) t = pi/2 + n pi.
+    expected = ", ".join(f"{t:.6f}" for t in sorted(
+        {abs((math.pi / 2) / (2 * (g2 - s * g1))) for s in (1, -1) if g2 != s * g1}))
+    spacing = (f"expected multiples of pi/(4 g1) = {math.pi / (4 * abs(g1)):.6f}" if g1
+               else "g1 = 0: the concurrence is 0 at every t")
+    first = f"first expected at t = {expected}" if expected else "never expected (g1 = g2 = 0)"
+    return (f"concurrence zeros near t = {', '.join(zeros)}\n  ({spacing})\n"
+            f"concurrence maxima near t = {', '.join(maxima)}\n"
+            f"maximal entangling power {first}; grid hits: {', '.join(hits) or 'none on grid'}")
 
 
 def _write_rows(fh, header: str, blocks) -> int:
@@ -440,7 +484,6 @@ def cmd_gate(args) -> int:
 
 def cmd_basis(args) -> int:
     rc = EXIT_OK
-    did_something = False
     if args.show is not None:
         token = args.show.strip().upper().removeprefix("M")
         try:
@@ -451,15 +494,12 @@ def cmd_basis(args) -> int:
             return EXIT_USAGE
         print(f"M{index} =")
         print(fmt_matrix(matrix))
-        did_something = True
     if args.count:
         print((int(round(2 * args.j)) + 1) ** 2)  # (2j + 1)^2 matrices
-        did_something = True
     if args.tensor_basis:
         for op in tensors.hermitian_basis(args.j):
             print(f"T({op.component}, k={op.k}, q={op.q}) for j = {fmt_float(op.j)}:")
             print(fmt_matrix(op.matrix))
-        did_something = True
     if args.verify:
         report = su3.verify_algebra_tables()
         gm = su3.verify_gellmann()
@@ -477,8 +517,7 @@ def cmd_basis(args) -> int:
             for k in gm.failures:
                 print(f"Gell-Mann relation for M{k} failed", file=sys.stderr)
             rc = EXIT_VERIFY
-        did_something = True
-    if not did_something:
+    if args.show is None and not (args.count or args.tensor_basis or args.verify):
         for k in range(9):
             print(f"M{k} =")
             print(fmt_matrix(su3.m_matrix(k)))
@@ -486,9 +525,12 @@ def cmd_basis(args) -> int:
 
 
 def _write_series(args, start: float, stop: float, header: str, blocks, error=None) -> int:
-    """Write the CSV of `blocks(grid)` for the --steps point grid from start to
-    stop and print its row count; exit 2 on one stderr line if --steps is
-    below 2 or too large for memory, else on `error`, or if --out cannot be written."""
+    """Write the CSV of the --steps point grid from start to stop, of the
+    blocks that `blocks(grid)` yields, then print the row count and the
+    summary it returns: on stderr if --out is this process's stdout, so
+    that stdout holds the CSV alone.  Exit 2 on one stderr line if --steps
+    is below 2 or too large for memory, else on `error`, or if --out
+    cannot be written."""
     if args.steps is None or args.steps < 2:
         error = "--steps must be at least 2"
     if not error:
@@ -500,12 +542,21 @@ def _write_series(args, start: float, stop: float, header: str, blocks, error=No
     if error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
+    try:  # before writing: a regular --out is replaced by a new file
+        report = sys.stderr if os.path.samestat(os.stat(args.out), os.fstat(1)) else sys.stdout
+    except OSError:  # no such file yet, or no fd 1
+        report = sys.stdout
+    summary = []
+
+    def stream():
+        summary.append((yield from blocks(grid)))
+
     try:
-        count = write_csv(args.out, header, blocks(grid))
+        count = write_csv(args.out, header, stream())
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"wrote {count} rows to {args.out}")
+    print(f"wrote {count} rows to {args.out}", *summary, sep="\n", file=report)
     return EXIT_OK
 
 

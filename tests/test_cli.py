@@ -1,11 +1,16 @@
 import argparse
+import contextlib
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 
 from symgates import cli
 from symgates.cli import main, parse_angle, parse_spin
+from symgates.entanglement import CLASSES, NON_ENTANGLING, PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER
 from symgates.su3 import M
 
 SQ3 = math.sqrt(3.0)
@@ -60,12 +66,15 @@ def test_parse_angle_rejects_junk():
 @pytest.mark.parametrize("text, value", [
     (".5", 0.5), ("5.", 5.0), ("-.25pi", -0.25 * math.pi), (".5e1", 5.0), ("+5.e-1", 0.5),
     ("-.5*sqrt3", -0.5 * SQ3), ("3.*pi/2", 1.5 * math.pi),
+    ("pi/.5", math.pi / 0.5), ("pi/2.", math.pi / 2.0), ("pi/1e1", math.pi / 10.0),
+    ("3pi/2.5e-1", 3 * math.pi / 0.25),
 ])
 def test_parse_angle_reads_a_decimal_as_float_does(text, value):
     assert parse_angle(text) == value
 
 
-@pytest.mark.parametrize("text", [".", "-.", "pi.", "e5", ".e5", "5..", "1.2.3", "pi/."])
+@pytest.mark.parametrize("text", [".", "-.", "pi.", "e5", ".e5", "5..", "1.2.3", "pi/.",
+                                  "pi/0", "pi/0.", "pi/.0e3", "pi/1e-400", "pi/1e400", "pi/-2"])
 def test_parse_angle_rejects_a_bare_point_or_exponent(text):
     with pytest.raises(argparse.ArgumentTypeError, match="cannot parse angle"):
         parse_angle(text)
@@ -298,6 +307,165 @@ def test_sweep_rejects_few_steps(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def _series_report(argv):
+    """The lines that `main(argv)` prints after its row count, with --out a
+    new file."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv + ["--out", os.path.join(tmp, "series.csv")]) == 0
+    wrote, *summary = out.getvalue().splitlines()
+    assert wrote.startswith("wrote ")
+    return summary
+
+
+# The B4 summary as the sweep script printed it before local gates lost their angle.
+B4_LINES = {
+    33: "B4: max e_p = 0.222222222222 at theta = 1.570796326795; "
+        "perfect entangler for theta in [0.785398, 2.356194]",
+    720: "B4: max e_p = 0.222222222217 at theta = 1.568611630930; "
+         "perfect entangler for theta in [0.786491, 2.355102]",
+}
+
+
+@pytest.mark.parametrize("steps", list(B4_LINES))
+def test_local_gates_print_no_angle(steps):
+    lines = [line for k in range(1, 5)
+             for line in _series_report(["sweep", str(k), "--theta-max", "pi", "--steps", str(steps)])]
+    assert lines[:3] == [f"B{k}: non-entangling on the grid (max e_p <= 1e-09)"
+                         for k in range(1, 4)]
+    assert lines[3] == B4_LINES[steps]
+
+
+def test_b8_prints_each_perfect_entangler_run():
+    assert _series_report(["sweep", "8", "--theta-max", "sqrt3*pi", "--steps", "721"]) == [
+        "B8: max e_p = 0.222222222222 at theta = 2.720699046351; perfect entangler for theta in "
+        "[0.816210, 1.360350], [2.229462, 3.211936], [4.081049, 4.625188]"]
+
+
+# The LMG profile script's summary over t in [0, pi], as it printed it.
+LMG_LINES = {
+    (1, 2, 65): "maximal entangling power first expected at t = 0.261799, 0.785398; "
+                "grid hits: 0.785398, 2.356194",
+    (1, 2, 1441): "maximal entangling power first expected at t = 0.261799, 0.785398; "
+                  "grid hits: 0.261799, 0.783217, 0.785398, 0.787580, 1.308997, 1.832596, "
+                  "2.354013, 2.356194",
+    (1, 1, 65): "maximal entangling power first expected at t = 0.392699; "
+                "grid hits: 0.392699, 1.178097, 1.963495, 2.748894",
+    (1, 1, 1441): "maximal entangling power first expected at t = 0.392699; "
+                  "grid hits: 0.392699, 1.178097, 1.963495, 2.748894",
+}
+
+
+@pytest.mark.parametrize("g1, g2, steps", list(LMG_LINES))
+def test_lmg_series_prints_the_profile_summary(g1, g2, steps):
+    assert _series_report(["lmg", "--g1", str(g1), "--g2", str(g2), "--t-max", "pi",
+                           "--steps", str(steps)]) == [
+        "concurrence zeros near t = 0.000000, 0.785398, 1.570796, 2.356194, 3.141593",
+        "  (expected multiples of pi/(4 g1) = 0.785398)",
+        "concurrence maxima near t = 0.392699, 1.178097, 1.963495, 2.748894",
+        LMG_LINES[g1, g2, steps]]
+
+
+@pytest.mark.parametrize("g1, g2, spacing, first", [
+    ("0", "1", "  (g1 = 0: the concurrence is 0 at every t)", "first expected at t = 0.785398"),
+    ("0", "0", "  (g1 = 0: the concurrence is 0 at every t)", "never expected (g1 = g2 = 0)"),
+    ("1", "-1", "  (expected multiples of pi/(4 g1) = 0.785398)", "first expected at t = 0.392699"),
+    ("-1", "2", "  (expected multiples of pi/(4 g1) = 0.785398)",
+     "first expected at t = 0.261799, 0.785398"),
+])
+def test_lmg_summary_without_a_spacing_or_a_branch_exits_0_quietly(capsys, g1, g2, spacing, first):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lines = _series_report(["lmg", "--g1", g1, "--g2", g2, "--t-max", "pi", "--steps", "65"])
+    assert capsys.readouterr().err == ""
+    assert lines[1] == spacing
+    assert lines[3].startswith(f"maximal entangling power {first}; grid hits: ")
+    if g1 == "0":
+        assert lines[0].startswith("concurrence zeros near t = 0.000000, 0.049087, ")
+        assert lines[2] == "concurrence maxima near t = "
+
+
+def _script_sweep_line(k, columns):
+    """The sweep script's summary line, from all rows at once."""
+    rows = [(*row[:3], CLASSES[row[3]]) for row in zip(*columns)]
+    runs = [[row[0] for row in run] for labelled, run in itertools.groupby(
+        rows, lambda row: row[3] in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)) if labelled]
+    best_theta, _, best_ep, best_class = max(rows, key=lambda row: row[2])
+    if best_class == NON_ENTANGLING:
+        return f"B{k}: non-entangling on the grid (max e_p <= 1e-09)"
+    if runs:
+        windows = ", ".join(f"[{run[0]:.6f}, {run[-1]:.6f}]" for run in runs)
+        summary = f"perfect entangler for theta in {windows}"
+    else:
+        summary = "never a perfect entangler"
+    return f"B{k}: max e_p = {best_ep:.12f} at theta = {best_theta:.12f}; {summary}"
+
+
+def _script_lmg_lines(g1, g2, columns):
+    """The LMG profile script's summary lines, from all rows at once."""
+    rows = list(zip(*columns))
+    zeros = [t for t, _, conc in rows if conc < 1e-9]
+    maxima = [t for t, _, conc in rows if conc > 1.0 - 1e-9]
+    spe_times = [t for t, ep, _ in rows if abs(ep - 2.0 / 9.0) < 1e-9]
+    expected = []
+    if g2 != g1:
+        expected.append((math.pi / 2) / (2 * (g2 - g1)))
+    if g2 != -g1:
+        expected.append((math.pi / 2) / (2 * (g2 + g1)))
+    return [f"concurrence zeros near t = {', '.join(f'{t:.6f}' for t in zeros[:8])}",
+            f"  (expected multiples of pi/(4 g1) = {math.pi / (4 * g1):.6f})",
+            f"concurrence maxima near t = {', '.join(f'{t:.6f}' for t in maxima[:8])}",
+            f"maximal entangling power first expected at t = "
+            f"{', '.join(f'{t:.6f}' for t in sorted(abs(t) for t in expected))}; "
+            f"grid hits: {', '.join(f'{t:.6f}' for t in spe_times[:8]) or 'none on grid'}"]
+
+
+def _concatenated(blocks):
+    return [np.concatenate(column) for column in zip(*blocks)]
+
+
+STEPS_ABOUT_A_BLOCK = [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8), steps=st.sampled_from(STEPS_ABOUT_A_BLOCK),
+       edge=st.sampled_from([1, 3, 5, 7]), h=st.floats(1e-4, 3e-3),
+       at=st.sampled_from([cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK]))
+def test_sweep_summary_streamed_equals_the_one_shot_reference(k, steps, edge, h, at):
+    # B4..B7 are labelled perfect entanglers on [pi/4, 3 pi/4] mod pi: the
+    # angle edge * pi/4 falls half a step before grid point `at`, so a run
+    # starts or ends at, or one row from, a block boundary
+    theta_min = edge * math.pi / 4 + (0.5 - at) * h
+    theta_max = theta_min + (steps - 1) * h
+    expected = _script_sweep_line(k, _concatenated(
+        cli.sweep_blocks(k, np.linspace(theta_min, theta_max, steps))))
+    assert _series_report(["sweep", str(k), f"--theta-min={theta_min!r}",
+                           f"--theta-max={theta_max!r}", "--steps", str(steps)]) == [expected]
+
+
+def test_sweep_summary_takes_the_first_of_equal_maxima_across_blocks():
+    # cos is even, so e_p at -pi/2 (row 0) and pi/2 (row 1024, the next block) is equal
+    argv = ["sweep", "4", "--theta-min", "-pi/2", "--theta-max", "pi/2", "--steps", "1025"]
+    columns = _concatenated(cli.sweep_blocks(4, np.linspace(-math.pi / 2, math.pi / 2, 1025)))
+    assert columns[2][0] == columns[2][-1] == max(columns[2])
+    assert _series_report(argv) == [_script_sweep_line(4, columns)] == [
+        "B4: max e_p = 0.222222222222 at theta = -1.570796326795; "
+        "perfect entangler for theta in [-1.570796, -0.785398], [0.785398, 1.570796]"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(g1=st.floats(0.1, 10), ratio=st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.1, 4),
+       period=st.integers(1, 300), steps=st.sampled_from(STEPS_ABOUT_A_BLOCK))
+def test_lmg_summary_streamed_equals_the_one_shot_reference(g1, ratio, period, steps):
+    # the concurrence |sin 4 g1 t| is 0 every `period` grid points, so the
+    # first eight zeros reach past the first block when period > 1024 / 7
+    g2 = g1 * ratio
+    t_max = (steps - 1) * math.pi / (4 * g1 * period)
+    expected = _script_lmg_lines(g1, g2, _concatenated(
+        cli.lmg_blocks(g1, g2, np.linspace(0.0, t_max, steps))))
+    assert _series_report(["lmg", "--g1", repr(g1), "--g2", repr(g2), "--t-max", repr(t_max),
+                           "--steps", str(steps)]) == expected
+
+
 def _symgates(argv, stdout=subprocess.PIPE, unbuffered=False):
     """`symgates argv` in a child process, through the console script's entry point."""
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
@@ -313,13 +481,17 @@ def _symgates(argv, stdout=subprocess.PIPE, unbuffered=False):
 def test_sweep_writes_its_csv_into_a_stdout_pipe(tmp_path):
     # /dev/stdout links to /proc/<pid>/fd/1, which names a pipe as
     # 'pipe:[N]': resolving that link gives a path that does not exist
+    # the report goes to stderr, so that stdout holds the CSV alone
     argv = ["sweep", "4", "--theta-max", "pi", "--steps", "3"]
     run = _symgates(argv + ["--out", "/dev/stdout"])
-    assert run.returncode == 0 and run.stderr == b""
+    assert run.returncode == 0
     assert main(argv + ["--out", str(tmp_path / "b4.csv")]) == 0
     csv = (tmp_path / "b4.csv").read_bytes()
-    assert run.stdout == csv + b"wrote 3 rows to /dev/stdout\n"
+    assert run.stdout == csv
     assert csv.startswith(b"theta,g1_abs,ep,class\n")
+    assert run.stderr == (b"wrote 3 rows to /dev/stdout\n"
+                          b"B4: max e_p = 0.222222222222 at theta = 1.570796326795; "
+                          b"perfect entangler for theta in [1.570796, 1.570796]\n")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
