@@ -6,18 +6,19 @@ series options --t-min, --steps and --out only with --t-max.  All output
 is deterministic (15 significant digits, '.' decimal separator, LF line
 endings).  Exit codes: 0 success/verified, 1 verification failure,
 2 usage or parse error, including input the library rejects as out of
-its domain (non-finite numbers, reversed time ranges), 3 a failed
-internal check (a RuntimeError, such as e_p outside [0, 2/9]).  A
-library error is reported as one 'error: ...' line on stderr, with no
-traceback and no numpy warning before it; a reader that closes stdout
-before the report ends (`| head`) ends the command quietly, with exit 0.
+its domain (non-finite numbers), 3 a failed internal check (a
+RuntimeError, such as e_p outside [0, 2/9]).  A library or series error
+is one 'error: ...' line on stderr, with no traceback and no numpy
+warning before it; a reader that closes stdout before the report ends
+(`| head`), or a piped --out before its CSV ends, ends the command with
+exit 0.
 
-`sweep` and `lmg --t-max` compute their grid in blocks of _BLOCK points,
-through `entangling_power_batch` of `gates_batch` and through
-`lmg_entanglement_profile`, and write each block's rows as they go, to a
-file that replaces --out once the last block is written.  Then they print
-the row count and a summary folded from the blocks as they passed, on
-stderr if --out is stdout.  The module uses only the library's public names.
+`sweep` and `lmg --t-max` share `_write_series`, which rejects a missing
+--out, --steps below 2 and an empty or reversed range as usage errors.
+Blocks of _BLOCK grid points, (float columns, class levels or None), are
+written as bytes as they come, to a file that replaces --out after the last
+one; then the row count and a summary folded from the blocks are printed,
+on stderr if --out is stdout.  Only the library's public names are used.
 
 A CSV float cell holds the bytes of '%.15g' % (x + 0.0), as `fmt_float`
 prints the text reports.  A block's float cells go through one numpy
@@ -26,7 +27,7 @@ double-double product with a power of ten) and lays out its digits from
 tables; a cell falls back to '%.15g' itself when its rounding remainder
 lies within 2**-50 of a tie, when it is subnormal, inf or nan, or when it
 is outside the kernel's exponent range (|x| below 1e-25 or rounding to
-1e15 or more).  The class column, each gate's index into
+1e15 or more).  The class cell, each gate's index into
 `entanglement.CLASSES`, is one `take` from a table of the labels' bytes.
 """
 
@@ -62,6 +63,7 @@ LMG_HEADER = "t,ep,concurrence"
 _BLOCK = 1024
 # The class levels from here up are perfect entanglers.
 _PERFECT = entanglement.CLASSES.index(entanglement.PERFECT_ENTANGLER)
+_LISTED = 8  # windows or times a series summary lists
 
 _LONG_OPTION = re.compile(r"--\w[\w-]*")  # without '=value'
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?"  # as float() reads it, without a sign
@@ -364,48 +366,52 @@ def _blocks(grid: np.ndarray):
 
 
 def sweep_blocks(k: int, thetas: np.ndarray):
-    """Columns (theta, |G1|, e_p, class level) of a B_k sweep, block by block.
+    """Blocks ((theta, |G1|, e_p), class levels) of a B_k sweep.
 
     Returns the sweep's summary line: the largest e_p and the angle of its
-    first row, and the first and last angle of each run of consecutive
-    perfect-entangler rows; or only that the sweep is non-entangling, when
-    its largest e_p is classed so."""
+    first row, and the first and last angle of the first _LISTED runs of
+    consecutive perfect-entangler rows, then how many runs follow; or only
+    that the sweep is non-entangling, when its largest e_p is classed so."""
     best_ep, best_theta, best_level = -math.inf, 0.0, 0
-    starts, ends, in_run = [], [], False
+    starts, ends, runs, in_run = [], [], 0, False
     for theta in _blocks(thetas):
         report = entanglement.entangling_power_batch(gates.gates_batch(k, theta))
         ep, level = report.ep, report.level
-        yield theta, report.g1_abs, ep, level
+        yield (theta, report.g1_abs, ep), level
         i = int(np.argmax(ep))
         if ep[i] > best_ep:
             best_ep, best_theta, best_level = float(ep[i]), float(theta[i]), int(level[i])
         perfect = level >= _PERFECT
-        if in_run and perfect[0]:
+        if in_run and perfect[0] and runs <= _LISTED:
             ends.pop()  # the run that ended the last block goes on
-        starts += theta[perfect & ~np.append(in_run, perfect[:-1])].tolist()
-        ends += theta[perfect & ~np.append(perfect[1:], False)].tolist()
+        first = theta[perfect & ~np.append(in_run, perfect[:-1])].tolist()
+        starts += first[:_LISTED - len(starts)]
+        runs += len(first)
+        ends += theta[perfect & ~np.append(perfect[1:], False)].tolist()[:_LISTED - len(ends)]
         in_run = bool(perfect[-1])
     if entanglement.CLASSES[best_level] == entanglement.NON_ENTANGLING:
         # e_p this small is rounding noise: the angle of its maximum says nothing
         return f"B{k}: non-entangling on the grid (max e_p <= {entanglement.CLASSIFY_ATOL:g})"
     windows = ", ".join(f"[{a:.6f}, {b:.6f}]" for a, b in zip(starts, ends))
+    if runs > _LISTED:
+        windows += f" and {runs - _LISTED} more"
     summary = f"perfect entangler for theta in {windows}" if windows else "never a perfect entangler"
     return f"B{k}: max e_p = {best_ep:.12f} at theta = {best_theta:.12f}; {summary}"
 
 
 def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
-    """Columns (t, e_p, concurrence of B_L |up up>) of an LMG series, block by block.
+    """Blocks ((t, e_p, concurrence of B_L |up up>), None) of an LMG series.
 
-    Returns the series' summary lines: the first 8 times of concurrence
-    zeros (< 1e-9) and maxima (> 1 - 1e-9), and of e_p within 1e-9 of 2/9,
-    each beside the times the closed forms give."""
+    Returns the series' summary lines: the first _LISTED times of
+    concurrence zeros (< 1e-9) and maxima (> 1 - 1e-9), and of e_p within
+    1e-9 of 2/9, each beside the times the closed forms give."""
     zeros, maxima, hits = [], [], []
     for block in _blocks(t_grid):
-        t, ep, conc = entanglement.lmg_entanglement_profile(g1, g2, block)
-        yield t, ep, conc
+        t, ep, conc = columns = entanglement.lmg_entanglement_profile(g1, g2, block)
+        yield columns, None
         for found, mask in ((zeros, conc < 1e-9), (maxima, conc > 1.0 - 1e-9),
                             (hits, np.abs(ep - 2.0 / 9.0) < 1e-9)):
-            found += (f"{x:.6f}" for x in t[mask][:8 - len(found)].tolist())
+            found += (f"{x:.6f}" for x in t[mask][:_LISTED - len(found)].tolist())
     # e_p = 2/9 iff cos(4 g1 t) = -cos(4 g2 t): a difference branch
     # 2(g2 - g1) t = pi/2 + n pi and a sum branch 2(g2 + g1) t = pi/2 + n pi.
     expected = ", ".join(f"{t:.6f}" for t in sorted(
@@ -419,27 +425,28 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
 
 
 def _write_rows(fh, header: str, blocks) -> int:
-    """Write `header`, then one row per entry of each block's columns: a
-    float array as fmt_float prints it (`_float_cells`), an integer one, of
-    class levels, as the labels of entanglement.CLASSES.  A block's rows are
-    laid out in one byte buffer whose pad bytes one translate drops."""
-    fh.write(header + "\n")
+    """Write `header`, then one row per entry of each block (float columns,
+    class levels or None) to the binary file `fh`: the floats as fmt_float
+    prints them (`_float_cells`), then a level's label in
+    entanglement.CLASSES.  A block's rows are laid out in one byte buffer
+    whose pad bytes one translate drops."""
+    fh.write(f"{header}\n".encode())
     count = 0
-    for columns in blocks:
-        floats = [c for c in columns if c.dtype.kind == "f"]
-        cells = _float_cells(np.stack(floats, axis=1, dtype=np.float64).ravel())
-        cells = iter(cells.reshape(-1, len(floats), _CELL).swapaxes(0, 1))
-        parts = [next(cells) if c.dtype.kind == "f" else _class_cells().take(c, axis=0)
-                 for c in columns]
-        parts[-1][:, -1] = ord("\n")  # the last cell's ',' ends the row
-        rows = np.concatenate(parts, axis=1)
-        fh.write(rows.tobytes().translate(None, bytes([_PAD])).decode())
+    for floats, level in blocks:
+        table = np.stack(floats, axis=1, dtype=np.float64)
+        # `cells` lives, as `rows` does, until the next block's are built:
+        # freed sooner, it lets glibc trim the heap and fault it back each block
+        rows = cells = _float_cells(table.ravel()).reshape(len(table), -1)
+        if level is not None:
+            rows = np.concatenate([cells, _class_cells().take(level, axis=0)], axis=1)
+        rows[:, -1] = ord("\n")  # the last cell's ',' ends the row
+        fh.write(rows.tobytes().translate(None, bytes([_PAD])))
         count += len(rows)
     return count
 
 
 def write_csv(path, header: str, blocks) -> int:
-    """Write `header`, then the rows of each block of columns as it arrives.
+    """Write `header`, then the rows of each block as it arrives.
 
     The rows go to a temporary file beside `path`, which replaces `path`
     only once every block has been written: an error part way leaves an
@@ -452,12 +459,12 @@ def write_csv(path, header: str, blocks) -> int:
     except FileNotFoundError:
         regular = True
     if not regular:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             return _write_rows(fh, header, blocks)
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "wb") as fh:
             count = _write_rows(fh, header, blocks)
         os.replace(tmp, target)
     except BaseException:
@@ -524,24 +531,26 @@ def cmd_basis(args) -> int:
     return rc
 
 
-def _write_series(args, start: float, stop: float, header: str, blocks, error=None) -> int:
+def _write_series(args, name: str, start: float, stop: float, header: str, blocks) -> int:
     """Write the CSV of the --steps point grid from start to stop, of the
     blocks that `blocks(grid)` yields, then print the row count and the
     summary it returns: on stderr if --out is this process's stdout, so
-    that stdout holds the CSV alone.  Exit 2 on one stderr line if --steps
-    is below 2 or too large for memory, else on `error`, or if --out
-    cannot be written."""
+    that stdout holds the CSV alone.  InputError (exit 2) if --steps is below
+    2 or too large for memory, --out is missing or --{name}-max is not above
+    --{name}-min; exit 2 if --out cannot be written, 0 if its reader has gone."""
     if args.steps is None or args.steps < 2:
-        error = "--steps must be at least 2"
-    if not error:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # the library names an overflow
-                grid = np.linspace(start, stop, args.steps)
-        except (MemoryError, ValueError, IndexError):  # numpy's refusals of a huge array
-            error = f"--steps {args.steps} is too large: the grid does not fit in memory"
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError("--steps must be at least 2")
+    if args.out is None:
+        raise InputError("--out is required for a series")
+    if not stop > start:
+        raise InputError(f"--{name}-max ({fmt_float(stop)}) must be greater than "
+                         f"--{name}-min ({fmt_float(start)})")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the library names an overflow
+            grid = np.linspace(start, stop, args.steps)
+    except (MemoryError, ValueError, IndexError):  # numpy's refusals of a huge array
+        raise InputError(f"--steps {args.steps} is too large: "
+                         "the grid does not fit in memory") from None
     try:  # before writing: a regular --out is replaced by a new file
         report = sys.stderr if os.path.samestat(os.stat(args.out), os.fstat(1)) else sys.stdout
     except OSError:  # no such file yet, or no fd 1
@@ -553,6 +562,8 @@ def _write_series(args, start: float, stop: float, header: str, blocks, error=No
 
     try:
         count = write_csv(args.out, header, stream())
+    except BrokenPipeError:  # as a closed stdout: the reader wants no more
+        return EXIT_OK
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -561,7 +572,7 @@ def _write_series(args, start: float, stop: float, header: str, blocks, error=No
 
 
 def cmd_sweep(args) -> int:
-    return _write_series(args, args.theta_min, args.theta_max, SWEEP_HEADER,
+    return _write_series(args, "theta", args.theta_min, args.theta_max, SWEEP_HEADER,
                          functools.partial(sweep_blocks, args.k))
 
 
@@ -597,15 +608,8 @@ def cmd_lmg(args) -> int:
         print(f"class = {report.classification}")
         print(f"concurrence(B_L |upup>) = {fmt_float(conc)}")
         return EXIT_OK
-    t_min = 0.0 if args.t_min is None else args.t_min
-    error = None
-    if args.out is None:
-        error = "--out is required for a time series"
-    elif not args.t_max > t_min:
-        error = (f"--t-max ({fmt_float(args.t_max)}) must be greater than --t-min "
-                 f"({fmt_float(t_min)})")
-    return _write_series(args, t_min, args.t_max, LMG_HEADER,
-                         functools.partial(lmg_blocks, args.g1, args.g2), error)
+    return _write_series(args, "t", 0.0 if args.t_min is None else args.t_min, args.t_max,
+                         LMG_HEADER, functools.partial(lmg_blocks, args.g1, args.g2))
 
 
 def cmd_decompose(args) -> int:

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateBatch, SymmetricGate, lmg_batch
-from .linalg import InputError, _finite, _grid, _matrix, _require, is_unitary
+from .linalg import _finite, _grid, _matrix, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
 _SQ2 = math.sqrt(2.0)
@@ -445,10 +445,8 @@ def lmg_entanglement_profile(g1: float, g2: float,
     zero at t = n pi / (4 g1) and maximal when 4 g1 t is an odd multiple
     of pi/2.  |G1| = ((cos 4 g1 t + cos 4 g2 t)/2)^2, so the entangling
     power reaches 2/9 whenever 2 g2 t - 2 g1 t or 2 g2 t + 2 g1 t is
-    congruent to pi/2 modulo pi.  t_grid must be strictly ascending.
+    congruent to pi/2 modulo pi.
     """
     t_grid = _grid("t_grid", t_grid)
-    if np.any(np.diff(t_grid) <= 0):
-        raise InputError("t_grid must be strictly ascending")
     g = lmg_batch(g1, g2, t_grid)
     return t_grid, entangling_power_batch(g).ep, _up_up_concurrences(g.u3)

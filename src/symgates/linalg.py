@@ -41,7 +41,7 @@ UNITARITY_ATOL = 1e-12
 
 class InputError(ValueError):
     """An argument outside a function's domain: a non-finite number, an
-    index out of range, an unordered grid, a matrix of the wrong shape."""
+    index out of range, a matrix of the wrong shape."""
 
 
 def _finite(name: str, value):

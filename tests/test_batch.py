@@ -180,9 +180,9 @@ def test_vector_tail_clamps_rounding_below_zero():
     assert -2e-13 < 2.0 / 9.0 * (1.0 - scores.g1_abs[0]) < 0.0
     assert scores.ep[0] == 0.0 and math.copysign(1.0, scores.ep[0]) == 1.0
     assert scores.classification == ("non-entangling",)
-    fh = io.StringIO()
-    cli._write_rows(fh, "ep", [(scores.ep,)])
-    assert fh.getvalue() == "ep\n0\n"
+    fh = io.BytesIO()
+    cli._write_rows(fh, "ep", [((scores.ep,), None)])
+    assert fh.getvalue() == b"ep\n0\n"
 
 
 def test_vector_tail_rejects_e_p_out_of_range():
@@ -329,13 +329,13 @@ def test_lmg_csv_is_byte_identical_to_the_per_point_output(tmp_path, capsys, g1,
 @pytest.mark.parametrize("k", range(1, 9))
 def test_no_sweep_row_has_a_negative_ep(k):
     thetas = np.linspace(0.0, math.pi if k < 8 else math.sqrt(3.0) * math.pi, 2049)
-    for _, _, ep, _ in cli.sweep_blocks(k, thetas):
+    for (_, _, ep), _ in cli.sweep_blocks(k, thetas):
         assert np.all(ep >= 0.0)
 
 
 @pytest.mark.parametrize("g1, g2", [(1.5, 1.5), (1.0, 2.0), (-0.7, 1.3), (0.25, 0.25)])
 def test_no_lmg_row_has_a_negative_ep(g1, g2):
-    for _, ep, _ in cli.lmg_blocks(g1, g2, np.linspace(0.0, math.pi, 1441)):
+    for (_, ep, _), _ in cli.lmg_blocks(g1, g2, np.linspace(0.0, math.pi, 1441)):
         assert np.all(ep >= 0.0)
 
 
@@ -389,7 +389,7 @@ def test_a_grid_call_peaks_below_2_mib_traced(tmp_path, capsys, argv):
 
 def test_b4_sweep_reaches_every_class_and_writes_the_per_point_csv(tmp_path, capsys):
     thetas = np.linspace(0.0, math.pi, 2 * cli._BLOCK + 1)
-    levels = np.concatenate([level for *_, level in cli.sweep_blocks(4, thetas)])
+    levels = np.concatenate([level for _, level in cli.sweep_blocks(4, thetas)])
     # local at 0 and pi, perfect on [pi/4, 3 pi/4] (1025 points), special
     # where cos(theta)**4 < 4.5e-9 (2/9 within 1e-9): 11 points about pi/2
     assert np.bincount(levels).tolist() == [2, 1022, 1014, 11]
@@ -551,13 +551,29 @@ def test_cli_rejects_infinite_angle(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_rejects_reversed_time_range(tmp_path, capsys):
+@pytest.mark.parametrize("command, name", [(["sweep", "4"], "theta"),
+                                           (["lmg", "--g1", "1", "--g2", "2"], "t")],
+                         ids=["sweep", "lmg"])
+@pytest.mark.parametrize("low, high", [("2", "1"), ("1", "1")], ids=["reversed", "equal"])
+def test_cli_rejects_reversed_time_range(tmp_path, capsys, command, name, low, high):
+    # an empty or reversed range is one usage error of both series
     out = tmp_path / "x.csv"
-    assert main(["lmg", "--g1", "1", "--g2", "2", "--t-min", "2", "--t-max", "1",
-                 "--steps", "5", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "--t-max" in err and "--t-min" in err
-    assert not out.exists()
+    assert main(command + [f"--{name}-min", low, f"--{name}-max", high, "--steps", "5",
+                           "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --{name}-max ({high}) must be greater than "
+                            f"--{name}-min ({low})\n")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_a_range_one_ulp_wide_is_a_series_of_both_commands(tmp_path, capsys):
+    # linspace repeats the two endpoints' values: the rows are written as they are
+    for command, name in ([["sweep", "4"], "theta"], [["lmg", "--g1", "1", "--g2", "2"], "t"]):
+        out = tmp_path / f"{name}.csv"
+        assert main(command + [f"--{name}-min", "1", f"--{name}-max", "1.0000000000000002",
+                               "--steps", "5", "--out", str(out)]) == 0
+        assert f"wrote 5 rows to {out}" in capsys.readouterr().out
+        assert out.read_text().count("\n") == 6
 
 
 @pytest.mark.filterwarnings("error")
@@ -577,14 +593,14 @@ def test_failed_write_keeps_the_existing_file(tmp_path):
     out.write_text("earlier results\n")
 
     def blocks():
-        yield [np.array([0.5]), np.array([1])]
+        yield (np.array([0.5]),), np.array([1])
         raise RuntimeError("block failed")
 
     with pytest.raises(RuntimeError, match="block failed"):
         cli.write_csv(out, "theta,class", blocks())
     assert out.read_text() == "earlier results\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
-    assert cli.write_csv(out, "theta,class", [[np.array([0.5, -0.0]), np.array([0, 3])]]) == 2
+    assert cli.write_csv(out, "theta,class", [((np.array([0.5, -0.0]),), np.array([0, 3]))]) == 2
     assert out.read_text() == "theta,class\n0.5,non-entangling\n0,special-perfect-entangler\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
@@ -596,12 +612,12 @@ cells = st.floats(allow_subnormal=True) | st.sampled_from([0.0, -0.0, 5e-324, -1
 @given(rows=st.lists(st.tuples(cells, cells, st.integers(0, 3)), min_size=1, max_size=20))
 def test_row_format_equals_fmt_float(rows):
     xs, ys, levels = zip(*rows)
-    fh = io.StringIO()
-    columns = [np.array(xs), np.array(ys), np.array(levels)]
-    assert cli._write_rows(fh, "x,y,class", [columns]) == len(rows)
+    fh = io.BytesIO()
+    block = (np.array(xs), np.array(ys)), np.array(levels)
+    assert cli._write_rows(fh, "x,y,class", [block]) == len(rows)
     expected = "".join(f"{fmt_float(x)},{fmt_float(y)},{CLASSES[level]}\n"
                        for x, y, level in rows)
-    assert fh.getvalue() == "x,y,class\n" + expected
+    assert fh.getvalue() == ("x,y,class\n" + expected).encode()
 
 
 # Any float64 by its bits, and values that put the 15-digit rounding on
@@ -622,12 +638,15 @@ float_cells = st.one_of(any_float, rounding_edges, power_neighbours, st.floats()
                      min_size=1, max_size=256))
 def test_row_kernel_equals_the_per_cell_format_on_any_float64(rows):
     xs, ys, zs, levels = zip(*rows)
-    fh = io.StringIO()
-    columns = [np.array(xs), np.array(levels), np.array(ys), np.array(zs)]
-    assert cli._write_rows(fh, "x,class,y,z", [columns]) == len(rows)
-    expected = "".join(f"{fmt_float(x)},{CLASSES[level]},{fmt_float(y)},{fmt_float(z)}\n"
-                       for x, y, z, level in rows)
-    assert fh.getvalue() == "x,class,y,z\n" + expected
+    floats = np.array(xs), np.array(ys), np.array(zs)
+    cells = [f"{fmt_float(x)},{fmt_float(y)},{fmt_float(z)}" for x, y, z, _ in rows]
+    fh = io.BytesIO()
+    assert cli._write_rows(fh, "x,y,z,class", [(floats, np.array(levels))]) == len(rows)
+    expected = "".join(f"{row},{CLASSES[level]}\n" for row, level in zip(cells, levels))
+    assert fh.getvalue() == ("x,y,z,class\n" + expected).encode()
+    fh = io.BytesIO()
+    assert cli._write_rows(fh, "x,y,z", [(floats, None)]) == len(rows)
+    assert fh.getvalue() == ("x,y,z\n" + "".join(f"{row}\n" for row in cells)).encode()
 
 
 @pytest.mark.parametrize("value, text", [
@@ -642,16 +661,16 @@ def test_row_kernel_equals_the_per_cell_format_on_any_float64(rows):
 ])
 def test_row_kernel_pins_rounding_and_special_cells(value, text):
     assert "%.15g" % (value + 0.0) == text
-    fh = io.StringIO()
-    cli._write_rows(fh, "x,y", [[np.array([value, 0.25]), np.array([-1.5, value])]])
-    assert fh.getvalue() == f"x,y\n{text},-1.5\n0.25,{text}\n"
+    fh = io.BytesIO()
+    cli._write_rows(fh, "x,y", [((np.array([value, 0.25]), np.array([-1.5, value])), None)])
+    assert fh.getvalue() == f"x,y\n{text},-1.5\n0.25,{text}\n".encode()
 
 
 def test_write_csv_writes_through_a_symlink(tmp_path):
     (tmp_path / "data").mkdir()
     link = tmp_path / "latest.csv"
     link.symlink_to(tmp_path / "data" / "run.csv")
-    assert cli.write_csv(link, "t", [[np.array([1.0])]]) == 1
+    assert cli.write_csv(link, "t", [((np.array([1.0]),), None)]) == 1
     assert link.is_symlink()
     assert (tmp_path / "data" / "run.csv").read_text() == "t\n1\n"
 

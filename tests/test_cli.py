@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symgates import cli
@@ -385,7 +385,8 @@ def test_lmg_summary_without_a_spacing_or_a_branch_exits_0_quietly(capsys, g1, g
 
 
 def _script_sweep_line(k, columns):
-    """The sweep script's summary line, from all rows at once."""
+    """The sweep script's summary line, from all rows at once, listing the
+    first eight windows."""
     rows = [(*row[:3], CLASSES[row[3]]) for row in zip(*columns)]
     runs = [[row[0] for row in run] for labelled, run in itertools.groupby(
         rows, lambda row: row[3] in (PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER)) if labelled]
@@ -393,7 +394,9 @@ def _script_sweep_line(k, columns):
     if best_class == NON_ENTANGLING:
         return f"B{k}: non-entangling on the grid (max e_p <= 1e-09)"
     if runs:
-        windows = ", ".join(f"[{run[0]:.6f}, {run[-1]:.6f}]" for run in runs)
+        windows = ", ".join(f"[{run[0]:.6f}, {run[-1]:.6f}]" for run in runs[:8])
+        if len(runs) > 8:
+            windows += f" and {len(runs) - 8} more"
         summary = f"perfect entangler for theta in {windows}"
     else:
         summary = "never a perfect entangler"
@@ -420,7 +423,9 @@ def _script_lmg_lines(g1, g2, columns):
 
 
 def _concatenated(blocks):
-    return [np.concatenate(column) for column in zip(*blocks)]
+    """A series' columns from its blocks: the floats, then the levels if any."""
+    return [np.concatenate(column) for column in zip(*(
+        floats if level is None else (*floats, level) for floats, level in blocks))]
 
 
 STEPS_ABOUT_A_BLOCK = [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 1]
@@ -428,8 +433,14 @@ STEPS_ABOUT_A_BLOCK = [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOC
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(1, 8), steps=st.sampled_from(STEPS_ABOUT_A_BLOCK),
-       edge=st.sampled_from([1, 3, 5, 7]), h=st.floats(1e-4, 3e-3),
+       edge=st.sampled_from([1, 3, 5, 7]), h=st.floats(1e-4, 3e-3) | st.floats(0.02, 0.03),
        at=st.sampled_from([cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK]))
+# Steps of 0.02 or more give B4..B7 more than eight runs, whose summary
+# lists eight.  With the run start pi/4 half a step before row 0, the 8th
+# run (h = 0.022) or the 9th (h = 0.025) spans the block boundary at 1024.
+@example(k=4, steps=2 * cli._BLOCK + 1, edge=1, h=0.022, at=0)
+@example(k=5, steps=2 * cli._BLOCK + 1, edge=1, h=0.025, at=0)
+@example(k=6, steps=cli._BLOCK + 1, edge=1, h=0.025, at=0)
 def test_sweep_summary_streamed_equals_the_one_shot_reference(k, steps, edge, h, at):
     # B4..B7 are labelled perfect entanglers on [pi/4, 3 pi/4] mod pi: the
     # angle edge * pi/4 falls half a step before grid point `at`, so a run
@@ -497,7 +508,10 @@ def test_sweep_writes_its_csv_into_a_stdout_pipe(tmp_path):
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_reader_that_closes_stdout_early_is_not_an_error(tmp_path, unbuffered):
     # as `symgates ... | head -1` when head exits before the report's last
-    # line: the CSV is complete, and no traceback or error line follows
+    # line: the CSV is complete, and no traceback or error line follows;
+    # or before the CSV's last row, with --out /dev/stdout: the command ends
+    # there, with no report (3 rows fail when the file is closed, 5000 on a
+    # write part way)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -506,11 +520,15 @@ def test_a_reader_that_closes_stdout_early_is_not_an_error(tmp_path, unbuffered)
                           stdout=write_end, unbuffered=unbuffered)
         report = _symgates(["gate", "4", "--theta", "pi/2"], stdout=write_end,
                            unbuffered=unbuffered)
+        piped = [_symgates(["sweep", "4", "--theta-max", "pi", "--steps", steps,
+                            "--out", "/dev/stdout"], stdout=write_end, unbuffered=unbuffered)
+                 for steps in ("3", "5000")]
     finally:
         os.close(write_end)
     assert (sweep.returncode, sweep.stderr) == (0, b"")
     assert (report.returncode, report.stderr) == (0, b"")
     assert out.read_text().count("\n") == 4
+    assert [(run.returncode, run.stderr) for run in piped] == [(0, b""), (0, b"")]
 
 
 HUGE_SERIES = [["sweep", "4", "--theta-max", "pi"],

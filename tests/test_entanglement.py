@@ -491,9 +491,15 @@ def test_lmg_profile_reaches_maximal_power_on_condition():
     assert conc[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_lmg_profile_takes_a_grid_in_any_order():
+    # no order rule, as for lmg_batch: each row depends on its own t alone
+    grid = np.linspace(0.0, math.pi, 257)
+    ascending = lmg_entanglement_profile(1, 2, grid)
+    for column, reversed_column in zip(ascending, lmg_entanglement_profile(1, 2, grid[::-1])):
+        assert np.array_equal(reversed_column, column[::-1])
+
+
 def test_lmg_profile_rejects_bad_grid():
-    with pytest.raises(ValueError, match="ascending"):
-        lmg_entanglement_profile(1.0, 1.0, [0.5, 0.1])
     with pytest.raises(ValueError, match="finite"):
         lmg_entanglement_profile(1.0, 1.0, [0.0, math.inf])
 
