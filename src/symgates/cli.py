@@ -6,12 +6,12 @@ series options --t-min, --steps and --out only with --t-max.  All output
 is deterministic (15 significant digits, '.' decimal separator, LF line
 endings).  Exit codes: 0 success/verified, 1 verification failure,
 2 usage or parse error, including input the library rejects as out of
-its domain (non-finite numbers), 3 a failed internal check (a
-RuntimeError, such as e_p outside [0, 2/9]).  A library or series error
-is one 'error: ...' line on stderr, with no traceback and no numpy
-warning before it; a reader that closes stdout before the report ends
-(`| head`), or a piped --out before its CSV ends, ends the command with
-exit 0.
+its domain (non-finite numbers, a spin above 5/2), 3 a failed internal
+check (a RuntimeError, such as e_p outside [0, 2/9]).  A library or
+series error is one 'error: ...' line on stderr, with no traceback and
+no numpy warning before it; a reader that closes stdout before the
+report ends (`| head`), or a piped --out before its CSV ends, ends the
+command with exit 0.
 
 `sweep` and `lmg --t-max` share `_write_series`, which rejects a missing
 --out, --steps below 2 and an empty or reversed range as usage errors.
@@ -56,10 +56,9 @@ EXIT_INTERNAL = 3
 SWEEP_HEADER = "theta,g1_abs,ep,class"
 LMG_HEADER = "t,ep,concurrence"
 # Grid points computed and written together, spreading numpy's per-call
-# cost.  A block's arrays stay under the 256 KiB at which numpy reuses a
-# temporary in place, which can swap a product's factors (a (1024, 3, 3)
-# complex stack is 144 KiB), and a 16384-point sweep peaks at 1.3 MiB
-# traced, the 1441-point LMG series at 0.8 MiB, whatever the grid's length.
+# cost.  A block's arrays stay small (a (1024, 3, 3) complex stack is
+# 144 KiB): a 16384-point sweep peaks at 1.3 MiB traced, the 1441-point
+# LMG series at 0.8 MiB, whatever the grid's length.
 _BLOCK = 1024
 # The class levels from here up are perfect entanglers.
 _PERFECT = entanglement.CLASSES.index(entanglement.PERFECT_ENTANGLER)
@@ -496,8 +495,8 @@ def cmd_basis(args) -> int:
         try:
             index = int(token)
             matrix = su3.m_matrix(index)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except ValueError:
+            print(f"error: --show takes M0..M8 or 0..8, got {args.show!r}", file=sys.stderr)
             return EXIT_USAGE
         print(f"M{index} =")
         print(fmt_matrix(matrix))

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_bounded, _finite, _flat_basis, _hermitian, _index, _matrix, _require,
-                     anticommutator, commutator)
+from .linalg import _bounded, _finite, _flat_basis, _hermitian, _index, _matrix, _require
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -122,22 +121,22 @@ _ANTI_UPPER: dict[tuple[int, int], tuple[tuple[complex, int], ...]] = {
 }
 
 
-def _full_commutator_table() -> dict[tuple[int, int], tuple[tuple[complex, int], ...]]:
-    full: dict[tuple[int, int], tuple[tuple[complex, int], ...]] = {}
-    for k in range(1, 9):
-        full[(k, k)] = ()
-    for (k, kp), entry in _COMM_UPPER.items():
+def _full_table(upper, sign: int) -> dict[tuple[int, int], tuple[tuple[complex, int], ...]]:
+    """All 64 entries (k, k') of a table from its upper triangle: entry (k', k)
+    is entry (k, k') times `sign`, and a diagonal entry not given is zero."""
+    full = dict.fromkeys(((k, k) for k in range(1, 9)), ())
+    for (k, kp), entry in upper.items():
+        full[(kp, k)] = tuple((sign * c, i) for c, i in entry)
         full[(k, kp)] = entry
-        full[(kp, k)] = tuple((-c, i) for c, i in entry)
     return full
 
 
-def _full_anticommutator_table() -> dict[tuple[int, int], tuple[tuple[complex, int], ...]]:
-    full: dict[tuple[int, int], tuple[tuple[complex, int], ...]] = {}
-    for (k, kp), entry in _ANTI_UPPER.items():
-        full[(k, kp)] = entry
-        full[(kp, k)] = entry
-    return full
+def _coefficients(terms: tuple[tuple[complex, int], ...]) -> np.ndarray:
+    """The nine coefficients c_i of a relation's terms (c_i, i), i = 0..8."""
+    c = np.zeros(9, dtype=np.complex128)
+    for coeff, idx in terms:
+        c[idx] += coeff
+    return c
 
 
 @dataclass(frozen=True)
@@ -148,14 +147,11 @@ class AlgebraTable:
     entries: dict[tuple[int, int], tuple[tuple[complex, int], ...]]
 
     def expand(self, k: int, kp: int) -> np.ndarray:
-        out = np.zeros((3, 3), dtype=np.complex128)
-        for coeff, idx in self.entries[(k, kp)]:
-            out += coeff * M[idx]
-        return out
+        return _M_BASIS.combine(_coefficients(self.entries[(k, kp)]))
 
 
-COMMUTATOR_TABLE = AlgebraTable("commutator", _full_commutator_table())
-ANTICOMMUTATOR_TABLE = AlgebraTable("anticommutator", _full_anticommutator_table())
+COMMUTATOR_TABLE = AlgebraTable("commutator", _full_table(_COMM_UPPER, -1))
+ANTICOMMUTATOR_TABLE = AlgebraTable("anticommutator", _full_table(_ANTI_UPPER, 1))
 
 # Index triplets closing under [M_a, M_b] = -i c eps_abc M_c.
 VECTOR_TRIPLETS = (
@@ -233,56 +229,41 @@ class AlgebraReport:
         return not self.mismatches and self.triplets_ok and self.vanishing_ok
 
 
+def _residual(product: np.ndarray, c: np.ndarray, basis=_M_BASIS) -> float:
+    """max|product - sum_i c_i b_i| over the matrices b_i of a Hermitian basis."""
+    return float(np.max(np.abs(product - basis.combine(c))))
+
+
 def verify_algebra_tables() -> AlgebraReport:
     """Check every tabulated commutator and anticommutator numerically.
 
-    Each of the 64 + 64 products is computed from the literal matrices,
-    decomposed in the M basis and compared coefficient by coefficient
-    against the symbolic table within 1e-13, so a mismatch names the offending entry.
-    The vector triplets and the vanishing commutators with M8 are
-    verified as well.
-    """
+    All of them are read from the 81 products M_a M_b, formed once.  Each of
+    the 64 + 64 table entries, the vector triplets (all within 1e-13) and the
+    vanishing commutators with M8 (within 1e-14) is compared entry by entry
+    with the matrix of its coefficients.  A table mismatch names the entry, its
+    expected coefficients and the M-basis coefficients of the computed product."""
+    m = np.array(M)
+    products = m[:, None] @ m  # (9, 9, 3, 3): M_a M_b
+    comm, anti = products - products.swapaxes(0, 1), products + products.swapaxes(0, 1)
     mismatches: list[TableMismatch] = []
-    checked = 0
-    max_residual = 0.0
-    for table, op in ((COMMUTATOR_TABLE, commutator), (ANTICOMMUTATOR_TABLE, anticommutator)):
+    residuals: list[float] = []
+    for table, computed in ((COMMUTATOR_TABLE, comm), (ANTICOMMUTATOR_TABLE, anti)):
         for (k, kp), entry in sorted(table.entries.items()):
-            checked += 1
-            product = op(M[k], M[kp])
-            expected = table.expand(k, kp)
-            residual = float(np.max(np.abs(product - expected)))
-            max_residual = max(max_residual, residual)
-            if residual > 1e-13:
-                exp_coeffs = np.zeros(9, dtype=np.complex128)
-                for coeff, idx in entry:
-                    exp_coeffs[idx] += coeff
-                mismatches.append(TableMismatch(
-                    kind=table.kind, k=k, kp=kp, residual=residual,
-                    expected=tuple(exp_coeffs), computed=tuple(m_coefficients(product)),
-                ))
-
-    triplets_ok = True
-    for (a, b, c), scale in VECTOR_TRIPLETS:
-        trio = (a, b, c)
-        for i in range(3):
-            lhs = commutator(M[trio[i]], M[trio[(i + 1) % 3]])
-            rhs = -1j * scale * M[trio[(i + 2) % 3]]
-            if np.max(np.abs(lhs - rhs)) > 1e-13:
-                triplets_ok = False
-
-    vanishing_residual = 0.0
-    for k, kp in VANISHING_COMMUTATOR_PAIRS:
-        vanishing_residual = max(vanishing_residual, float(np.max(np.abs(commutator(M[k], M[kp])))))
-    vanishing_ok = vanishing_residual < 1e-14
-
-    return AlgebraReport(
-        entries_checked=checked,
-        mismatches=tuple(mismatches),
-        max_residual=max_residual,
-        triplets_ok=triplets_ok,
-        vanishing_ok=vanishing_ok,
-        vanishing_residual=vanishing_residual,
-    )
+            product, c = computed[k, kp], _coefficients(entry)
+            residuals.append(_residual(product, c))
+            if residuals[-1] > 1e-13:
+                mismatches.append(TableMismatch(table.kind, k, kp, residuals[-1], tuple(c),
+                                                tuple(m_coefficients(product))))
+    # [M_a, M_b] = -i scale M_c for each cyclic order (a, b, c) of a triplet
+    triplets_ok = all(_residual(comm[a, b], _coefficients(((-1j * scale, c),))) <= 1e-13
+                      for (x, y, z), scale in VECTOR_TRIPLETS
+                      for a, b, c in ((x, y, z), (y, z, x), (z, x, y)))
+    vanishing_residual = max((_residual(comm[k, kp], _coefficients(()))
+                              for k, kp in VANISHING_COMMUTATOR_PAIRS), default=0.0)
+    return AlgebraReport(entries_checked=len(residuals), mismatches=tuple(mismatches),
+                         max_residual=max(residuals, default=0.0), triplets_ok=triplets_ok,
+                         vanishing_ok=vanishing_residual < 1e-14,
+                         vanishing_residual=vanishing_residual)
 
 
 @dataclass(frozen=True)
@@ -297,19 +278,14 @@ class GellMannReport:
 
 
 def verify_gellmann() -> GellMannReport:
-    """Check the Gell-Mann relations against the literal matrices, within 1e-14."""
-    failures: list[int] = []
-    max_residual = 0.0
-    for k, terms in GELLMANN_RELATIONS.items():
-        expected = np.zeros((3, 3), dtype=np.complex128)
-        for coeff, idx in terms:
-            expected += coeff * GELL_MANN[idx - 1]
-        residual = float(np.max(np.abs(M[k] - expected)))
-        max_residual = max(max_residual, residual)
-        if residual > 1e-14:
-            failures.append(k)
-    return GellMannReport(relations_checked=len(GELLMANN_RELATIONS),
-                          failures=tuple(failures), max_residual=max_residual)
+    """Check the Gell-Mann relations against the literal matrices, within 1e-14,
+    in the basis lambda_0..lambda_8 with lambda_0 = M0, which no relation uses."""
+    lambdas = _flat_basis(np.array((M0,) + GELL_MANN))
+    residuals = {k: _residual(M[k], _coefficients(terms), lambdas)
+                 for k, terms in GELLMANN_RELATIONS.items()}
+    return GellMannReport(relations_checked=len(residuals),
+                          failures=tuple(k for k, r in residuals.items() if r > 1e-14),
+                          max_residual=max(residuals.values(), default=0.0))
 
 
 def to_qubit_basis(op3, singlet_value: complex = 0.0) -> np.ndarray:

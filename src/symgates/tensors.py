@@ -61,9 +61,9 @@ def _as_two_j(j) -> int:
         pass
     two_j = _as_two(j, "j")
     if two_j < 0:
-        raise ValueError(f"j must be non-negative, got {j}")
+        raise InputError(f"j must be non-negative, got {j}")
     if two_j > MAX_TWO_J:
-        raise ValueError(f"j = {j} exceeds the supported maximum j = {MAX_TWO_J / 2}")
+        raise InputError(f"j = {j} exceeds the supported maximum j = {MAX_TWO_J / 2}")
     return two_j
 
 

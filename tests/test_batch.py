@@ -173,6 +173,23 @@ def test_one_gate_path_equals_a_grid_of_16384_gates():
         _assert_reports_equal(scores, i, entangling_power(custom_gate(u3[i])))
 
 
+def test_a_grid_in_one_call_equals_its_cli_blocks():
+    # a 2003-point call's stacks pass 256 KiB, where numpy may reuse an unnamed
+    # temporary in place; its results must still be those of the CLI's blocks
+    grid = np.linspace(-1.0, 7.0, 2003)
+    blocks = [grid[i:i + cli._BLOCK] for i in range(0, len(grid), cli._BLOCK)]
+    for k in range(1, 9):
+        whole = entangling_power_batch(gates_batch(k, grid))
+        parts = [entangling_power_batch(gates_batch(k, block)) for block in blocks]
+        for field in ("g1", "g1_abs", "ep", "level"):
+            assert np.array_equal(getattr(whole, field),
+                                  np.concatenate([getattr(part, field) for part in parts]))
+    whole = lmg_entanglement_profile(1.3, 2.7, grid)
+    parts = [lmg_entanglement_profile(1.3, 2.7, block) for block in blocks]
+    for column, pieces in zip(whole, zip(*parts)):
+        assert np.array_equal(column, np.concatenate(pieces))
+
+
 def test_vector_tail_clamps_rounding_below_zero():
     # a real tr(m) with det 1 whose e_p rounds to about -1e-13
     tr = np.array([4.0 * math.sqrt(1.0 + 4.5e-13)], dtype=np.complex128)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symgates import cli
+from symgates import cli, su3
 from symgates.cli import main, parse_angle, parse_spin
 from symgates.entanglement import CLASSES, NON_ENTANGLING, PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER
 from symgates.su3 import M
@@ -176,12 +176,60 @@ def test_basis_verify(capsys):
     assert "8/8 Gell-Mann relations verified" in out
 
 
+def test_basis_verify_reports_each_broken_relation(capsys, monkeypatch):
+    # one commutator entry with the wrong sign, one triplet scale doubled, a
+    # "vanishing" pair that does not commute and one wrong Gell-Mann relation
+    monkeypatch.setitem(su3.COMMUTATOR_TABLE.entries, (1, 2), ((1j, 3),))
+    monkeypatch.setattr(su3, "VECTOR_TRIPLETS", (((1, 2, 3), 2.0),) + su3.VECTOR_TRIPLETS[1:])
+    monkeypatch.setattr(su3, "VANISHING_COMMUTATOR_PAIRS", su3.VANISHING_COMMUTATOR_PAIRS + ((1, 2),))
+    monkeypatch.setitem(su3.GELLMANN_RELATIONS, 7, ((-1.0, 4),))
+    report = su3.verify_algebra_tables()
+    assert report.entries_checked == 128 and len(report.mismatches) == 1
+    mismatch = report.mismatches[0]
+    assert (mismatch.kind, mismatch.k, mismatch.kp) == ("commutator", 1, 2)
+    assert mismatch.residual == pytest.approx(2.0, abs=1e-13)  # [M1, M2] = -i M3, not i M3
+    np.testing.assert_array_equal(mismatch.expected, 1j * np.eye(9)[3])
+    np.testing.assert_allclose(mismatch.computed, -1j * np.eye(9)[3], rtol=0, atol=1e-15)
+    assert not report.triplets_ok
+    assert not report.vanishing_ok and report.vanishing_residual == pytest.approx(1.0, abs=1e-15)
+    assert not report.passed
+    gm = su3.verify_gellmann()
+    assert gm.relations_checked == 8 and gm.failures == (7,) and not gm.passed
+    assert gm.max_residual == pytest.approx(2.0, abs=1e-15)  # M7 = lambda4, not -lambda4
+
+    assert main(["basis", "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "127/128 table entries verified, 7/8 Gell-Mann relations verified\n"
+    assert captured.err.splitlines() == [
+        str(mismatch),
+        "vector triplet relations failed",
+        "vanishing commutators with M8 failed",
+        "Gell-Mann relation for M7 failed",
+    ]
+    assert str(mismatch).startswith("commutator(M1, M2): residual 2.000e+00, expected coefficients (")
+
+
 def test_basis_show(capsys):
     assert main(["basis", "--show", "M3"]) == 0
     out = capsys.readouterr().out
     assert "M3 =" in out
     assert "[1+0i, 0+0i, 0+0i]" in out
     assert "[0+0i, 0+0i, -1+0i]" in out
+
+
+@pytest.mark.parametrize("show", ["M9", "1.5", ""])
+def test_basis_rejects_a_bad_show_naming_the_option(capsys, show):
+    assert main(["basis", "--show", show]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --show takes M0..M8 or 0..8, got {show!r}\n"
+
+
+def test_basis_rejects_an_unsupported_spin_as_a_usage_error(capsys):
+    assert main(["basis", "--j", "7/2", "--tensor-basis"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: j = 3.5 exceeds the supported maximum j = 2.5\n"
 
 
 def test_basis_count(capsys):

@@ -129,8 +129,11 @@ def test_tau_rejects_out_of_range():
         tau(1, 3, 0)
     with pytest.raises(ValueError, match="projection"):
         tau(1, 2, 3)
-    with pytest.raises(ValueError, match="maximum"):
+    # an unsupported spin is outside the library's domain, as k and q are
+    with pytest.raises(InputError, match="^j = 3 exceeds the supported maximum j = 2.5$"):
         tau(3, 1, 0)
+    with pytest.raises(InputError, match="^j must be non-negative, got -0.5$"):
+        tau(-0.5, 0, 0)
 
 
 @pytest.mark.parametrize("j", ALL_SPINS)
