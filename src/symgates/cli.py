@@ -18,7 +18,13 @@ command with exit 0.
 Blocks of _BLOCK grid points, (float columns, class levels or None), are
 written as bytes as they come, to a file that replaces --out after the last
 one; then the row count and a summary folded from the blocks are printed,
-on stderr if --out is stdout.  Only the library's public names are used.
+on stderr if --out is stdout.  A series call allocates one `_Workspace` of
+min(steps, _BLOCK) rows when it starts, and every block is built and laid
+out in it, through `_into` forms of the library's batch functions
+(`gates._gates_into`, `entanglement._scores_into`,
+`entanglement._lmg_profile_into`) that write with out=; a block's columns
+are new arrays, which stay valid after the next block.  Otherwise only the
+library's public names are used.
 
 A CSV float cell holds the bytes of '%.15g' % (x + 0.0), as `fmt_float`
 prints the text reports.  A block's float cells go through one numpy
@@ -56,9 +62,10 @@ EXIT_INTERNAL = 3
 SWEEP_HEADER = "theta,g1_abs,ep,class"
 LMG_HEADER = "t,ep,concurrence"
 # Grid points computed and written together, spreading numpy's per-call
-# cost.  A block's arrays stay small (a (1024, 3, 3) complex stack is
-# 144 KiB): a 16384-point sweep peaks at 1.3 MiB traced, the 1441-point
-# LMG series at 0.8 MiB, whatever the grid's length.
+# cost.  A call's workspace holds the large intermediates of one block (a
+# (1024, 3, 3) complex stack is 144 KiB): a 16384-point sweep peaks at
+# 1.3 MiB traced, the 1441-point LMG series at 1.1 MiB, whatever the
+# grid's length, and a block allocates little beyond its row bytes.
 _BLOCK = 1024
 # The class levels from here up are perfect entanglers.
 _PERFECT = entanglement.CLASSES.index(entanglement.PERFECT_ENTANGLER)
@@ -269,9 +276,45 @@ def _cell_tables() -> tuple:
             len(templates) // 2)
 
 
-def _float_cells(x: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """The large intermediates of a series block, views of one buffer that
+    a call allocates once, for blocks of up to `rows` rows of `floats` float
+    cells; a shorter block uses their first rows.  Allocated afresh for each
+    block, they let glibc trim the heap and fault it back on some blocks,
+    depending on where the heap happens to lie.
+
+    - u3, tmp: (rows, 3, 3) complex stacks, the gates and the scratch that
+      builds and scores them (`gates._gates_into`, `entanglement._scores_into`);
+    - phases: (rows, 3) complex, the LMG phase columns;
+    - table: (rows, floats), a block's float columns side by side;
+    - scratch, flags, digit_zeros, gather, words, layers, cells: the
+      intermediates of `_float_cells`, one per float cell."""
+
+    def __init__(self, rows: int, floats: int = 3):
+        layout = _workspace_layout(rows, floats)
+        buffer = np.empty((), layout)
+        for name in layout.names:
+            setattr(self, name, buffer[name])
+
+
+@functools.lru_cache(maxsize=16)
+def _workspace_layout(rows: int, floats: int) -> np.dtype:
+    """The fields of a `_Workspace`, each aligned for its type."""
+    n = rows * floats
+    return np.dtype([
+        ("u3", np.complex128, (rows, 3, 3)), ("tmp", np.complex128, (rows, 3, 3)),
+        ("phases", np.complex128, (rows, 3)), ("table", np.float64, (rows, floats)),
+        ("scratch", np.float64, (6, n)), ("flags", np.bool_, (2, n)),
+        ("digit_zeros", np.int8, (2, n)), ("gather", _cell_tables()[1].dtype, (n,)),
+        ("words", np.intp, (n, 5)), ("layers", "<u8", (n, 5)),
+        ("cells", np.uint8, (n * _CELL + 8,)),
+    ], align=True)
+
+
+def _float_cells(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     """(n, _CELL) bytes: '%.15g' % (v + 0.0) of each value of x, then ',',
-    with _PAD bytes between.
+    with _PAD bytes between; a view of `ws`, which holds every
+    intermediate of the kernel.
 
     Exactness.  For |x| in decade e of the table, y = |x| * 10**(14 - e)
     lies in (10**14 - 1/20, 10**15 - 1/2], so m = round(y) has 15 digits
@@ -301,46 +344,49 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     """
     above, rows, layer, zeros, templates, neg = _cell_tables()
     n = x.size
-    bits = x.view(np.int64) & _MAGNITUDE
+    f, flags, tz, words = ws.scratch[:, :n], ws.flags[:, :n], ws.digit_zeros[:, :n], ws.words[:n]
+    ints = f.view(np.int64)  # the same rows as integers
+    bits = np.bitwise_and(x.view(np.int64), _MAGNITUDE, out=ints[0])
     np.minimum(bits, _CAP, out=bits)
-    a = bits.view(np.float64)
-    u = bits >> 52
-    up = a >= above.take(u)
+    a = f[0]
+    u = np.right_shift(bits, 52, out=ints[1])
+    up = np.greater_equal(a, above.take(u, out=f[2], mode="clip"), out=flags[0])
     u += u
     u += up
-    row = rows.take(u)
+    row = rows.take(u, out=ws.gather[:n], mode="clip")
     hh, hl = row["hh"], row["hl"]
-    p = a * row["h"]
-    ah = a * _SPLIT
-    ah -= ah - a  # Veltkamp: (a * _SPLIT) - (a * _SPLIT - a)
-    al = a - ah
-    err = ah * hh
+    p = np.multiply(a, row["h"], out=f[1])
+    ah = np.multiply(a, _SPLIT, out=f[2])
+    ah -= np.subtract(ah, a, out=f[3])  # Veltkamp: (a * _SPLIT) - (a * _SPLIT - a)
+    al = np.subtract(a, ah, out=f[3])
+    err = np.multiply(ah, hh, out=f[4])
     err -= p
-    err += ah * hl
-    err += al * hh
-    err += al * hl
-    err += a * row["lo"]
-    whole = np.floor(p)
-    r = p - whole
+    err += np.multiply(ah, hl, out=f[5])
+    err += np.multiply(al, hh, out=f[5])
+    err += np.multiply(al, hl, out=f[5])
+    err += np.multiply(a, row["lo"], out=f[5])
+    whole = np.floor(p, out=f[2])
+    r = np.subtract(p, whole, out=f[3])
     r += err
     r -= 0.5
-    fallback = np.abs(r) <= row["tie"]
-    words = np.empty((n, 5), np.intp)  # layer words: the four digit groups, the exponent
-    m = np.add(whole, r > 0, out=words[:, 4], casting="unsafe")
-    high, low = np.divmod(m, 10 ** 8)
+    fallback = np.less_equal(np.abs(r, out=f[4]), row["tie"], out=flags[0])
+    # layer words: the four digit groups, the exponent
+    m = np.add(whole, np.greater(r, 0, out=flags[1]), out=words[:, 4], casting="unsafe")
+    high, low = np.divmod(m, 10 ** 8, out=(ints[0], ints[1]))
     np.divmod(high, 10 ** 4, out=(words[:, 0], words[:, 1]))
     np.divmod(low, 10 ** 4, out=(words[:, 2], words[:, 3]))
-    tz = zeros[0].take(words[:, 0])
+    zeros[0].take(words[:, 0], out=tz[0], mode="clip")
     for j in 1, 2, 3:
-        np.minimum(tz, zeros[j].take(words[:, j]), out=tz)
+        np.minimum(tz[0], zeros[j].take(words[:, j], out=tz[1], mode="clip"), out=tz[0])
     words[:, 4] = row["exp"]
-    key = row["key"] - tz
-    np.add(key, neg, out=key, where=x < 0)
+    key = np.subtract(row["key"], tz[0], out=ints[2])
+    np.add(key, neg, out=key, where=np.less(x, 0, out=flags[1]))
     # the layer words start 4 bytes into each cell; the last one's upper
     # half, which is zero, spills into the next cell or the 8 spare bytes
-    buf = np.empty(n * _CELL + 8, np.uint8)
-    templates.take(key, out=buf[:n * _CELL].view(templates.dtype))
-    buf.view(np.uint32)[1:1 + 10 * n] |= layer.take(words).view(np.uint32).ravel()
+    buf = ws.cells[:n * _CELL + 8]
+    templates.take(key, out=buf[:n * _CELL].view(templates.dtype), mode="clip")
+    layers = layer.take(words, out=ws.layers[:n], mode="clip")
+    buf.view(np.uint32)[1:1 + 10 * n] |= layers.view(np.uint32).ravel()
     cells = buf[:n * _CELL].reshape(n, _CELL)
     if fallback.any():
         i = np.flatnonzero(fallback)
@@ -364,17 +410,21 @@ def _blocks(grid: np.ndarray):
         yield grid[start:start + _BLOCK]
 
 
-def sweep_blocks(k: int, thetas: np.ndarray):
-    """Blocks ((theta, |G1|, e_p), class levels) of a B_k sweep.
+def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace | None = None):
+    """Blocks ((theta, |G1|, e_p), class levels) of a B_k sweep, each built
+    in `ws` (one of its own if not given) and yielded as new arrays.
 
     Returns the sweep's summary line: the largest e_p and the angle of its
     first row, and the first and last angle of the first _LISTED runs of
     consecutive perfect-entangler rows, then how many runs follow; or only
     that the sweep is non-entangling, when its largest e_p is classed so."""
+    ws = _Workspace(min(len(thetas), _BLOCK)) if ws is None else ws
     best_ep, best_theta, best_level = -math.inf, 0.0, 0
     starts, ends, runs, in_run = [], [], 0, False
     for theta in _blocks(thetas):
-        report = entanglement.entangling_power_batch(gates.gates_batch(k, theta))
+        n = len(theta)
+        u3 = gates._gates_into(k, theta, ws.u3[:n], ws.tmp[:n])
+        report = entanglement._scores_into(u3, ws.tmp[:n])
         ep, level = report.ep, report.level
         yield (theta, report.g1_abs, ep), level
         i = int(np.argmax(ep))
@@ -398,15 +448,20 @@ def sweep_blocks(k: int, thetas: np.ndarray):
     return f"B{k}: max e_p = {best_ep:.12f} at theta = {best_theta:.12f}; {summary}"
 
 
-def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
-    """Blocks ((t, e_p, concurrence of B_L |up up>), None) of an LMG series.
+def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray, ws: _Workspace | None = None):
+    """Blocks ((t, e_p, concurrence of B_L |up up>), None) of an LMG series,
+    each built in `ws` (one of its own if not given) and yielded as new
+    arrays, t a view of t_grid.
 
     Returns the series' summary lines: the first _LISTED times of
     concurrence zeros (< 1e-9) and maxima (> 1 - 1e-9), and of e_p within
     1e-9 of 2/9, each beside the times the closed forms give."""
+    ws = _Workspace(min(len(t_grid), _BLOCK)) if ws is None else ws
     zeros, maxima, hits = [], [], []
     for block in _blocks(t_grid):
-        t, ep, conc = columns = entanglement.lmg_entanglement_profile(g1, g2, block)
+        n = len(block)
+        t, ep, conc = columns = entanglement._lmg_profile_into(
+            g1, g2, block, ws.u3[:n], ws.tmp[:n], ws.phases[:n])
         yield columns, None
         for found, mask in ((zeros, conc < 1e-9), (maxima, conc > 1.0 - 1e-9),
                             (hits, np.abs(ep - 2.0 / 9.0) < 1e-9)):
@@ -423,29 +478,38 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray):
             f"maximal entangling power {first}; grid hits: {', '.join(hits) or 'none on grid'}")
 
 
-def _write_rows(fh, header: str, blocks) -> int:
+def _write_rows(fh, header: str, blocks, ws: _Workspace | None = None) -> int:
     """Write `header`, then one row per entry of each block (float columns,
     class levels or None) to the binary file `fh`: the floats as fmt_float
     prints them (`_float_cells`), then a level's label in
-    entanglement.CLASSES.  A block's rows are laid out in one byte buffer
-    whose pad bytes one translate drops."""
+    entanglement.CLASSES.  The blocks are no longer than the first, as a
+    series yields them, and are laid out in `ws`, or in a workspace of the
+    first block's rows, and a row buffer made for the first block, whose
+    pad bytes one translate drops."""
     fh.write(f"{header}\n".encode())
-    count = 0
+    count, text = 0, None
     for floats, level in blocks:
-        table = np.stack(floats, axis=1, dtype=np.float64)
-        # `cells` lives, as `rows` does, until the next block's are built:
-        # freed sooner, it lets glibc trim the heap and fault it back each block
-        rows = cells = _float_cells(table.ravel()).reshape(len(table), -1)
+        n, cells = len(floats[0]), len(floats) * _CELL
+        if text is None:
+            ws = _Workspace(n, len(floats)) if ws is None else ws
+            width = cells + (0 if level is None else _class_cells().shape[1])
+            text = bytearray(n * width)  # a bytes-like object of its own, for translate
+        del text[n * width:]  # a shorter block, the last one; no view of text is alive
+        rows = np.frombuffer(text, np.uint8).reshape(n, width)
+        table = np.stack(floats, axis=1, out=ws.table[:n])
+        rows[:, :cells] = _float_cells(table.ravel(), ws).reshape(n, cells)
         if level is not None:
-            rows = np.concatenate([cells, _class_cells().take(level, axis=0)], axis=1)
+            rows[:, cells:] = _class_cells()[level]
         rows[:, -1] = ord("\n")  # the last cell's ',' ends the row
-        fh.write(rows.tobytes().translate(None, bytes([_PAD])))
-        count += len(rows)
+        del rows
+        fh.write(text.translate(None, bytes([_PAD])))
+        count += n
     return count
 
 
-def write_csv(path, header: str, blocks) -> int:
-    """Write `header`, then the rows of each block as it arrives.
+def write_csv(path, header: str, blocks, ws: _Workspace | None = None) -> int:
+    """Write `header`, then the rows of each block as it arrives (laid out
+    in `ws`, see `_write_rows`).
 
     The rows go to a temporary file beside `path`, which replaces `path`
     only once every block has been written: an error part way leaves an
@@ -459,12 +523,12 @@ def write_csv(path, header: str, blocks) -> int:
         regular = True
     if not regular:
         with open(path, "wb") as fh:
-            return _write_rows(fh, header, blocks)
+            return _write_rows(fh, header, blocks, ws)
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            count = _write_rows(fh, header, blocks)
+            count = _write_rows(fh, header, blocks, ws)
         os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -555,12 +619,13 @@ def _write_series(args, name: str, start: float, stop: float, header: str, block
     except OSError:  # no such file yet, or no fd 1
         report = sys.stdout
     summary = []
+    ws = _Workspace(min(len(grid), _BLOCK))  # every block of the call is built in it
 
     def stream():
-        summary.append((yield from blocks(grid)))
+        summary.append((yield from blocks(grid, ws)))
 
     try:
-        count = write_csv(args.out, header, stream())
+        count = write_csv(args.out, header, stream(), ws)
     except BrokenPipeError:  # as a closed stdout: the reader wants no more
         return EXIT_OK
     except OSError as exc:

@@ -55,6 +55,11 @@ unit vector, and takes its 2|ad - bc| without `concurrence`'s checks.
 returns its columns t, e_p and the concurrence of the evolved |up up>
 state as float arrays, the rows of `symgates lmg --t-max`.
 
+The batch path writes its stacks and intermediates with out=.
+`_scores_into` and `_lmg_profile_into`, the forms the CLI calls, take an
+(N, 3, 3) complex stack whose bytes hold the invariants, G1 and their
+scratch, so that a series block allocates only its new columns.
+
 Amplitude ordering for all 4-vectors is (up-up, up-down, down-up,
 down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
 """
@@ -68,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateBatch, SymmetricGate, lmg_batch
+from .gates import GateBatch, SymmetricGate, _lmg_into
 from .linalg import _finite, _grid, _matrix, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
@@ -113,20 +118,39 @@ def _bell_invariants(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.trace(m, axis1=-2, axis2=-1), np.linalg.det(b_bell)
 
 
-def _symmetric_invariants(u3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_invariants(u3: np.ndarray,
+                          scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """tr(m) and det(B_bell) of the symmetric gates of a (..., 3, 3) stack,
-    in closed form from the triplet block (see the module docstring)."""
+    in closed form from the triplet block (see the module docstring),
+    written into the first two of the four (...)-shaped complex arrays of
+    `scratch`, a (4, ...) array allocated when not given."""
+    tr, det, c, x = np.empty((4, *u3.shape[:-2]), np.complex128) if scratch is None else scratch
     u00, u01, u02 = u3[..., 0, 0], u3[..., 0, 1], u3[..., 0, 2]
     u10, u11, u12 = u3[..., 1, 0], u3[..., 1, 1], u3[..., 1, 2]
     u20, u21, u22 = u3[..., 2, 0], u3[..., 2, 1], u3[..., 2, 2]
-    tr = 1.0 + 2.0 * (u00 * u22 + u02 * u20 - u01 * u21 - u10 * u12) + u11 * u11
-    # The cofactors are named: numpy multiplies an unnamed temporary of at
-    # least 256 KiB in place, as cofactor * u0c, and with FMA the imaginary
-    # part of a complex product depends on the order of its factors.
-    c0 = u11 * u22 - u12 * u21
-    c1 = u10 * u22 - u12 * u20
-    c2 = u10 * u21 - u11 * u20
-    det = u00 * c0 - u01 * c1 + u02 * c2
+    # Each product's factors are in the order `_gate_invariants` takes them
+    # (module docstring), and each product is written into an array that is
+    # neither of its factors: numpy multiplies an unnamed temporary of at
+    # least 256 KiB in place, with its factors swapped, and takes a loop
+    # without FMA when a one-entry factor is also the output.
+    # tr = 1 + 2 (u00 u22 + u02 u20 - u01 u21 - u10 u12) + u11 u11
+    np.multiply(u00, u22, out=c)
+    c += np.multiply(u02, u20, out=x)
+    c -= np.multiply(u01, u21, out=x)
+    c -= np.multiply(u10, u12, out=x)
+    np.multiply(2.0, c, out=tr)
+    tr += 1.0
+    tr += np.multiply(u11, u11, out=x)
+    # det = u00 c0 - u01 c1 + u02 c2, each cofactor formed in c
+    np.multiply(u11, u22, out=c)
+    c -= np.multiply(u12, u21, out=x)
+    np.multiply(u00, c, out=det)
+    np.multiply(u10, u22, out=c)
+    c -= np.multiply(u12, u20, out=x)
+    det -= np.multiply(u01, c, out=x)
+    np.multiply(u10, u21, out=c)
+    c -= np.multiply(u11, u20, out=x)
+    det += np.multiply(u02, c, out=x)
     return tr, det
 
 
@@ -209,18 +233,43 @@ def _power(g1: complex) -> tuple[float, float, str]:
     return g1_abs, ep, CLASSES[_level(ep)]
 
 
-def _power_batch(tr: np.ndarray, det: np.ndarray) -> EntanglementBatch:
+def _power_batch(tr: np.ndarray, det: np.ndarray,
+                 out: np.ndarray | None = None) -> EntanglementBatch:
     """`_g1` and `_power` of each entry of the stacks tr(m) and det(B_bell),
-    elementwise, rounded as the scalar helpers round (module docstring)."""
+    elementwise, rounded as the scalar helpers round (module docstring).
+    G1 is written into the first of the three complex arrays of `out`,
+    shaped as tr, and the other two are scratch; each is allocated when
+    `out` is not given."""
+    g1, w, z = (np.empty_like(tr) for _ in range(3)) if out is None else out
+    re, im = w.view(np.float64).reshape(2, *w.shape)  # w's bytes as two float arrays
+    t = z.view(np.float64).reshape(2, *z.shape)[0]
     a, b = tr.real, tr.imag
-    g1 = ((a * a - b * b) + 1j * (a * b + b * a)) / (16.0 * det)
+    # G1 = ((a a - b b) + 1j (a b + b a)) / (16 det)
+    np.multiply(a, a, out=re)
+    re -= np.multiply(b, b, out=t)
+    np.multiply(a, b, out=im)
+    im += np.multiply(b, a, out=t)
+    np.multiply(1j, im, out=z)
+    np.add(re, z, out=z)
+    np.divide(z, np.multiply(16.0, det, out=w), out=g1)
     g1_abs = np.hypot(g1.real, g1.imag)
-    ep = MAX_EP * (1.0 - g1_abs)
+    ep = np.subtract(1.0, g1_abs)
+    ep *= MAX_EP
     bad = np.flatnonzero(~((ep >= -1e-12) & (ep <= MAX_EP + 1e-12)))  # NaN fails too
     if bad.size:
         raise RuntimeError(f"entangling power {float(ep[bad[0]])} out of range [0, 2/9]")
-    ep = np.where(ep < 0.0, 0.0, ep)
+    ep[ep < 0.0] = 0.0
     return EntanglementBatch(g1=g1, g1_abs=g1_abs, ep=ep, level=_level(ep))
+
+
+def _scores_into(u3: np.ndarray, tmp: np.ndarray | None = None) -> EntanglementBatch:
+    """`entangling_power_batch` of the gates of an (N, 3, 3) stack u3.  When
+    `tmp`, another such stack, is given, its bytes hold the invariants, G1
+    included, and their scratch."""
+    if tmp is None:
+        return _power_batch(*_symmetric_invariants(u3))
+    rows = tmp.reshape(9, -1)  # tr, det, then G1 over the invariants' scratch
+    return _power_batch(*_symmetric_invariants(u3, rows[:4]), rows[2:5])
 
 
 def entangling_power(u4) -> EntanglementReport:
@@ -247,12 +296,10 @@ def entangling_power_batch(u4s) -> EntanglementBatch:
     `entangling_power` of its 4x4 matrices.
     """
     if isinstance(u4s, GateBatch):
-        invariants = _symmetric_invariants(u4s.u3)
-    else:
-        u4s = _matrix("u4", u4s, 4, stack=True).reshape(-1, 4, 4)
-        _require(is_unitary(u4s, atol=1e-10), "matrix is not unitary within 1.0e-10", "u4", u4s)
-        invariants = _bell_invariants(u4s)
-    return _power_batch(*invariants)
+        return _scores_into(u4s.u3)
+    u4s = _matrix("u4", u4s, 4, stack=True).reshape(-1, 4, 4)
+    _require(is_unitary(u4s, atol=1e-10), "matrix is not unitary within 1.0e-10", "u4", u4s)
+    return _power_batch(*_bell_invariants(u4s))
 
 
 def _pure_concurrence(a, b, c, d) -> float:
@@ -424,16 +471,30 @@ def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
                               all_maximal=all(cv >= 1.0 - 1e-10 for cv in concs))
 
 
-def _up_up_concurrences(u3: np.ndarray) -> np.ndarray:
+def _up_up_concurrences(u3: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """Concurrence of u4 |up up> = (u00, u10/sqrt2, u10/sqrt2, u20) for each
     gate of a (N, 3, 3) stack, as |up up> = |1 1>; columns of gates unitary
-    within 1e-12 need no renormalization."""
-    a, b, d = u3[:, 0, 0], u3[:, 1, 0] * _INV_SQ2, u3[:, 2, 0]
+    within 1e-12 need no renormalization.  The bytes of `tmp`, another such
+    stack, hold the intermediates when it is given."""
+    scratch = np.empty((3, len(u3)), np.complex128) if tmp is None else tmp.reshape(9, -1)[:3]
+    f = scratch[1:].view(np.float64).reshape(4, -1)
+    a, d = u3[:, 0, 0], u3[:, 2, 0]
+    b = np.multiply(u3[:, 1, 0], _INV_SQ2, out=scratch[0])
     # 2|ad - bb| in real arithmetic, rounded as _pure_concurrence's scalar
     # complex products and abs (hypot) round it
-    re = (a.real * d.real - a.imag * d.imag) - (b.real * b.real - b.imag * b.imag)
-    im = (a.real * d.imag + a.imag * d.real) - (b.real * b.imag + b.imag * b.real)
-    return 2.0 * np.hypot(re, im)
+    re = np.multiply(a.real, d.real, out=f[0])
+    re -= np.multiply(a.imag, d.imag, out=f[1])
+    bb = np.multiply(b.real, b.real, out=f[1])
+    bb -= np.multiply(b.imag, b.imag, out=f[2])
+    re -= bb
+    im = np.multiply(a.real, d.imag, out=f[1])
+    im += np.multiply(a.imag, d.real, out=f[2])
+    bb = np.multiply(b.real, b.imag, out=f[2])
+    bb += np.multiply(b.imag, b.real, out=f[3])
+    im -= bb
+    conc = np.hypot(re, im)
+    conc *= 2.0
+    return conc
 
 
 def lmg_entanglement_profile(g1: float, g2: float,
@@ -447,6 +508,14 @@ def lmg_entanglement_profile(g1: float, g2: float,
     power reaches 2/9 whenever 2 g2 t - 2 g1 t or 2 g2 t + 2 g1 t is
     congruent to pi/2 modulo pi.
     """
+    return _lmg_profile_into(g1, g2, t_grid)
+
+
+def _lmg_profile_into(g1: float, g2: float, t_grid, u3: np.ndarray | None = None,
+                      tmp: np.ndarray | None = None, phases: np.ndarray | None = None):
+    """`lmg_entanglement_profile`, its gates built in the (N, 3, 3) stacks u3
+    and tmp and the (N, 3) phases (`gates._lmg_into`), and scored with tmp
+    as scratch; each is allocated when not given.  The columns are new arrays."""
     t_grid = _grid("t_grid", t_grid)
-    g = lmg_batch(g1, g2, t_grid)
-    return t_grid, entangling_power_batch(g).ep, _up_up_concurrences(g.u3)
+    u3 = _lmg_into(g1, g2, t_grid, u3, tmp, phases)
+    return t_grid, _scores_into(u3, tmp).ep, _up_up_concurrences(u3, tmp)

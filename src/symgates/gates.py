@@ -23,10 +23,12 @@ A symmetric gate is its 3x3 block u3: what is computed from a
 `SymmetricGate` depends on u3 alone; its label is display metadata.
 `gates_batch` and `lmg_batch` build a grid of one family as an (N, 3, 3)
 stack, and `gate` and `lmg_gate` are their one-point case, so a gate is
-the same (==) alone or in a grid.  The closed forms are unitary by
-construction, so no grid is checked: a hypothesis property in the tests
-pins them unitary within 1e-12 at every finite angle that the grid and
-overflow checks admit.  `custom_gate`, which wraps a matrix from outside,
+the same (==) alone or in a grid.  The stack is written entry by entry
+with out=, into new arrays or into the stacks that the CLI passes to
+`_gates_into` and `_lmg_into`, so that a series block allocates no stack.
+The closed forms are unitary by construction, so no grid is checked: a
+hypothesis property in the tests pins them unitary within 1e-12 at every
+finite angle that the grid and overflow checks admit.  `custom_gate`, which wraps a matrix from outside,
 checks it.  The 4x4 embedding `u4` of a gate or a grid is built only if
 it is read.
 """
@@ -47,7 +49,16 @@ _SQ3 = math.sqrt(3.0)
 _M_SQUARED = tuple(mk @ mk for mk in M)
 _B8_WEIGHTS = np.array([1.0, -2.0, 1.0])  # eigenvalues of sqrt(3) M8
 _LMG_WEIGHTS = np.array([1.0, 2.0, 1.0])  # H - 2 g1 M7 = 2 g2 diag(1, 2, 1)
-_DIAG = np.arange(3)
+_EYE = np.eye(3)
+# The (row, column) entries of a 3x3 matrix.  A stack is built entry by
+# entry, one strided column of N at a time: a product broadcast over the
+# stack would take numpy's iteration buffers, up to 128 KiB per operand.
+_ENTRIES = [(r, c) for r in range(3) for c in range(3)]
+# The entries of B_k that can be nonzero: on the diagonal or nonzero in M_k
+# or M_k^2.  At the others the sum I + (cos - 1) M_k^2 + i sin M_k rounds to
+# +0 + 0j, whatever the signs of the zero products.
+_ROTATION_ENTRIES = [[(r, c) for r, c in _ENTRIES if r == c or M[k][r, c] or _M_SQUARED[k][r, c]]
+                     for k in range(8)]
 _JM = angular_momentum_matrices(1)
 _LADDER_G1 = _JM.plus @ _JM.plus + _JM.minus @ _JM.minus  # J+^2 + J-^2
 _LADDER_G2 = _JM.plus @ _JM.minus + _JM.minus @ _JM.plus  # J+J- + J-J+
@@ -103,19 +114,41 @@ class GateBatch:
         return to_qubit_basis(self.u3, 1.0)
 
 
-def _rotation(angles: np.ndarray, k: int) -> np.ndarray:
+def _stack(n: int) -> np.ndarray:
+    return np.empty((n, 3, 3), dtype=np.complex128)
+
+
+def _rotation(angles: np.ndarray, k: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """exp(i angle M_k), k in 1..7, for each angle of a 1-D grid: the B_k
-    closed form of the module docstring, an (N, 3, 3) stack."""
+    closed form of the module docstring, written into the (N, 3, 3) complex
+    stack `out`, with the first N entries of `tmp`, another, as scratch.
+    Returns `out`."""
     e = np.exp(1j * angles)  # cos + i sin, the kernel of `_phases` (module docstring)
     cos, sin = e.real, e.imag
-    return (np.eye(3) + (cos - 1.0)[:, None, None] * _M_SQUARED[k]
-            + (1j * sin)[:, None, None] * M[k])
+    c, s = (cos - 1.0).astype(np.complex128), 1j * sin
+    x = tmp.reshape(-1)[:angles.size]
+    out.fill(0.0)  # the entries outside _ROTATION_ENTRIES[k], as the sum rounds them
+    for r, col in _ROTATION_ENTRIES[k]:
+        entry, m2, m = out[:, r, col], _M_SQUARED[k][r, col], M[k][r, col]
+        # (I + (cos - 1) M_k^2) + i sin M_k: a term whose factor from M_k or
+        # M_k^2 is 0 is a signed zero, which changes no sum that is not -0,
+        # and adding I leaves no -0; only M3's diagonal has both terms
+        first, factor = (c, m2) if m2 else (s, m)
+        np.multiply(first, factor, out=entry)
+        entry += _EYE[r, col]
+        if m2 and m:
+            entry += np.multiply(s, m, out=x)
+    return out
 
 
-def _phases(angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _phases(angles: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The diagonal of exp(i angle diag(weights)) for each angle of a 1-D
-    grid, an (N, 3) array."""
-    return np.exp(1j * (angles[:, None] * weights))
+    grid, written into `out`, an (N, 3) complex array.  Returns `out`."""
+    for j, w in enumerate(weights):
+        np.multiply(angles, w, out=out[:, j].real)
+    out.imag = 0.0
+    np.multiply(1j, out, out=out)  # exact, as 1j times a real is
+    return np.exp(out, out=out)
 
 
 def gate(k: int, theta: float) -> SymmetricGate:
@@ -130,13 +163,26 @@ def gate(k: int, theta: float) -> SymmetricGate:
 
 def gates_batch(k: int, thetas) -> GateBatch:
     """B_k(theta) for every angle of a 1-D grid; entry by entry equal to `gate`."""
+    return GateBatch(_gates_into(k, thetas))
+
+
+def _gates_into(k: int, thetas, u3: np.ndarray | None = None,
+                tmp: np.ndarray | None = None) -> np.ndarray:
+    """The u3 stack of `gates_batch(k, thetas)`, written into `u3` with `tmp`
+    as scratch, two (N, 3, 3) complex stacks that are allocated when not
+    given.  Returns `u3`."""
     k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
     thetas = _grid("thetas", thetas)
+    n = thetas.size
+    u3 = _stack(n) if u3 is None else u3
+    tmp = _stack(n) if tmp is None else tmp
     if k != 8:
-        return GateBatch(_rotation(thetas, k))
-    u3 = np.zeros((thetas.size, 3, 3), dtype=np.complex128)
-    u3[:, _DIAG, _DIAG] = _phases(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0), _B8_WEIGHTS)
-    return GateBatch(u3)
+        return _rotation(thetas, k, u3, tmp)
+    phases = tmp.reshape(-1)[:3 * n].reshape(n, 3)
+    u3.fill(0.0)
+    u3.reshape(n, 9)[:, ::4] = _phases(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0),
+                                       _B8_WEIGHTS, phases)  # the diagonal
+    return u3
 
 
 def custom_gate(u3, label: str = "custom") -> SymmetricGate:
@@ -165,12 +211,27 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     `lmg_gate`: B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi}), xi = 2 g1 t,
     phi = 2 g2 t (see the module docstring), exact to a few ulps at the
     float angles; InputError names the product if xi, phi or 2 phi overflows."""
+    return GateBatch(_lmg_into(g1, g2, ts))
+
+
+def _lmg_into(g1: float, g2: float, ts, u3: np.ndarray | None = None,
+              tmp: np.ndarray | None = None, phases: np.ndarray | None = None) -> np.ndarray:
+    """The u3 stack of `lmg_batch(g1, g2, ts)`, written into `u3`, with `tmp`,
+    another (N, 3, 3) complex stack, and the (N, 3) complex `phases` as
+    scratch; each is allocated when not given.  Returns `u3`."""
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
     ts = _grid("ts", ts)
     t_top = float(abs(ts).max())  # with the largest weights, bounds xi, phi and 2 phi
     _bounded("2*g1*t", 2.0 * g1, t_top)
     _bounded("2*g2*t", 2.0 * g2, t_top)
     _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
-    # B7 times a diagonal matrix: column j of B7 times the j-th phase
-    phases = _phases(2.0 * g2 * ts, _LMG_WEIGHTS)
-    return GateBatch(_rotation(2.0 * g1 * ts, 7) * phases[:, None, :])
+    n = ts.size
+    u3 = _stack(n) if u3 is None else u3
+    b7 = _rotation(2.0 * g1 * ts, 7, _stack(n) if tmp is None else tmp, u3)
+    phases = _phases(2.0 * g2 * ts, _LMG_WEIGHTS,
+                     np.empty((n, 3), dtype=np.complex128) if phases is None else phases)
+    # B7 times a diagonal matrix: column c of B7 times the c-th phase, not
+    # written over B7 (numpy would take a loop without FMA for one gate)
+    for r, c in _ENTRIES:
+        np.multiply(b7[:, r, c], phases[:, c], out=u3[:, r, c])
+    return u3

@@ -42,11 +42,12 @@ ZERO = "zero"
 
 
 def _as_two(value, name: str) -> int:
-    """Return 2*value as an exact integer, rejecting non-half-integers."""
+    """Return 2*value as an exact integer; InputError naming `name` for a
+    value that is not a half-integer."""
     doubled = 2 * _bounded(f"2*{name}", _finite(name, float(value)), 2)
     rounded = round(doubled)
     if abs(doubled - rounded) > 1e-9:
-        raise ValueError(f"{name} = {value} is not a half-integer")
+        raise InputError(f"{name} = {value} is not a half-integer")
     return int(rounded)
 
 

@@ -404,6 +404,90 @@ def test_a_grid_call_peaks_below_2_mib_traced(tmp_path, capsys, argv):
     assert peak < 2 * 2 ** 20
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "4", "--theta-max", "pi", "--steps", "128"],
+    ["lmg", "--g1", "1.0", "--g2", "2.0", "--t-max", "pi", "--steps", "64"],
+])
+def test_a_small_grid_call_peaks_below_256_kib_traced(tmp_path, capsys, argv):
+    # a call's workspace has the rows of its grid, up to _BLOCK, not _BLOCK rows
+    argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 10
+
+
+def _traced_per_block(blocks, marks):
+    """`blocks` that appends the traced memory, (current, peak since the last
+    append), each time the next block is asked for, and once at the end."""
+    def probed(*args):
+        stream = blocks(*args)
+        while True:
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            try:
+                block = next(stream)
+            except StopIteration as stop:
+                return stop.value
+            yield block
+    return probed
+
+
+@pytest.mark.parametrize("argv, blocks, class_cell", [
+    (["sweep", "8", "--theta-max", "sqrt3*pi", "--steps", "16384"], "sweep_blocks", True),
+    (["sweep", "4", "--theta-max", "pi", "--steps", "16384"], "sweep_blocks", True),
+    (["lmg", "--g1", "0.9", "--g2", "1.7", "--t-max", "pi", "--steps", "1441"], "lmg_blocks",
+     False),
+])
+def test_a_block_allocates_only_its_row_bytes(tmp_path, capsys, monkeypatch, argv, blocks,
+                                             class_cell):
+    # Every large intermediate of a block lives in the call's workspace.  After
+    # the first block, which makes the row buffer, a block's traced memory
+    # rises by less than 64 KiB beyond the row bytes handed to fh.write,
+    # which translate allocates at the length of the row buffer.
+    argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 0  # builds the parser and the CSV tables once
+    marks = []
+    monkeypatch.setattr(cli, blocks, _traced_per_block(getattr(cli, blocks), marks))
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    steps = int(argv[argv.index("--steps") + 1])
+    assert len(marks) == -(-steps // cli._BLOCK) + 1
+    width = 3 * cli._CELL + (cli._class_cells().shape[1] if class_cell else 0)
+    row_bytes = min(steps, cli._BLOCK) * width
+    rises = [peak - current for (current, _), (_, peak) in zip(marks, marks[1:])]
+    assert max(rises[1:]) < row_bytes + 64 * 2 ** 10
+
+
+def test_blocks_outlive_the_next_block():
+    grid = np.linspace(-1.0, 7.0, 2 * cli._BLOCK + 300)  # three blocks, the last short
+    one_at_a_time = [grid[i:i + cli._BLOCK] for i in range(0, len(grid), cli._BLOCK)]
+    series = {"B4": lambda g: cli.sweep_blocks(4, g), "B8": lambda g: cli.sweep_blocks(8, g),
+              "LMG": lambda g: cli.lmg_blocks(0.9, 1.7, g)}
+    alone = {name: [next(blocks(part)) for part in one_at_a_time]
+             for name, blocks in series.items()}
+
+    def assert_equal(kept, expected):
+        assert len(kept) == len(expected) == 3
+        for (floats, level), (floats_alone, level_alone) in zip(kept, expected):
+            assert all(map(np.array_equal, floats, floats_alone))
+            assert (level is None and level_alone is None) or np.array_equal(level, level_alone)
+
+    for name, blocks in series.items():
+        assert_equal(list(blocks(grid)), alone[name])
+    b4, b8 = series["B4"](grid), series["B8"](grid)  # advanced alternately
+    interleaved = [block for pair in zip(b4, b8) for block in pair]
+    assert_equal(interleaved[0::2], alone["B4"])
+    assert_equal(interleaved[1::2], alone["B8"])
+
+
 def test_b4_sweep_reaches_every_class_and_writes_the_per_point_csv(tmp_path, capsys):
     thetas = np.linspace(0.0, math.pi, 2 * cli._BLOCK + 1)
     levels = np.concatenate([level for _, level in cli.sweep_blocks(4, thetas)])

@@ -136,6 +136,16 @@ def test_tau_rejects_out_of_range():
         tau(-0.5, 0, 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: tau(0.3, 0, 0), "j = 0.3 is not a half-integer"),
+    (lambda: angular_momentum_matrices(0.7), "j = 0.7 is not a half-integer"),
+    (lambda: clebsch_gordan(0.5, 0.3, 0.5, 0.5, 1, 1), "m1 = 0.3 is not a half-integer"),
+])
+def test_a_spin_or_projection_off_the_half_integers_is_an_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("j", ALL_SPINS)
 def test_tau_orthogonality(j):
     ops = spherical_basis(j)
