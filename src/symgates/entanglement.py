@@ -517,5 +517,5 @@ def _lmg_profile_into(g1: float, g2: float, t_grid, u3: np.ndarray | None = None
     and tmp and the (N, 3) phases (`gates._lmg_into`), and scored with tmp
     as scratch; each is allocated when not given.  The columns are new arrays."""
     t_grid = _grid("t_grid", t_grid)
-    u3 = _lmg_into(g1, g2, t_grid, u3, tmp, phases)
+    u3 = _lmg_into(_finite("g1", g1), _finite("g2", g2), t_grid, u3, tmp, phases)
     return t_grid, _scores_into(u3, tmp).ep, _up_up_concurrences(u3, tmp)

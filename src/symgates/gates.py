@@ -211,16 +211,16 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     `lmg_gate`: B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi}), xi = 2 g1 t,
     phi = 2 g2 t (see the module docstring), exact to a few ulps at the
     float angles; InputError names the product if xi, phi or 2 phi overflows."""
-    return GateBatch(_lmg_into(g1, g2, ts))
-
-
-def _lmg_into(g1: float, g2: float, ts, u3: np.ndarray | None = None,
-              tmp: np.ndarray | None = None, phases: np.ndarray | None = None) -> np.ndarray:
-    """The u3 stack of `lmg_batch(g1, g2, ts)`, written into `u3`, with `tmp`,
-    another (N, 3, 3) complex stack, and the (N, 3) complex `phases` as
-    scratch; each is allocated when not given.  Returns `u3`."""
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
-    ts = _grid("ts", ts)
+    return GateBatch(_lmg_into(g1, g2, _grid("ts", ts)))
+
+
+def _lmg_into(g1: float, g2: float, ts: np.ndarray, u3: np.ndarray | None = None,
+              tmp: np.ndarray | None = None, phases: np.ndarray | None = None) -> np.ndarray:
+    """The u3 stack of `lmg_batch(g1, g2, ts)` for finite couplings and a grid
+    that the caller has checked (`_finite`, `_grid`), written into `u3`, with
+    `tmp`, another (N, 3, 3) complex stack, and the (N, 3) complex `phases` as
+    scratch; each is allocated when not given.  Returns `u3`."""
     t_top = float(abs(ts).max())  # with the largest weights, bounds xi, phi and 2 phi
     _bounded("2*g1*t", 2.0 * g1, t_top)
     _bounded("2*g2*t", 2.0 * g2, t_top)

@@ -12,6 +12,18 @@ and the coefficient pairs of `TensorParams`), and the expansion in a basis
 of matrices as one matrix-vector product (`_FlatBasis`, for the M_k and
 the tau^k_q).
 
+A single 3x3 matrix, the spin-1 block of every gate and Hamiltonian, is
+checked in closed form in Python complex arithmetic on `a.tolist()`, where
+numpy's fixed cost per call would exceed the arithmetic: `is_unitary` as
+the six Gram entries of its columns (`_unitary3`), and the Hermiticity rule
+as its six distinct defects (`_hermitian3`).  The Hermiticity closed form
+only ever accepts: a defect above (1 - 1e-14) times the tolerance, a
+non-finite entry or a modulus of 1e300 or more goes to `_hermiticity`,
+which decides as for every other shape and writes each failure report, so
+each verdict, message and bound is numpy's.  Numpy also checks stacks (a
+(1, 3, 3) stack included), the 2x2 and 4..6 dimensional tensor checks and
+the 4x4 ones of `entanglement`.
+
 It also owns the failure contract: bad input raises `InputError`, named
 by the parameter or product at fault, with no numpy warning first.  A
 matrix of the wrong shape is named with its shape (`_matrix`), a failed
@@ -37,6 +49,12 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
+# The 3x3 Hermiticity closed form accepts a defect up to this fraction of
+# the tolerance (numpy's abs and libm's hypot differ by a few ulps at most)
+# and moduli below _HERMITIAN3_MAX, so that no sum or product of them that
+# a caller bounds (`_bounded`) can overflow.
+_HERMITIAN3_SURE = 1.0 - 1e-14
+_HERMITIAN3_MAX = 1e300
 
 
 class InputError(ValueError):
@@ -135,10 +153,36 @@ def _hermiticity(a: np.ndarray, a_dagger: np.ndarray) -> tuple[np.ndarray, float
     return d, top, HERMITICITY_ATOL * max(1.0, min(top, sys.float_info.max))
 
 
+def _hermitian3(h: np.ndarray) -> float | None:
+    """max|h| of a 3x3 matrix h that passes the Hermiticity rule in closed
+    form, on h.tolist(): the defects are 2|Im h_ii| and |h_ij - conj h_ji|
+    for i < j (the entry at (j, i) has the same modulus).  Python's abs is
+    libm's hypot, and numpy's complex abs may round up to 2 ulps apart, so
+    a defect above _HERMITIAN3_SURE of the tolerance is left to numpy, as is
+    any other shape, a non-finite entry and moduli that sum to
+    _HERMITIAN3_MAX or more: None, and `_hermiticity` decides."""
+    if h.shape != (3, 3):
+        return None
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.tolist()
+    try:
+        moduli = (abs(h00), abs(h01), abs(h02), abs(h10), abs(h11), abs(h12),
+                  abs(h20), abs(h21), abs(h22))
+    except OverflowError:  # a modulus beyond the float range
+        return None
+    if not sum(moduli) < _HERMITIAN3_MAX:  # NaN and inf too; a sum keeps a NaN that max() drops
+        return None
+    worst = max(2.0 * max(abs(h00.imag), abs(h11.imag), abs(h22.imag)),
+                abs(h01 - h10.conjugate()), abs(h02 - h20.conjugate()), abs(h12 - h21.conjugate()))
+    top = max(moduli)
+    return top if worst <= _HERMITIAN3_SURE * HERMITICITY_ATOL * max(1.0, top) else None
+
+
 def is_hermitian(a) -> bool:
     """True if every |(a - a^dagger)_ij| <= HERMITICITY_ATOL * max(1, max|a|),
     the rule of every Hermiticity check; False if a is not finite."""
     a = _matrix("a", a)
+    if _hermitian3(a) is not None:
+        return True
     d, _, atol = _hermiticity(a, a.conj().T)
     return bool(d.max() <= atol)
 
@@ -146,6 +190,9 @@ def is_hermitian(a) -> bool:
 def _hermitian(name: str, h: np.ndarray) -> float:
     """max|h|, once the square matrix h passes `is_hermitian`; else InputError
     naming `name` if h is not finite, or ValueError naming the worst entry."""
+    top = _hermitian3(h)
+    if top is not None:
+        return top
     d, top, atol = _hermiticity(h, h.conj().T)
     if not d.max() <= atol:
         _finite(name, h)
@@ -198,12 +245,37 @@ def _identity(n: int) -> np.ndarray:
 def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
     """True if a, or every matrix of a (..., n, n) stack, is unitary within atol:
     every |(a^dagger a - I)_ij| <= atol; False if a is not finite."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape == (3, 3):  # a valid shape, so `_matrix` has nothing to check
+        return _unitary3(a.tolist(), float(atol))
     a = _matrix("a", a, stack=True)
     n = a.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in a non-finite matrix
         defect = a.conj().swapaxes(-1, -2) @ a
     defect -= _identity(n)
     return bool(abs(defect).max() <= atol)
+
+
+def _unitary3(a: list, atol: float) -> bool:
+    """`is_unitary` of a 3x3 matrix given as rows of Python complex numbers:
+    the six Gram entries <x_i, x_j> - delta_ij of its columns x_i, written
+    out.  The diagonal ones come first, as a NaN or infinite entry makes one
+    of them NaN or inf, which fails its comparison; once they pass, every
+    entry is bounded, and only a huge atol lets an off-diagonal modulus
+    overflow (not unitary, as numpy's inf defect reads)."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    c00, c01, c02 = a00.conjugate(), a01.conjugate(), a02.conjugate()
+    c10, c11, c12 = a10.conjugate(), a11.conjugate(), a12.conjugate()
+    c20, c21, c22 = a20.conjugate(), a21.conjugate(), a22.conjugate()
+    try:
+        return (abs((c00 * a00 + c10 * a10 + c20 * a20).real - 1.0) <= atol
+                and abs((c01 * a01 + c11 * a11 + c21 * a21).real - 1.0) <= atol
+                and abs((c02 * a02 + c12 * a12 + c22 * a22).real - 1.0) <= atol
+                and abs(c00 * a01 + c10 * a11 + c20 * a21) <= atol
+                and abs(c00 * a02 + c10 * a12 + c20 * a22) <= atol
+                and abs(c01 * a02 + c11 * a12 + c21 * a22) <= atol)
+    except OverflowError:
+        return False
 
 
 def expm_hermitian(h, t: float = 1.0) -> np.ndarray:

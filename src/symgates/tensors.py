@@ -350,21 +350,22 @@ def reconstruct(params: TensorParams) -> np.ndarray:
     return basis.tau.combine(params.vector) / (two_j + 1)
 
 
-def _exp_jy(w: np.ndarray, v: np.ndarray, vh: np.ndarray, beta) -> np.ndarray:
-    """exp(-i beta J_y) from the eigendecomposition J_y = v diag(w) v^dagger."""
-    beta = _finite("beta", beta)
-    return (v * np.exp(-1j * beta * _bounded("beta*k", w, beta))) @ vh  # max |w| = k
+def _exp_jy(w: np.ndarray, v: np.ndarray, vh: np.ndarray, w_top: float, beta) -> np.ndarray:
+    """exp(-i beta J_y) from the eigendecomposition J_y = v diag(w) v^dagger,
+    with w_top = max|w| (k, the largest rank)."""
+    beta = _bounded("beta*k", _finite("beta", beta), w_top)
+    return (v * np.exp(-1j * beta * w)) @ vh
 
 
 @lru_cache(maxsize=None)
-def _jy_eigenbasis(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jy_eigenbasis(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Eigenvalues w and eigenvectors v of J_y in the spin-k representation
-    (m descending), and v^dagger."""
+    (m descending), v^dagger and max|w|."""
     w, v = np.linalg.eigh(_spin_matrices(2 * k).y)
     vh = v.conj().T.copy()
     for a in (w, v, vh):
         a.setflags(write=False)
-    return w, v, vh
+    return w, v, vh, float(abs(w).max())
 
 
 def wigner_d(k: int, beta: float) -> np.ndarray:
@@ -381,9 +382,10 @@ class _SpinBasis:
     """Every tau^k_q of one spin, in (k, q) order with k = 0..2j and
     q = -k..k: the keys and the position of each, their flat basis, and J_y
     of every rank as one block-diagonal matrix in the same order, by its
-    eigendecomposition (w, v, vh), with the q of each key.  `partner` holds
-    the position of (k, -q) for each key, and `half_sign` is (-1)^q / 2, the
-    factor of that partner's conjugate in `TensorParams._of_vector`."""
+    eigendecomposition (w, v, vh) and max|w| (w_top), with the q of each
+    key.  `partner` holds the position of (k, -q) for each key, and
+    `half_sign` is (-1)^q / 2, the factor of that partner's conjugate in
+    `TensorParams._of_vector`."""
 
     keys: tuple[tuple[int, int], ...]
     index: dict[tuple[int, int], int]
@@ -392,6 +394,7 @@ class _SpinBasis:
     w: np.ndarray
     v: np.ndarray
     vh: np.ndarray
+    w_top: float
     partner: np.ndarray
     half_sign: np.ndarray
 
@@ -405,7 +408,7 @@ def _spin_basis(two_j: int) -> _SpinBasis:
     start = 0
     for k in range(two_j + 1):
         block = slice(start, start + 2 * k + 1)
-        wk, vk, _ = _jy_eigenbasis(k)
+        wk, vk, _, _ = _jy_eigenbasis(k)
         w[block] = wk
         v[block, block] = vk[::-1]  # rows from q descending to the keys' q ascending
         start = block.stop
@@ -417,7 +420,7 @@ def _spin_basis(two_j: int) -> _SpinBasis:
     for a in (q, w, v, vh, partner, half_sign):
         a.setflags(write=False)
     tau = _flat_basis(np.stack([_tau_matrix(two_j, k, q) for k, q in keys]))
-    return _SpinBasis(keys, index, tau, q, w, v, vh, partner, half_sign)
+    return _SpinBasis(keys, index, tau, q, w, v, vh, float(abs(w).max()), partner, half_sign)
 
 
 def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float) -> TensorParams:
@@ -438,6 +441,6 @@ def rotate_params(params: TensorParams, alpha: float, beta: float, gamma: float)
     _bounded("coeffs*d", params.vector.view(np.float64), 10.0)
     basis = _spin_basis(two_j)
     # every rank's d-matrix at once, as the blocks of one matrix
-    d = _exp_jy(basis.w, basis.v, basis.vh, beta)
+    d = _exp_jy(basis.w, basis.v, basis.vh, basis.w_top, beta)
     values = params.vector * np.exp(-1j * alpha * basis.q)
     return TensorParams._of_vector(two_j, (values @ d) * np.exp(-1j * gamma * basis.q))

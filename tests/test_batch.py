@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symgates import cli
+from symgates import cli, entanglement, gates
 from symgates.cli import fmt_float, main
 from symgates.entanglement import (
     CLASSES,
@@ -40,7 +40,7 @@ from symgates.gates import (
     lmg_batch,
     lmg_gate,
 )
-from symgates.linalg import InputError, expm_hermitian
+from symgates.linalg import InputError, _grid, expm_hermitian
 from symgates.su3 import build_hamiltonian, decompose_hamiltonian, from_qubit_basis, to_qubit_basis
 from symgates.tensors import TensorParams, decompose
 
@@ -354,6 +354,25 @@ def test_no_sweep_row_has_a_negative_ep(k):
 def test_no_lmg_row_has_a_negative_ep(g1, g2):
     for (_, ep, _), _ in cli.lmg_blocks(g1, g2, np.linspace(0.0, math.pi, 1441)):
         assert np.all(ep >= 0.0)
+
+
+def test_each_lmg_call_checks_its_grid_once(monkeypatch):
+    names = []
+
+    def counted(name, values):
+        names.append(name)
+        return _grid(name, values)
+
+    monkeypatch.setattr(entanglement, "_grid", counted)
+    monkeypatch.setattr(gates, "_grid", counted)
+    grid = np.linspace(0.0, 2.0, 3 * cli._BLOCK + 7)
+    for _ in cli.lmg_blocks(0.9, 1.7, grid):
+        pass
+    assert names == ["t_grid"] * 4
+    names.clear()
+    lmg_entanglement_profile(0.9, 1.7, grid)
+    lmg_batch(0.9, 1.7, grid)
+    assert names == ["t_grid", "ts"]
 
 
 def _scalar_sweep_csv(k, thetas) -> str:

@@ -194,8 +194,20 @@ def test_finite_input_outside_the_domain_raises_the_documented_value_error(call,
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
 def test_predicates_read_non_finite_matrices_as_false(bad):
-    assert sg.is_hermitian(_entry((3, 3), (1, 1), bad)) is False
-    assert sg.is_unitary(_entry((3, 3), (1, 1), bad)) is False
+    # in each of the nine places of a 3x3, as a real or an imaginary part:
+    # False from the predicates, and the checks that use them name the entry
+    for index in np.ndindex(3, 3):
+        for value in (bad, complex(0.0, bad)):
+            m = _entry((3, 3), index, value)
+            assert sg.is_hermitian(m) is False
+            assert sg.is_unitary(m) is False
+            at = rf" at index {3 * index[0] + index[1]}$"
+            with pytest.raises(InputError, match=r"^u3 must be finite, got .*" + at):
+                sg.custom_gate(m)
+            for call in (sg.decompose_hamiltonian, lambda h: sg.decompose(h, 1),
+                         sg.expm_hermitian):
+                with pytest.raises(InputError, match=r"^h must be finite, got .*" + at):
+                    call(m)
     assert sg.is_unitary(np.stack([np.eye(3)] * 40 + [_entry((3, 3), (1, 2), bad)])) is False
 
 

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symgates.linalg import (
     InputError,
+    _hermitian,
+    _hermiticity,
     anticommutator,
     commutator,
     expm_hermitian,
@@ -14,7 +18,7 @@ from symgates.linalg import (
 from symgates.su3 import M1, M2, M3, M4, M7, M8, decompose_hamiltonian
 from symgates.tensors import decompose
 
-from helpers import random_hermitian
+from helpers import haar_unitary, near_hermitian, random_hermitian
 
 
 def test_commutator_of_matrix_with_itself_vanishes():
@@ -140,3 +144,84 @@ def test_stack_unitarity_verdict_is_the_per_matrix_verdict(seed, n, size, defect
     assert expected == (defect == 0.0)
     assert is_unitary(stack) == expected
     assert is_unitary(stack.reshape(1, size, n, n)) == expected
+
+
+def _exact_unitarity_defect_squared(u: np.ndarray) -> Fraction:
+    """max |(u^dagger u - I)_ij|^2 over the binary values of u, in exact arithmetic."""
+    re = [[Fraction(x) for x in row] for row in u.real.tolist()]
+    im = [[Fraction(x) for x in row] for row in u.imag.tolist()]
+    worst = Fraction(0)
+    for i in range(3):
+        for j in range(i, 3):
+            g_re = sum(re[k][i] * re[k][j] + im[k][i] * im[k][j] for k in range(3)) - (i == j)
+            g_im = sum(re[k][i] * im[k][j] - im[k][i] * re[k][j] for k in range(3))
+            worst = max(worst, g_re * g_re + g_im * g_im)
+    return worst
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([0.0, 0.5, 2.0, 10.0]),
+       log_atol=st.floats(-12.0, -4.0))
+def test_3x3_unitarity_verdict_is_the_exact_one(seed, c, log_atol):
+    # Haar unitaries, alone and plus c * atol * E; the closed form and the
+    # (1, 3, 3) stack path, which numpy computes, both give the verdict of
+    # exact arithmetic wherever the exact defect is 1% or more from atol
+    rng = np.random.default_rng(seed)
+    atol = 10.0 ** log_atol
+    e = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    u = haar_unitary(rng, 3) + c * atol * e
+    worst, bound = _exact_unitarity_defect_squared(u), Fraction(atol) ** 2
+    assume(not Fraction(99, 100) ** 2 * bound <= worst <= Fraction(101, 100) ** 2 * bound)
+    expected = worst <= bound
+    assert is_unitary(u, atol) is expected
+    assert is_unitary(u[None], atol) is expected
+    assert is_unitary(u, np.float64(atol)) is expected
+
+
+def _numpy_hermiticity_verdict(h: np.ndarray) -> tuple[bool, float]:
+    d, top, atol = _hermiticity(h, h.conj().T)
+    return bool(d.max() <= atol), top
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ulps=st.integers(-200, 200),
+       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e290]))
+def test_3x3_hermiticity_verdict_is_numpys_at_the_tolerance(seed, ulps, scale):
+    # A defect |h01 - conj h10| = |h01| a few ulps from the tolerance
+    # 1e-12 * |h22|, at a random phase: numpy's complex abs and Python's
+    # (libm's hypot) may round an ulp apart there, and the verdict, the
+    # bound and the failure report stay numpy's.
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, 3, scale)
+    h[2, 2] = 10.0 * scale
+    h[1, 0] = 0.0
+    tol = 1e-12 * max(1.0, 10.0 * scale)
+    h[0, 1] = tol * (1.0 + ulps * 2.0**-52) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    expected, top = _numpy_hermiticity_verdict(h)
+    assert is_hermitian(h) is expected
+    if expected:
+        assert _hermitian("h", h) == top
+    else:
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian: \|\(h - h\^dagger\)"
+                                             r"\[0, 1\]\| = "):
+            _hermitian("h", h)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), frac=st.sampled_from([0.0, 0.5, 0.98, 1.02, 2.0]),
+       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e299, 1e307]))
+def test_3x3_hermiticity_agrees_with_numpy_on_random_matrices(seed, frac, scale):
+    # near-Hermitian matrices (largest defect `frac` of the tolerance) and
+    # general complex ones, entries near 1e308 included, whose moduli can
+    # overflow: the verdict of numpy's rule, and max|h| within two ulps of
+    # numpy's where the check passes
+    rng = np.random.default_rng(seed)
+    general = rng.uniform(-1.0, 1.0, (2, 3, 3)) + 1j * rng.uniform(-1.0, 1.0, (2, 3, 3))
+    for h in (near_hermitian(rng, 3, scale, frac), scale * general[0], 1.7e308 * general[1]):
+        expected, top = _numpy_hermiticity_verdict(h)
+        assert is_hermitian(h) is expected
+        if expected:
+            assert abs(_hermitian("h", h) - top) <= 2 * np.spacing(top)
