@@ -22,9 +22,11 @@ on stderr if --out is stdout.  A series call allocates one `_Workspace` of
 min(steps, _BLOCK) rows when it starts, and every block is built and laid
 out in it, through `_into` forms of the library's batch functions
 (`gates._gates_into`, `entanglement._scores_into`,
-`entanglement._lmg_profile_into`) that write with out=; a block's columns
-are new arrays, which stay valid after the next block.  Otherwise only the
-library's public names are used.
+`entanglement._lmg_profile_into`) that write with out=.  A block's gate,
+cell and row stages reuse the same bytes of the workspace in turn.  That
+is safe: a block's columns are new arrays, which stay valid after the next
+block, and its rows are written before the next block is built.
+Otherwise only the library's public names are used.
 
 A CSV float cell holds the bytes of '%.15g' % (x + 0.0), as `fmt_float`
 prints the text reports.  A block's float cells go through one numpy
@@ -62,11 +64,15 @@ EXIT_INTERNAL = 3
 SWEEP_HEADER = "theta,g1_abs,ep,class"
 LMG_HEADER = "t,ep,concurrence"
 # Grid points computed and written together, spreading numpy's per-call
-# cost.  A call's workspace holds the large intermediates of one block (a
-# (1024, 3, 3) complex stack is 144 KiB): a 16384-point sweep peaks at
-# 1.3 MiB traced, the 1441-point LMG series at 1.1 MiB, whatever the
-# grid's length, and a block allocates little beyond its row bytes.
-_BLOCK = 1024
+# cost.  A call's workspace holds the large intermediates of one block, in
+# about 708 bytes a row (`_Workspace`): a 16384-point sweep peaks at
+# 1.7 MiB traced, the 1441-point LMG series at 1.1 MiB, whatever the
+# grid's length, and a block allocates little beyond its row bytes.  At
+# 4096 rows the workspace alone would take 2.8 MiB.
+_BLOCK = 2048
+# Rows copied to one bytes object whose pads translate drops: a quarter of
+# a full block's row bytes, about 73 KiB of a sweep's.
+_SLICE = 512
 # The class levels from here up are perfect entanglers.
 _PERFECT = entanglement.CLASSES.index(entanglement.PERFECT_ENTANGLER)
 _LISTED = 8  # windows or times a series summary lists
@@ -176,6 +182,7 @@ def parse_matrix_file(path: str) -> np.ndarray:
 _E_MIN, _E_MAX = -25, 14
 _CELL = 40
 _PAD = 0xFF
+_PADS = bytes([_PAD])  # the table of bytes that translate drops
 _TIE = 2.0 ** -50  # a rounding remainder this close to 1/2 falls back to '%.15g'
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)  # bits of |x|
@@ -279,16 +286,25 @@ def _cell_tables() -> tuple:
 class _Workspace:
     """The large intermediates of a series block, views of one buffer that
     a call allocates once, for blocks of up to `rows` rows of `floats` float
-    cells; a shorter block uses their first rows.  Allocated afresh for each
-    block, they let glibc trim the heap and fault it back on some blocks,
-    depending on where the heap happens to lie.
+    cells and a class cell; a shorter block uses their first rows.
+    Allocated afresh for each block, they let glibc trim the heap and fault
+    it back on some blocks, depending on where the heap happens to lie.
 
-    - u3, tmp: (rows, 3, 3) complex stacks, the gates and the scratch that
-      builds and scores them (`gates._gates_into`, `entanglement._scores_into`);
-    - phases: (rows, 3) complex, the LMG phase columns;
-    - table: (rows, floats), a block's float columns side by side;
-    - scratch, flags, digit_zeros, gather, words, layers, cells: the
-      intermediates of `_float_cells`, one per float cell."""
+    A block passes through three stages, and each stage's fields lie side
+    by side from the buffer's start, over the bytes of the stage before:
+    - the gate stage: u3, tmp, (rows, 3, 3) complex stacks, the gates and
+      the scratch that builds and scores them (`gates._gates_into`,
+      `entanglement._scores_into`), and phases, (2, rows) complex, the LMG
+      phase rows (`gates._phases`);
+    - the cell stage: table, (rows, floats), a block's float columns side
+      by side, then scratch, flags, digit_zeros, gather, words, layers and
+      cells, the intermediates of `_float_cells`, one per float cell;
+    - the row stage: rows, the block's CSV rows, each row's cells and pads,
+      over every field of the cell stage but cells, which it copies.
+    Sharing is safe because each stage is done with the bytes it lies over:
+    the gate stage yields new arrays (and views of the grid), which `table`
+    copies, and `cells` is read into `rows` after the last read of every
+    other cell-stage field."""
 
     def __init__(self, rows: int, floats: int = 3):
         layout = _workspace_layout(rows, floats)
@@ -297,18 +313,34 @@ class _Workspace:
             setattr(self, name, buffer[name])
 
 
+def _stage(fields) -> list:
+    """(name, dtype, offset) of each (name, dtype, shape) of a stage's
+    `fields`, laid out one after another from byte 0, at multiples of 64."""
+    placed, end = [], 0
+    for name, dtype, shape in fields:
+        field, offset = np.dtype((dtype, shape)), -(-end // 64) * 64
+        placed.append((name, field, offset))
+        end = offset + field.itemsize
+    return placed
+
+
 @functools.lru_cache(maxsize=16)
 def _workspace_layout(rows: int, floats: int) -> np.dtype:
-    """The fields of a `_Workspace`, each aligned for its type."""
+    """The fields of a `_Workspace` (see there), with explicit offsets."""
     n = rows * floats
-    return np.dtype([
-        ("u3", np.complex128, (rows, 3, 3)), ("tmp", np.complex128, (rows, 3, 3)),
-        ("phases", np.complex128, (rows, 3)), ("table", np.float64, (rows, floats)),
-        ("scratch", np.float64, (6, n)), ("flags", np.bool_, (2, n)),
-        ("digit_zeros", np.int8, (2, n)), ("gather", _cell_tables()[1].dtype, (n,)),
-        ("words", np.intp, (n, 5)), ("layers", "<u8", (n, 5)),
-        ("cells", np.uint8, (n * _CELL + 8,)),
-    ], align=True)
+    width = floats * _CELL + _class_cells().shape[1]
+    fields = [
+        *_stage([("u3", np.complex128, (rows, 3, 3)), ("tmp", np.complex128, (rows, 3, 3)),
+                 ("phases", np.complex128, (2, rows))]),
+        *_stage([("table", np.float64, (rows, floats)), ("scratch", np.float64, (6, n)),
+                 ("flags", np.bool_, (2, n)), ("digit_zeros", np.int8, (2, n)),
+                 ("gather", _cell_tables()[1].dtype, (n,)), ("words", np.intp, (n, 5)),
+                 ("layers", "<u8", (n, 5)), ("cells", np.uint8, (n * _CELL + 8,))]),
+        *_stage([("rows", np.uint8, (rows * width,))]),
+    ]
+    names, formats, offsets = zip(*fields)
+    return np.dtype({"names": names, "formats": formats, "offsets": offsets,
+                     "itemsize": max(f.itemsize + o for _, f, o in fields)})
 
 
 def _float_cells(x: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -390,7 +422,7 @@ def _float_cells(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     cells = buf[:n * _CELL].reshape(n, _CELL)
     if fallback.any():
         i = np.flatnonzero(fallback)
-        text = b"".join((b"%.15g" % (v + 0.0)).ljust(_CELL - 1, bytes([_PAD])) for v in x[i].tolist())
+        text = b"".join((b"%.15g" % (v + 0.0)).ljust(_CELL - 1, _PADS) for v in x[i].tolist())
         cells[i, :_CELL - 1] = np.frombuffer(text, np.uint8).reshape(-1, _CELL - 1)
     return cells
 
@@ -401,7 +433,7 @@ def _class_cells() -> np.ndarray:
     _PAD bytes between; row i is the cell of level i."""
     texts = [c.encode() for c in entanglement.CLASSES]
     width = max(map(len, texts)) + 1
-    return np.frombuffer(b"".join(t.ljust(width - 1, bytes([_PAD])) + b"," for t in texts),
+    return np.frombuffer(b"".join(t.ljust(width - 1, _PADS) + b"," for t in texts),
                          np.uint8).reshape(-1, width)
 
 
@@ -461,7 +493,7 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray, ws: _Workspace | None =
     for block in _blocks(t_grid):
         n = len(block)
         t, ep, conc = columns = entanglement._lmg_profile_into(
-            g1, g2, block, ws.u3[:n], ws.tmp[:n], ws.phases[:n])
+            g1, g2, block, ws.u3[:n], ws.tmp[:n], ws.phases[:, :n])
         yield columns, None
         for found, mask in ((zeros, conc < 1e-9), (maxima, conc > 1.0 - 1e-9),
                             (hits, np.abs(ep - 2.0 / 9.0) < 1e-9)):
@@ -484,25 +516,25 @@ def _write_rows(fh, header: str, blocks, ws: _Workspace | None = None) -> int:
     prints them (`_float_cells`), then a level's label in
     entanglement.CLASSES.  The blocks are no longer than the first, as a
     series yields them, and are laid out in `ws`, or in a workspace of the
-    first block's rows, and a row buffer made for the first block, whose
-    pad bytes one translate drops."""
+    first block's rows.  Its `table` and `rows` lie over the gate stage
+    and the cell stage (see `_Workspace`), so a block's columns must not be
+    views of `ws`: a series yields new arrays and views of its grid.  Each
+    _SLICE rows are copied to a bytes object, whose pads one translate
+    drops, and written before the next block is built."""
     fh.write(f"{header}\n".encode())
-    count, text = 0, None
+    count = 0
     for floats, level in blocks:
         n, cells = len(floats[0]), len(floats) * _CELL
-        if text is None:
-            ws = _Workspace(n, len(floats)) if ws is None else ws
-            width = cells + (0 if level is None else _class_cells().shape[1])
-            text = bytearray(n * width)  # a bytes-like object of its own, for translate
-        del text[n * width:]  # a shorter block, the last one; no view of text is alive
-        rows = np.frombuffer(text, np.uint8).reshape(n, width)
+        ws = _Workspace(n, len(floats)) if ws is None else ws
+        width = cells + (0 if level is None else _class_cells().shape[1])
+        rows = ws.rows[:n * width].reshape(n, width)
         table = np.stack(floats, axis=1, out=ws.table[:n])
         rows[:, :cells] = _float_cells(table.ravel(), ws).reshape(n, cells)
         if level is not None:
             rows[:, cells:] = _class_cells()[level]
         rows[:, -1] = ord("\n")  # the last cell's ',' ends the row
-        del rows
-        fh.write(text.translate(None, bytes([_PAD])))
+        for i in range(0, n, _SLICE):
+            fh.write(bytes(rows[i:i + _SLICE]).translate(None, _PADS))
         count += n
     return count
 

@@ -514,7 +514,7 @@ def lmg_entanglement_profile(g1: float, g2: float,
 def _lmg_profile_into(g1: float, g2: float, t_grid, u3: np.ndarray | None = None,
                       tmp: np.ndarray | None = None, phases: np.ndarray | None = None):
     """`lmg_entanglement_profile`, its gates built in the (N, 3, 3) stacks u3
-    and tmp and the (N, 3) phases (`gates._lmg_into`), and scored with tmp
+    and tmp and the (2, N) phases (`gates._lmg_into`), and scored with tmp
     as scratch; each is allocated when not given.  The columns are new arrays."""
     t_grid = _grid("t_grid", t_grid)
     u3 = _lmg_into(_finite("g1", g1), _finite("g2", g2), t_grid, u3, tmp, phases)

@@ -16,13 +16,14 @@ A single 3x3 matrix, the spin-1 block of every gate and Hamiltonian, is
 checked in closed form in Python complex arithmetic on `a.tolist()`, where
 numpy's fixed cost per call would exceed the arithmetic: `is_unitary` as
 the six Gram entries of its columns (`_unitary3`), and the Hermiticity rule
-as its six distinct defects (`_hermitian3`).  The Hermiticity closed form
-only ever accepts: a defect above (1 - 1e-14) times the tolerance, a
+as its six distinct defects (`_hermitian_small`), which also takes the
+three of a 2x2 matrix, the spin-1/2 tensor checks.  The Hermiticity closed
+form only ever accepts: a defect above (1 - 1e-14) times the tolerance, a
 non-finite entry or a modulus of 1e300 or more goes to `_hermiticity`,
 which decides as for every other shape and writes each failure report, so
 each verdict, message and bound is numpy's.  Numpy also checks stacks (a
-(1, 3, 3) stack included), the 2x2 and 4..6 dimensional tensor checks and
-the 4x4 ones of `entanglement`.
+(1, 3, 3) stack included), the 4..6 dimensional tensor checks and the 4x4
+ones of `entanglement`.
 
 It also owns the failure contract: bad input raises `InputError`, named
 by the parameter or product at fault, with no numpy warning first.  A
@@ -49,12 +50,12 @@ import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
-# The 3x3 Hermiticity closed form accepts a defect up to this fraction of
-# the tolerance (numpy's abs and libm's hypot differ by a few ulps at most)
-# and moduli below _HERMITIAN3_MAX, so that no sum or product of them that
-# a caller bounds (`_bounded`) can overflow.
-_HERMITIAN3_SURE = 1.0 - 1e-14
-_HERMITIAN3_MAX = 1e300
+# The 2x2 and 3x3 Hermiticity closed form accepts a defect up to this
+# fraction of the tolerance (numpy's abs and libm's hypot differ by a few
+# ulps at most) and moduli below _HERMITIAN_MAX, so that no sum or product
+# of them that a caller bounds (`_bounded`) can overflow.
+_HERMITIAN_SURE = 1.0 - 1e-14
+_HERMITIAN_MAX = 1e300
 
 
 class InputError(ValueError):
@@ -153,35 +154,41 @@ def _hermiticity(a: np.ndarray, a_dagger: np.ndarray) -> tuple[np.ndarray, float
     return d, top, HERMITICITY_ATOL * max(1.0, min(top, sys.float_info.max))
 
 
-def _hermitian3(h: np.ndarray) -> float | None:
-    """max|h| of a 3x3 matrix h that passes the Hermiticity rule in closed
-    form, on h.tolist(): the defects are 2|Im h_ii| and |h_ij - conj h_ji|
-    for i < j (the entry at (j, i) has the same modulus).  Python's abs is
-    libm's hypot, and numpy's complex abs may round up to 2 ulps apart, so
-    a defect above _HERMITIAN3_SURE of the tolerance is left to numpy, as is
-    any other shape, a non-finite entry and moduli that sum to
-    _HERMITIAN3_MAX or more: None, and `_hermiticity` decides."""
-    if h.shape != (3, 3):
-        return None
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.tolist()
+def _hermitian_small(h: np.ndarray) -> float | None:
+    """max|h| of a 2x2 or 3x3 matrix h that passes the Hermiticity rule in
+    closed form, on h.tolist(): the defects are 2|Im h_ii| and
+    |h_ij - conj h_ji| for i < j (the entry at (j, i) has the same modulus).
+    Python's abs is libm's hypot, and numpy's complex abs may round up to
+    2 ulps apart, so a defect above _HERMITIAN_SURE of the tolerance is left
+    to numpy, as is any other shape, a non-finite entry and moduli that sum
+    to _HERMITIAN_MAX or more: None, and `_hermiticity` decides."""
     try:
-        moduli = (abs(h00), abs(h01), abs(h02), abs(h10), abs(h11), abs(h12),
-                  abs(h20), abs(h21), abs(h22))
-    except OverflowError:  # a modulus beyond the float range
+        if h.shape == (3, 3):
+            (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.tolist()
+            moduli = (abs(h00), abs(h01), abs(h02), abs(h10), abs(h11), abs(h12),
+                      abs(h20), abs(h21), abs(h22))
+            worst = max(2.0 * max(abs(h00.imag), abs(h11.imag), abs(h22.imag)),
+                        abs(h01 - h10.conjugate()), abs(h02 - h20.conjugate()),
+                        abs(h12 - h21.conjugate()))
+        elif h.shape == (2, 2):
+            (h00, h01), (h10, h11) = h.tolist()
+            moduli = (abs(h00), abs(h01), abs(h10), abs(h11))
+            worst = max(2.0 * max(abs(h00.imag), abs(h11.imag)), abs(h01 - h10.conjugate()))
+        else:
+            return None
+    except OverflowError:  # a modulus or a defect beyond the float range
         return None
-    if not sum(moduli) < _HERMITIAN3_MAX:  # NaN and inf too; a sum keeps a NaN that max() drops
+    if not sum(moduli) < _HERMITIAN_MAX:  # NaN and inf too; a sum keeps a NaN that max() drops
         return None
-    worst = max(2.0 * max(abs(h00.imag), abs(h11.imag), abs(h22.imag)),
-                abs(h01 - h10.conjugate()), abs(h02 - h20.conjugate()), abs(h12 - h21.conjugate()))
     top = max(moduli)
-    return top if worst <= _HERMITIAN3_SURE * HERMITICITY_ATOL * max(1.0, top) else None
+    return top if worst <= _HERMITIAN_SURE * HERMITICITY_ATOL * max(1.0, top) else None
 
 
 def is_hermitian(a) -> bool:
     """True if every |(a - a^dagger)_ij| <= HERMITICITY_ATOL * max(1, max|a|),
     the rule of every Hermiticity check; False if a is not finite."""
     a = _matrix("a", a)
-    if _hermitian3(a) is not None:
+    if _hermitian_small(a) is not None:
         return True
     d, _, atol = _hermiticity(a, a.conj().T)
     return bool(d.max() <= atol)
@@ -190,7 +197,7 @@ def is_hermitian(a) -> bool:
 def _hermitian(name: str, h: np.ndarray) -> float:
     """max|h|, once the square matrix h passes `is_hermitian`; else InputError
     naming `name` if h is not finite, or ValueError naming the worst entry."""
-    top = _hermitian3(h)
+    top = _hermitian_small(h)
     if top is not None:
         return top
     d, top, atol = _hermiticity(h, h.conj().T)

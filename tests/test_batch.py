@@ -174,9 +174,10 @@ def test_one_gate_path_equals_a_grid_of_16384_gates():
 
 
 def test_a_grid_in_one_call_equals_its_cli_blocks():
-    # a 2003-point call's stacks pass 256 KiB, where numpy may reuse an unnamed
-    # temporary in place; its results must still be those of the CLI's blocks
-    grid = np.linspace(-1.0, 7.0, 2003)
+    # a call's stacks of more than 1820 points pass 256 KiB, where numpy may reuse
+    # an unnamed temporary in place; its results must still be those of the
+    # CLI's blocks, three here
+    grid = np.linspace(-1.0, 7.0, 2 * cli._BLOCK + 300)
     blocks = [grid[i:i + cli._BLOCK] for i in range(0, len(grid), cli._BLOCK)]
     for k in range(1, 9):
         whole = entangling_power_batch(gates_batch(k, grid))
@@ -459,15 +460,15 @@ def _traced_per_block(blocks, marks):
 @pytest.mark.parametrize("argv, blocks, class_cell", [
     (["sweep", "8", "--theta-max", "sqrt3*pi", "--steps", "16384"], "sweep_blocks", True),
     (["sweep", "4", "--theta-max", "pi", "--steps", "16384"], "sweep_blocks", True),
-    (["lmg", "--g1", "0.9", "--g2", "1.7", "--t-max", "pi", "--steps", "1441"], "lmg_blocks",
-     False),
+    (["lmg", "--g1", "0.9", "--g2", "1.7", "--t-max", "pi", "--steps", str(2 * cli._BLOCK + 1)],
+     "lmg_blocks", False),  # three blocks, so that two follow the first
 ])
 def test_a_block_allocates_only_its_row_bytes(tmp_path, capsys, monkeypatch, argv, blocks,
                                              class_cell):
-    # Every large intermediate of a block lives in the call's workspace.  After
-    # the first block, which makes the row buffer, a block's traced memory
-    # rises by less than 64 KiB beyond the row bytes handed to fh.write,
-    # which translate allocates at the length of the row buffer.
+    # Every large intermediate of a block, its row buffer included, lives in
+    # the call's workspace.  After the first block a block's traced memory
+    # rises by less than 64 KiB beyond its row bytes, which it copies to
+    # bytes objects, a slice of rows at a time, for translate.
     argv = argv + ["--out", str(tmp_path / "x.csv")]
     assert main(argv) == 0  # builds the parser and the CSV tables once
     marks = []
@@ -483,6 +484,30 @@ def test_a_block_allocates_only_its_row_bytes(tmp_path, capsys, monkeypatch, arg
     row_bytes = min(steps, cli._BLOCK) * width
     rises = [peak - current for (current, _), (_, peak) in zip(marks, marks[1:])]
     assert max(rises[1:]) < row_bytes + 64 * 2 ** 10
+
+
+def test_workspace_stages_share_bytes_and_keep_cells_apart_from_rows():
+    layout = cli._workspace_layout(2048, 3)
+    spans = {name: (offset, offset + field.itemsize)
+             for name, (field, offset) in layout.fields.items()}
+    gate_stage = ["u3", "tmp", "phases"]
+    cell_stage = ["table", "scratch", "flags", "digit_zeros", "gather", "words", "layers", "cells"]
+    assert sorted(spans) == sorted(gate_stage + cell_stage + ["rows"])
+
+    def overlap(a, b):
+        return spans[a][0] < spans[b][1] and spans[b][0] < spans[a][1]
+
+    for stage in gate_stage, cell_stage:
+        assert not any(overlap(a, b) for i, a in enumerate(stage) for b in stage[i + 1:])
+    assert not overlap("rows", "cells")
+    assert spans["rows"][1] - spans["rows"][0] == 2048 * (3 * cli._CELL + cli._class_cells().shape[1])
+    cell_bytes = min(spans[name][0] for name in cell_stage), max(spans[name][1] for name in cell_stage)
+    for name in gate_stage:
+        assert cell_bytes[0] <= spans[name][0] and spans[name][1] <= cell_bytes[1]
+    assert layout.itemsize <= 720 * 2048
+    ws = cli._Workspace(2048)
+    assert np.shares_memory(ws.u3, ws.table) and np.shares_memory(ws.rows, ws.scratch)
+    assert not np.shares_memory(ws.rows, ws.cells)
 
 
 def test_blocks_outlive_the_next_block():
@@ -508,7 +533,7 @@ def test_blocks_outlive_the_next_block():
 
 
 def test_b4_sweep_reaches_every_class_and_writes_the_per_point_csv(tmp_path, capsys):
-    thetas = np.linspace(0.0, math.pi, 2 * cli._BLOCK + 1)
+    thetas = np.linspace(0.0, math.pi, 2049)  # two blocks or more while _BLOCK <= 2048
     levels = np.concatenate([level for _, level in cli.sweep_blocks(4, thetas)])
     # local at 0 and pi, perfect on [pi/4, 3 pi/4] (1025 points), special
     # where cos(theta)**4 < 4.5e-9 (2/9 within 1e-9): 11 points about pi/2

@@ -485,10 +485,11 @@ STEPS_ABOUT_A_BLOCK = [cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOC
        at=st.sampled_from([cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK]))
 # Steps of 0.02 or more give B4..B7 more than eight runs, whose summary
 # lists eight.  With the run start pi/4 half a step before row 0, the 8th
-# run (h = 0.022) or the 9th (h = 0.025) spans the block boundary at 1024.
-@example(k=4, steps=2 * cli._BLOCK + 1, edge=1, h=0.022, at=0)
-@example(k=5, steps=2 * cli._BLOCK + 1, edge=1, h=0.025, at=0)
-@example(k=6, steps=cli._BLOCK + 1, edge=1, h=0.025, at=0)
+# run (h = 22.5 / _BLOCK) or the 9th (h = 25.6 / _BLOCK) spans the block
+# boundary at row _BLOCK.
+@example(k=4, steps=2 * cli._BLOCK + 1, edge=1, h=22.5 / cli._BLOCK, at=0)
+@example(k=5, steps=2 * cli._BLOCK + 1, edge=1, h=25.6 / cli._BLOCK, at=0)
+@example(k=6, steps=cli._BLOCK + 1, edge=1, h=25.6 / cli._BLOCK, at=0)
 def test_sweep_summary_streamed_equals_the_one_shot_reference(k, steps, edge, h, at):
     # B4..B7 are labelled perfect entanglers on [pi/4, 3 pi/4] mod pi: the
     # angle edge * pi/4 falls half a step before grid point `at`, so a run
@@ -502,9 +503,10 @@ def test_sweep_summary_streamed_equals_the_one_shot_reference(k, steps, edge, h,
 
 
 def test_sweep_summary_takes_the_first_of_equal_maxima_across_blocks():
-    # cos is even, so e_p at -pi/2 (row 0) and pi/2 (row 1024, the next block) is equal
-    argv = ["sweep", "4", "--theta-min", "-pi/2", "--theta-max", "pi/2", "--steps", "1025"]
-    columns = _concatenated(cli.sweep_blocks(4, np.linspace(-math.pi / 2, math.pi / 2, 1025)))
+    # cos is even, so e_p at -pi/2 (row 0) and pi/2 (row _BLOCK, the next block) is equal
+    steps = cli._BLOCK + 1
+    argv = ["sweep", "4", "--theta-min", "-pi/2", "--theta-max", "pi/2", "--steps", str(steps)]
+    columns = _concatenated(cli.sweep_blocks(4, np.linspace(-math.pi / 2, math.pi / 2, steps)))
     assert columns[2][0] == columns[2][-1] == max(columns[2])
     assert _series_report(argv) == [_script_sweep_line(4, columns)] == [
         "B4: max e_p = 0.222222222222 at theta = -1.570796326795; "
@@ -513,10 +515,10 @@ def test_sweep_summary_takes_the_first_of_equal_maxima_across_blocks():
 
 @settings(max_examples=40, deadline=None)
 @given(g1=st.floats(0.1, 10), ratio=st.sampled_from([0.5, 1.0, 2.0, 3.0]) | st.floats(0.1, 4),
-       period=st.integers(1, 300), steps=st.sampled_from(STEPS_ABOUT_A_BLOCK))
+       period=st.integers(1, cli._BLOCK // 3), steps=st.sampled_from(STEPS_ABOUT_A_BLOCK))
 def test_lmg_summary_streamed_equals_the_one_shot_reference(g1, ratio, period, steps):
     # the concurrence |sin 4 g1 t| is 0 every `period` grid points, so the
-    # first eight zeros reach past the first block when period > 1024 / 7
+    # first eight zeros reach past the first block when period > _BLOCK / 7
     g2 = g1 * ratio
     t_max = (steps - 1) * math.pi / (4 * g1 * period)
     expected = _script_lmg_lines(g1, g2, _concatenated(

@@ -184,18 +184,14 @@ def _numpy_hermiticity_verdict(h: np.ndarray) -> tuple[bool, float]:
     return bool(d.max() <= atol), top
 
 
-@pytest.mark.filterwarnings("error")
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), ulps=st.integers(-200, 200),
-       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e290]))
-def test_3x3_hermiticity_verdict_is_numpys_at_the_tolerance(seed, ulps, scale):
+def _assert_numpys_verdict_at_the_tolerance(n, seed, ulps, scale):
     # A defect |h01 - conj h10| = |h01| a few ulps from the tolerance
-    # 1e-12 * |h22|, at a random phase: numpy's complex abs and Python's
-    # (libm's hypot) may round an ulp apart there, and the verdict, the
-    # bound and the failure report stay numpy's.
+    # 1e-12 * |h_(n-1)(n-1)|, at a random phase: numpy's complex abs and
+    # Python's (libm's hypot) may round an ulp apart there, and the verdict,
+    # the bound and the failure report stay numpy's.
     rng = np.random.default_rng(seed)
-    h = random_hermitian(rng, 3, scale)
-    h[2, 2] = 10.0 * scale
+    h = random_hermitian(rng, n, scale)
+    h[-1, -1] = 10.0 * scale
     h[1, 0] = 0.0
     tol = 1e-12 * max(1.0, 10.0 * scale)
     h[0, 1] = tol * (1.0 + ulps * 2.0**-52) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
@@ -209,19 +205,63 @@ def test_3x3_hermiticity_verdict_is_numpys_at_the_tolerance(seed, ulps, scale):
             _hermitian("h", h)
 
 
-@pytest.mark.filterwarnings("error")
-@settings(max_examples=300, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), frac=st.sampled_from([0.0, 0.5, 0.98, 1.02, 2.0]),
-       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e299, 1e307]))
-def test_3x3_hermiticity_agrees_with_numpy_on_random_matrices(seed, frac, scale):
+def _assert_numpys_verdict_on_random_matrices(n, seed, frac, scale):
     # near-Hermitian matrices (largest defect `frac` of the tolerance) and
     # general complex ones, entries near 1e308 included, whose moduli can
     # overflow: the verdict of numpy's rule, and max|h| within two ulps of
     # numpy's where the check passes
     rng = np.random.default_rng(seed)
-    general = rng.uniform(-1.0, 1.0, (2, 3, 3)) + 1j * rng.uniform(-1.0, 1.0, (2, 3, 3))
-    for h in (near_hermitian(rng, 3, scale, frac), scale * general[0], 1.7e308 * general[1]):
+    general = rng.uniform(-1.0, 1.0, (2, n, n)) + 1j * rng.uniform(-1.0, 1.0, (2, n, n))
+    for h in (near_hermitian(rng, n, scale, frac), scale * general[0], 1.7e308 * general[1]):
         expected, top = _numpy_hermiticity_verdict(h)
         assert is_hermitian(h) is expected
         if expected:
             assert abs(_hermitian("h", h) - top) <= 2 * np.spacing(top)
+
+
+AT_THE_TOLERANCE = dict(seed=st.integers(0, 2**32 - 1), ulps=st.integers(-200, 200),
+                        scale=st.sampled_from([1e-3, 1.0, 1e3, 1e290]))
+RANDOM_MATRICES = dict(seed=st.integers(0, 2**32 - 1),
+                       frac=st.sampled_from([0.0, 0.5, 0.98, 1.02, 2.0]),
+                       scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e299, 1e307]))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(**AT_THE_TOLERANCE)
+def test_3x3_hermiticity_verdict_is_numpys_at_the_tolerance(seed, ulps, scale):
+    _assert_numpys_verdict_at_the_tolerance(3, seed, ulps, scale)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(**RANDOM_MATRICES)
+def test_3x3_hermiticity_agrees_with_numpy_on_random_matrices(seed, frac, scale):
+    _assert_numpys_verdict_on_random_matrices(3, seed, frac, scale)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(**AT_THE_TOLERANCE)
+def test_2x2_hermiticity_verdict_is_numpys_at_the_tolerance(seed, ulps, scale):
+    _assert_numpys_verdict_at_the_tolerance(2, seed, ulps, scale)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(**RANDOM_MATRICES)
+def test_2x2_hermiticity_agrees_with_numpy_on_random_matrices(seed, frac, scale):
+    _assert_numpys_verdict_on_random_matrices(2, seed, frac, scale)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_2x2_non_finite_matrices_fail_the_hermiticity_check_and_name_the_entry(bad):
+    for index in np.ndindex(2, 2):
+        for value in (bad, complex(0.0, bad)):
+            m = np.zeros((2, 2), dtype=complex)
+            m[index] = value
+            assert is_hermitian(m) is False
+            with pytest.raises(InputError, match=rf"^h must be finite, got .* at index "
+                                                 rf"{2 * index[0] + index[1]}$"):
+                decompose(m, 0.5)
