@@ -19,14 +19,20 @@ Blocks of _BLOCK grid points, (float columns, class levels or None), are
 written as bytes as they come, to a file that replaces --out after the last
 one; then the row count and a summary folded from the blocks are printed,
 on stderr if --out is stdout.  A series call allocates one `_Workspace` of
-min(steps, _BLOCK) rows when it starts, and every block is built and laid
-out in it, through `_into` forms of the library's batch functions
-(`gates._gates_into`, `entanglement._scores_into`,
-`entanglement._lmg_profile_into`) that write with out=.  A block's gate,
-cell and row stages reuse the same bytes of the workspace in turn.  That
-is safe: a block's columns are new arrays, which stay valid after the next
-block, and its rows are written before the next block is built.
-Otherwise only the library's public names are used.
+min(steps, _BLOCK) rows when it starts and passes it to every stage that
+builds, scores and lays out a block (`sweep_blocks`, `lmg_blocks`,
+`write_csv`), which takes it as a required argument.  The library's
+block kernels take their buffers the same way, under one contract: the
+`_into` forms of its batch functions (`gates._gates_into`,
+`entanglement._scores_into`, `entanglement._lmg_profile_into`) write
+with out= into the buffers they are given, which the public batch
+functions allocate (`gates._scratch`) and the CLI takes from its
+workspace (`_Workspace.gate_stage`), so the library and the CLI build
+and score a block with the same code.  A block's gate, cell and row
+stages reuse the same bytes of the workspace in turn.  That is safe: a
+block's columns are new arrays, which stay valid after the next block,
+and its rows are written before the next block is built.  Otherwise only
+the library's public names are used.
 
 A CSV float cell holds the bytes of '%.15g' % (x + 0.0), as `fmt_float`
 prints the text reports.  A block's float cells go through one numpy
@@ -76,6 +82,7 @@ _SLICE = 512
 # The class levels from here up are perfect entanglers.
 _PERFECT = entanglement.CLASSES.index(entanglement.PERFECT_ENTANGLER)
 _LISTED = 8  # windows or times a series summary lists
+_FLOATS = 3  # float cells of a series row: theta, |G1|, e_p or t, e_p, concurrence
 
 _LONG_OPTION = re.compile(r"--\w[\w-]*")  # without '=value'
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:e[+-]?\d+)?"  # as float() reads it, without a sign
@@ -168,10 +175,9 @@ def parse_matrix_file(path: str) -> np.ndarray:
     entries = np.asarray(data["entries"], dtype=np.float64)
     if entries.shape != (dim, dim, 2):
         raise ValueError(f"entries must be a {dim}x{dim} array of [re, im] pairs")
-    matrix = entries[..., 0] + 1j * entries[..., 1]
-    if not np.all(np.isfinite(entries)):
+    if not np.all(np.isfinite(entries)):  # before 1j * inf warns
         raise ValueError("matrix entries must be finite")
-    return matrix
+    return entries[..., 0] + 1j * entries[..., 1]
 
 
 # Float cells of a CSV row, formatted by `_float_cells`.  Decimal exponents
@@ -285,8 +291,10 @@ def _cell_tables() -> tuple:
 
 class _Workspace:
     """The large intermediates of a series block, views of one buffer that
-    a call allocates once, for blocks of up to `rows` rows of `floats` float
-    cells and a class cell; a shorter block uses their first rows.
+    a call allocates once, for blocks of up to `rows` rows of _FLOATS float
+    cells and a class cell; a shorter block uses their first rows.  Every
+    stage of a block takes it, or its gate stage (`gate_stage`), as a
+    required argument: no stage allocates its own.
     Allocated afresh for each block, they let glibc trim the heap and fault
     it back on some blocks, depending on where the heap happens to lie.
 
@@ -294,8 +302,8 @@ class _Workspace:
     by side from the buffer's start, over the bytes of the stage before:
     - the gate stage: u3, tmp, (rows, 3, 3) complex stacks, the gates and
       the scratch that builds and scores them (`gates._gates_into`,
-      `entanglement._scores_into`), and phases, (2, rows) complex, the LMG
-      phase rows (`gates._phases`);
+      `entanglement._scores_into`), and phases, (2, rows) complex, the B8
+      and LMG phase rows (`gates._phases`);
     - the cell stage: table, (rows, floats), a block's float columns side
       by side, then scratch, flags, digit_zeros, gather, words, layers and
       cells, the intermediates of `_float_cells`, one per float cell;
@@ -306,11 +314,17 @@ class _Workspace:
     copies, and `cells` is read into `rows` after the last read of every
     other cell-stage field."""
 
-    def __init__(self, rows: int, floats: int = 3):
-        layout = _workspace_layout(rows, floats)
+    def __init__(self, rows: int):
+        layout = _workspace_layout(rows)
         buffer = np.empty((), layout)
         for name in layout.names:
             setattr(self, name, buffer[name])
+
+    def gate_stage(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The buffers of a block of n <= rows gates, u3, tmp and phases,
+        shaped as `gates._scratch(n)` allocates them: the provider that
+        `gates._gates_into` and `entanglement._lmg_profile_into` take."""
+        return self.u3[:n], self.tmp[:n], self.phases[:, :n]
 
 
 def _stage(fields) -> list:
@@ -325,14 +339,14 @@ def _stage(fields) -> list:
 
 
 @functools.lru_cache(maxsize=16)
-def _workspace_layout(rows: int, floats: int) -> np.dtype:
+def _workspace_layout(rows: int) -> np.dtype:
     """The fields of a `_Workspace` (see there), with explicit offsets."""
-    n = rows * floats
-    width = floats * _CELL + _class_cells().shape[1]
+    n = rows * _FLOATS
+    width = _FLOATS * _CELL + _class_cells().shape[1]
     fields = [
         *_stage([("u3", np.complex128, (rows, 3, 3)), ("tmp", np.complex128, (rows, 3, 3)),
                  ("phases", np.complex128, (2, rows))]),
-        *_stage([("table", np.float64, (rows, floats)), ("scratch", np.float64, (6, n)),
+        *_stage([("table", np.float64, (rows, _FLOATS)), ("scratch", np.float64, (6, n)),
                  ("flags", np.bool_, (2, n)), ("digit_zeros", np.int8, (2, n)),
                  ("gather", _cell_tables()[1].dtype, (n,)), ("words", np.intp, (n, 5)),
                  ("layers", "<u8", (n, 5)), ("cells", np.uint8, (n * _CELL + 8,))]),
@@ -442,21 +456,20 @@ def _blocks(grid: np.ndarray):
         yield grid[start:start + _BLOCK]
 
 
-def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace | None = None):
+def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace):
     """Blocks ((theta, |G1|, e_p), class levels) of a B_k sweep, each built
-    in `ws` (one of its own if not given) and yielded as new arrays.
+    in `ws`, a workspace of at least min(len(thetas), _BLOCK) rows, and
+    yielded as new arrays.
 
     Returns the sweep's summary line: the largest e_p and the angle of its
     first row, and the first and last angle of the first _LISTED runs of
     consecutive perfect-entangler rows, then how many runs follow; or only
     that the sweep is non-entangling, when its largest e_p is classed so."""
-    ws = _Workspace(min(len(thetas), _BLOCK)) if ws is None else ws
     best_ep, best_theta, best_level = -math.inf, 0.0, 0
     starts, ends, runs, in_run = [], [], 0, False
     for theta in _blocks(thetas):
-        n = len(theta)
-        u3 = gates._gates_into(k, theta, ws.u3[:n], ws.tmp[:n])
-        report = entanglement._scores_into(u3, ws.tmp[:n])
+        u3 = gates._gates_into(k, theta, ws.gate_stage)
+        report = entanglement._scores_into(u3, ws.tmp[:len(theta)])
         ep, level = report.ep, report.level
         yield (theta, report.g1_abs, ep), level
         i = int(np.argmax(ep))
@@ -480,20 +493,18 @@ def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace | None = None):
     return f"B{k}: max e_p = {best_ep:.12f} at theta = {best_theta:.12f}; {summary}"
 
 
-def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray, ws: _Workspace | None = None):
+def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray, ws: _Workspace):
     """Blocks ((t, e_p, concurrence of B_L |up up>), None) of an LMG series,
-    each built in `ws` (one of its own if not given) and yielded as new
-    arrays, t a view of t_grid.
+    each built in `ws`, a workspace of at least min(len(t_grid), _BLOCK)
+    rows, and yielded as new arrays, t a view of t_grid.
 
     Returns the series' summary lines: the first _LISTED times of
     concurrence zeros (< 1e-9) and maxima (> 1 - 1e-9), and of e_p within
-    1e-9 of 2/9, each beside the times the closed forms give."""
-    ws = _Workspace(min(len(t_grid), _BLOCK)) if ws is None else ws
+    1e-9 of 2/9, each beside the times the closed forms give; an empty
+    list reads "none on grid"."""
     zeros, maxima, hits = [], [], []
     for block in _blocks(t_grid):
-        n = len(block)
-        t, ep, conc = columns = entanglement._lmg_profile_into(
-            g1, g2, block, ws.u3[:n], ws.tmp[:n], ws.phases[:, :n])
+        t, ep, conc = columns = entanglement._lmg_profile_into(g1, g2, block, ws.gate_stage)
         yield columns, None
         for found, mask in ((zeros, conc < 1e-9), (maxima, conc > 1.0 - 1e-9),
                             (hits, np.abs(ep - 2.0 / 9.0) < 1e-9)):
@@ -505,30 +516,31 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray, ws: _Workspace | None =
     spacing = (f"expected multiples of pi/(4 g1) = {math.pi / (4 * abs(g1)):.6f}" if g1
                else "g1 = 0: the concurrence is 0 at every t")
     first = f"first expected at t = {expected}" if expected else "never expected (g1 = g2 = 0)"
-    return (f"concurrence zeros near t = {', '.join(zeros)}\n  ({spacing})\n"
-            f"concurrence maxima near t = {', '.join(maxima)}\n"
-            f"maximal entangling power {first}; grid hits: {', '.join(hits) or 'none on grid'}")
+    zeros, maxima, hits = (", ".join(found) or "none on grid" for found in (zeros, maxima, hits))
+    return (f"concurrence zeros near t = {zeros}\n  ({spacing})\n"
+            f"concurrence maxima near t = {maxima}\n"
+            f"maximal entangling power {first}; grid hits: {hits}")
 
 
-def _write_rows(fh, header: str, blocks, ws: _Workspace | None = None) -> int:
-    """Write `header`, then one row per entry of each block (float columns,
-    class levels or None) to the binary file `fh`: the floats as fmt_float
-    prints them (`_float_cells`), then a level's label in
-    entanglement.CLASSES.  The blocks are no longer than the first, as a
-    series yields them, and are laid out in `ws`, or in a workspace of the
-    first block's rows.  Its `table` and `rows` lie over the gate stage
-    and the cell stage (see `_Workspace`), so a block's columns must not be
-    views of `ws`: a series yields new arrays and views of its grid.  Each
-    _SLICE rows are copied to a bytes object, whose pads one translate
-    drops, and written before the next block is built."""
+def _write_rows(fh, header: str, blocks, ws: _Workspace) -> int:
+    """Write `header`, then one row per entry of each block (at most _FLOATS
+    float columns, class levels or None) to the binary file `fh`: the floats
+    as fmt_float prints them (`_float_cells`), then a level's label in
+    entanglement.CLASSES.  Each block, no longer than `ws` has rows, is laid
+    out in `ws`.  Its `table` and `rows` lie over the gate stage and the
+    cell stage (see `_Workspace`), so a block's columns must not be views
+    of `ws`: a series yields new arrays and views of its grid.  Each _SLICE
+    rows are copied to a bytes object, whose pads one translate drops, and
+    written before the next block is built."""
     fh.write(f"{header}\n".encode())
     count = 0
     for floats, level in blocks:
         n, cells = len(floats[0]), len(floats) * _CELL
-        ws = _Workspace(n, len(floats)) if ws is None else ws
         width = cells + (0 if level is None else _class_cells().shape[1])
         rows = ws.rows[:n * width].reshape(n, width)
-        table = np.stack(floats, axis=1, out=ws.table[:n])
+        # the first n rows of ws.table, or as many bytes for fewer columns
+        table = ws.table.reshape(-1)[:n * len(floats)].reshape(n, -1)
+        np.stack(floats, axis=1, out=table)
         rows[:, :cells] = _float_cells(table.ravel(), ws).reshape(n, cells)
         if level is not None:
             rows[:, cells:] = _class_cells()[level]
@@ -539,7 +551,7 @@ def _write_rows(fh, header: str, blocks, ws: _Workspace | None = None) -> int:
     return count
 
 
-def write_csv(path, header: str, blocks, ws: _Workspace | None = None) -> int:
+def write_csv(path, header: str, blocks, ws: _Workspace) -> int:
     """Write `header`, then the rows of each block as it arrives (laid out
     in `ws`, see `_write_rows`).
 
@@ -585,6 +597,8 @@ def cmd_gate(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    if args.verify and args.j != 1:
+        raise InputError(f"--verify checks only the spin-1 tables, got --j {fmt_float(args.j)}")
     rc = EXIT_OK
     if args.show is not None:
         token = args.show.strip().upper().removeprefix("M")

@@ -55,10 +55,14 @@ unit vector, and takes its 2|ad - bc| without `concurrence`'s checks.
 returns its columns t, e_p and the concurrence of the evolved |up up>
 state as float arrays, the rows of `symgates lmg --t-max`.
 
-The batch path writes its stacks and intermediates with out=.
-`_scores_into` and `_lmg_profile_into`, the forms the CLI calls, take an
-(N, 3, 3) complex stack whose bytes hold the invariants, G1 and their
-scratch, so that a series block allocates only its new columns.
+The batch path writes its stacks and intermediates with out=, into
+buffers that its caller hands over, as in `gates`: every kernel on a
+built stack (`_symmetric_invariants`, `_power_batch`, `_scores_into`,
+`_up_up_concurrences`) takes its arrays, and `_lmg_profile_into`, which
+checks its grid before it knows the grid's size, takes a provider of the
+three block buffers (`gates._scratch`, or the CLI's workspace).  The
+public batch functions allocate what they pass; the CLI passes views of
+its workspace, so that a series block allocates only its new columns.
 
 Amplitude ordering for all 4-vectors is (up-up, up-down, down-up,
 down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
@@ -73,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateBatch, SymmetricGate, _lmg_into
+from .gates import GateBatch, SymmetricGate, _lmg_into, _scratch
 from .linalg import _finite, _grid, _matrix, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
@@ -118,13 +122,12 @@ def _bell_invariants(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.trace(m, axis1=-2, axis2=-1), np.linalg.det(b_bell)
 
 
-def _symmetric_invariants(u3: np.ndarray,
-                          scratch: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_invariants(u3: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tr(m) and det(B_bell) of the symmetric gates of a (..., 3, 3) stack,
     in closed form from the triplet block (see the module docstring),
     written into the first two of the four (...)-shaped complex arrays of
-    `scratch`, a (4, ...) array allocated when not given."""
-    tr, det, c, x = np.empty((4, *u3.shape[:-2]), np.complex128) if scratch is None else scratch
+    `scratch`, a (4, ...) array."""
+    tr, det, c, x = scratch
     u00, u01, u02 = u3[..., 0, 0], u3[..., 0, 1], u3[..., 0, 2]
     u10, u11, u12 = u3[..., 1, 0], u3[..., 1, 1], u3[..., 1, 2]
     u20, u21, u22 = u3[..., 2, 0], u3[..., 2, 1], u3[..., 2, 2]
@@ -233,14 +236,12 @@ def _power(g1: complex) -> tuple[float, float, str]:
     return g1_abs, ep, CLASSES[_level(ep)]
 
 
-def _power_batch(tr: np.ndarray, det: np.ndarray,
-                 out: np.ndarray | None = None) -> EntanglementBatch:
+def _power_batch(tr: np.ndarray, det: np.ndarray, out: np.ndarray) -> EntanglementBatch:
     """`_g1` and `_power` of each entry of the stacks tr(m) and det(B_bell),
     elementwise, rounded as the scalar helpers round (module docstring).
     G1 is written into the first of the three complex arrays of `out`,
-    shaped as tr, and the other two are scratch; each is allocated when
-    `out` is not given."""
-    g1, w, z = (np.empty_like(tr) for _ in range(3)) if out is None else out
+    shaped as tr, and the other two are scratch."""
+    g1, w, z = out
     re, im = w.view(np.float64).reshape(2, *w.shape)  # w's bytes as two float arrays
     t = z.view(np.float64).reshape(2, *z.shape)[0]
     a, b = tr.real, tr.imag
@@ -262,13 +263,11 @@ def _power_batch(tr: np.ndarray, det: np.ndarray,
     return EntanglementBatch(g1=g1, g1_abs=g1_abs, ep=ep, level=_level(ep))
 
 
-def _scores_into(u3: np.ndarray, tmp: np.ndarray | None = None) -> EntanglementBatch:
-    """`entangling_power_batch` of the gates of an (N, 3, 3) stack u3.  When
-    `tmp`, another such stack, is given, its bytes hold the invariants, G1
-    included, and their scratch."""
-    if tmp is None:
-        return _power_batch(*_symmetric_invariants(u3))
-    rows = tmp.reshape(9, -1)  # tr, det, then G1 over the invariants' scratch
+def _scores_into(u3: np.ndarray, tmp: np.ndarray) -> EntanglementBatch:
+    """`entangling_power_batch` of the gates of a (..., 3, 3) stack u3.  The
+    bytes of `tmp`, a C-contiguous complex array of u3's shape, hold the
+    invariants, G1 included, and their scratch."""
+    rows = tmp.reshape(9, *u3.shape[:-2])  # tr, det, then G1 over the invariants' scratch
     return _power_batch(*_symmetric_invariants(u3, rows[:4]), rows[2:5])
 
 
@@ -296,10 +295,10 @@ def entangling_power_batch(u4s) -> EntanglementBatch:
     `entangling_power` of its 4x4 matrices.
     """
     if isinstance(u4s, GateBatch):
-        return _scores_into(u4s.u3)
+        return _scores_into(u4s.u3, np.empty(u4s.u3.shape, np.complex128))
     u4s = _matrix("u4", u4s, 4, stack=True).reshape(-1, 4, 4)
     _require(is_unitary(u4s, atol=1e-10), "matrix is not unitary within 1.0e-10", "u4", u4s)
-    return _power_batch(*_bell_invariants(u4s))
+    return _power_batch(*_bell_invariants(u4s), np.empty((3, len(u4s)), np.complex128))
 
 
 def _pure_concurrence(a, b, c, d) -> float:
@@ -471,12 +470,12 @@ def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
                               all_maximal=all(cv >= 1.0 - 1e-10 for cv in concs))
 
 
-def _up_up_concurrences(u3: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+def _up_up_concurrences(u3: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Concurrence of u4 |up up> = (u00, u10/sqrt2, u10/sqrt2, u20) for each
     gate of a (N, 3, 3) stack, as |up up> = |1 1>; columns of gates unitary
     within 1e-12 need no renormalization.  The bytes of `tmp`, another such
-    stack, hold the intermediates when it is given."""
-    scratch = np.empty((3, len(u3)), np.complex128) if tmp is None else tmp.reshape(9, -1)[:3]
+    stack, C-contiguous, hold the intermediates."""
+    scratch = tmp.reshape(9, -1)[:3]
     f = scratch[1:].view(np.float64).reshape(4, -1)
     a, d = u3[:, 0, 0], u3[:, 2, 0]
     b = np.multiply(u3[:, 1, 0], _INV_SQ2, out=scratch[0])
@@ -508,14 +507,16 @@ def lmg_entanglement_profile(g1: float, g2: float,
     power reaches 2/9 whenever 2 g2 t - 2 g1 t or 2 g2 t + 2 g1 t is
     congruent to pi/2 modulo pi.
     """
-    return _lmg_profile_into(g1, g2, t_grid)
+    return _lmg_profile_into(g1, g2, t_grid, _scratch)
 
 
-def _lmg_profile_into(g1: float, g2: float, t_grid, u3: np.ndarray | None = None,
-                      tmp: np.ndarray | None = None, phases: np.ndarray | None = None):
-    """`lmg_entanglement_profile`, its gates built in the (N, 3, 3) stacks u3
-    and tmp and the (2, N) phases (`gates._lmg_into`), and scored with tmp
-    as scratch; each is allocated when not given.  The columns are new arrays."""
+def _lmg_profile_into(g1: float, g2: float, t_grid, scratch):
+    """`lmg_entanglement_profile`, its gates built in the buffers u3, tmp and
+    phases of `scratch(N)` (`gates._scratch`) for the checked grid of N
+    times (`gates._lmg_into`), and scored with tmp as scratch.  The e_p and
+    concurrence columns are new arrays."""
     t_grid = _grid("t_grid", t_grid)
-    u3 = _lmg_into(_finite("g1", g1), _finite("g2", g2), t_grid, u3, tmp, phases)
+    g1, g2 = _finite("g1", g1), _finite("g2", g2)
+    u3, tmp, phases = scratch(t_grid.size)
+    _lmg_into(g1, g2, t_grid, u3, tmp, phases)
     return t_grid, _scores_into(u3, tmp).ep, _up_up_concurrences(u3, tmp)

@@ -24,8 +24,12 @@ A symmetric gate is its 3x3 block u3: what is computed from a
 `gates_batch` and `lmg_batch` build a grid of one family as an (N, 3, 3)
 stack, and `gate` and `lmg_gate` are their one-point case, so a gate is
 the same (==) alone or in a grid.  The stack is written entry by entry
-with out=, into new arrays or into the stacks that the CLI passes to
-`_gates_into` and `_lmg_into`, so that a series block allocates no stack.
+with out=, into buffers that the caller hands over: `_gates_into` takes a
+provider, a function of the grid's size N that returns the (N, 3, 3)
+complex stacks u3 and tmp and the (2, N) complex phase rows, and `_lmg_into`
+takes the three arrays.  `_scratch` is the provider that allocates them,
+for `gates_batch` and `lmg_batch`; the CLI hands over views of the
+workspace it allocates once per series, so that a block allocates no stack.
 The closed forms are unitary by construction, so no grid is checked: a
 hypothesis property in the tests pins them unitary within 1e-12 at every
 finite angle that the grid and overflow checks admit.  `custom_gate`, which wraps a matrix from outside,
@@ -117,8 +121,11 @@ class GateBatch:
         return to_qubit_basis(self.u3, 1.0)
 
 
-def _stack(n: int) -> np.ndarray:
-    return np.empty((n, 3, 3), dtype=np.complex128)
+def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New buffers for a block of n gates: u3 and tmp, (n, 3, 3) complex
+    stacks, and phases, (2, n) complex rows (module docstring)."""
+    return (np.empty((n, 3, 3), dtype=np.complex128), np.empty((n, 3, 3), dtype=np.complex128),
+            np.empty((2, n), dtype=np.complex128))
 
 
 def _rotation(angles: np.ndarray, k: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -170,23 +177,19 @@ def gate(k: int, theta: float) -> SymmetricGate:
 
 def gates_batch(k: int, thetas) -> GateBatch:
     """B_k(theta) for every angle of a 1-D grid; entry by entry equal to `gate`."""
-    return GateBatch(_gates_into(k, thetas))
+    return GateBatch(_gates_into(k, thetas, _scratch))
 
 
-def _gates_into(k: int, thetas, u3: np.ndarray | None = None,
-                tmp: np.ndarray | None = None) -> np.ndarray:
-    """The u3 stack of `gates_batch(k, thetas)`, written into `u3` with `tmp`
-    as scratch, two (N, 3, 3) complex stacks that are allocated when not
-    given.  Returns `u3`."""
+def _gates_into(k: int, thetas, scratch) -> np.ndarray:
+    """The u3 stack of `gates_batch(k, thetas)`, written into the u3 of
+    `scratch(N)` (module docstring) with its tmp, or for B8 its phases, as
+    scratch, once k and the grid of N angles are checked.  Returns that u3."""
     k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
     thetas = _grid("thetas", thetas)
-    n = thetas.size
-    u3 = _stack(n) if u3 is None else u3
-    tmp = _stack(n) if tmp is None else tmp
+    u3, tmp, phases = scratch(thetas.size)
     if k != 8:
         return _rotation(thetas, k, u3, tmp)
-    phases = _phases(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0), _B8_WEIGHTS,
-                     tmp.reshape(-1)[:2 * n].reshape(2, n))
+    _phases(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0), _B8_WEIGHTS, phases)
     u3.fill(0.0)
     for j, row in enumerate(_DIAGONAL):
         u3[:, j, j] = phases[row]
@@ -220,24 +223,22 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     phi = 2 g2 t (see the module docstring), exact to a few ulps at the
     float angles; InputError names the product if xi, phi or 2 phi overflows."""
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
-    return GateBatch(_lmg_into(g1, g2, _grid("ts", ts)))
+    ts = _grid("ts", ts)
+    return GateBatch(_lmg_into(g1, g2, ts, *_scratch(ts.size)))
 
 
-def _lmg_into(g1: float, g2: float, ts: np.ndarray, u3: np.ndarray | None = None,
-              tmp: np.ndarray | None = None, phases: np.ndarray | None = None) -> np.ndarray:
+def _lmg_into(g1: float, g2: float, ts: np.ndarray, u3: np.ndarray, tmp: np.ndarray,
+              phases: np.ndarray) -> np.ndarray:
     """The u3 stack of `lmg_batch(g1, g2, ts)` for finite couplings and a grid
     that the caller has checked (`_finite`, `_grid`), written into `u3`, with
     `tmp`, another (N, 3, 3) complex stack, and the (2, N) complex `phases`
-    (`_phases`) as scratch; each is allocated when not given.  Returns `u3`."""
+    (`_phases`) as scratch.  Returns `u3`."""
     t_top = float(abs(ts).max())  # with the largest weights, bounds xi, phi and 2 phi
     _bounded("2*g1*t", 2.0 * g1, t_top)
     _bounded("2*g2*t", 2.0 * g2, t_top)
     _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
-    n = ts.size
-    u3 = _stack(n) if u3 is None else u3
-    b7 = _rotation(2.0 * g1 * ts, 7, _stack(n) if tmp is None else tmp, u3)
-    phases = _phases(2.0 * g2 * ts, _LMG_WEIGHTS,
-                     np.empty((2, n), dtype=np.complex128) if phases is None else phases)
+    b7 = _rotation(2.0 * g1 * ts, 7, tmp, u3)
+    _phases(2.0 * g2 * ts, _LMG_WEIGHTS, phases)
     # B7 times a diagonal matrix: column c of B7 times the c-th phase, not
     # written over B7 (numpy would take a loop without FMA for one gate)
     for r, c in _ENTRIES:

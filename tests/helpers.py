@@ -5,6 +5,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
+
+# Every warning an error but one: the DeprecationWarning that libcst raises
+# on importing mypy_extensions.TypedDict, which hypothesis does to report a
+# falsifying example.  As an error it would end the whole session with
+# INTERNALERROR instead of the report.
+WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning:libcst")
 
 
 def align_global_phase(actual: np.ndarray, reference: np.ndarray) -> np.ndarray:

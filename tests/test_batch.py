@@ -44,7 +44,7 @@ from symgates.linalg import InputError, _grid, expm_hermitian
 from symgates.su3 import build_hamiltonian, decompose_hamiltonian, from_qubit_basis, to_qubit_basis
 from symgates.tensors import TensorParams, decompose
 
-from helpers import haar_unitary
+from helpers import WARNINGS_ARE_ERRORS, haar_unitary
 
 UP_UP = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
 THETA_MAX = {k: "pi" for k in range(1, 8)} | {8: "sqrt3*pi"}
@@ -53,6 +53,16 @@ THETA_MAX_VALUE = {k: math.pi for k in range(1, 8)} | {8: math.sqrt(3.0) * math.
 angles = st.floats(-20.0, 20.0, allow_nan=False)
 couplings = st.floats(-3.0, 3.0, allow_nan=False)
 times = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=24, unique=True)
+
+
+def _invariants(u3):
+    """`_symmetric_invariants` of a (..., 3, 3) stack, in scratch of its own."""
+    return _symmetric_invariants(u3, np.empty((4, *u3.shape[:-2]), np.complex128))
+
+
+def _tail(tr, det):
+    """`_power_batch` of tr(m) and det(B_bell), in scratch of its own."""
+    return _power_batch(tr, det, np.empty((3, *tr.shape), np.complex128))
 
 
 def _assert_reports_equal(batch, i, report):
@@ -116,7 +126,7 @@ def test_vector_tail_equals_the_scalar_tail_on_haar_gates(seed, size):
     rng = np.random.default_rng(seed)
     u3 = np.stack([haar_unitary(rng, 3) for _ in range(size)])
     scores = entangling_power_batch(GateBatch(u3))
-    concs = _up_up_concurrences(u3)
+    concs = _up_up_concurrences(u3, np.empty_like(u3))
     for i in range(size):
         g = custom_gate(u3[i])
         _assert_reports_equal(scores, i, entangling_power(g))
@@ -153,7 +163,7 @@ def _exact_gates() -> list[np.ndarray]:
 def test_one_gate_path_equals_the_grid_on_exact_and_signed_zeros(u3):
     # exact zeros are where the one-gate path's Python sums and the grid's
     # numpy sums could round apart (in the sign of a zero)
-    tr, det = _symmetric_invariants(u3[None])
+    tr, det = _invariants(u3[None])
     one_tr, one_det = _gate_invariants(u3)
     assert _bits(one_tr) == _bits(tr[0]) and _bits(one_det) == _bits(det[0])
     _assert_reports_equal(entangling_power_batch(GateBatch(u3[None])), 0,
@@ -165,7 +175,7 @@ def test_one_gate_path_equals_a_grid_of_16384_gates():
     # complex entries) in place, which could swap the factors of a product
     rng = np.random.default_rng(5)
     u3, _ = np.linalg.qr(rng.normal(size=(16384, 3, 3)) + 1j * rng.normal(size=(16384, 3, 3)))
-    tr, det = _symmetric_invariants(u3)
+    tr, det = _invariants(u3)
     scores = entangling_power_batch(GateBatch(u3))
     for i in range(0, 16384, 61):
         one_tr, one_det = _gate_invariants(u3[i])
@@ -194,12 +204,12 @@ def test_a_grid_in_one_call_equals_its_cli_blocks():
 def test_vector_tail_clamps_rounding_below_zero():
     # a real tr(m) with det 1 whose e_p rounds to about -1e-13
     tr = np.array([4.0 * math.sqrt(1.0 + 4.5e-13)], dtype=np.complex128)
-    scores = _power_batch(tr, np.ones(1, dtype=np.complex128))
+    scores = _tail(tr, np.ones(1, dtype=np.complex128))
     assert -2e-13 < 2.0 / 9.0 * (1.0 - scores.g1_abs[0]) < 0.0
     assert scores.ep[0] == 0.0 and math.copysign(1.0, scores.ep[0]) == 1.0
     assert scores.classification == ("non-entangling",)
     fh = io.BytesIO()
-    cli._write_rows(fh, "ep", [((scores.ep,), None)])
+    cli._write_rows(fh, "ep", [((scores.ep,), None)], cli._Workspace(1))
     assert fh.getvalue() == b"ep\n0\n"
 
 
@@ -207,7 +217,7 @@ def test_vector_tail_rejects_e_p_out_of_range():
     # the second entry's e_p is about -1e-11, beyond the -1e-12 rounding allowance
     tr = np.array([0.5, 4.0 * math.sqrt(1.0 + 4.5e-11)], dtype=np.complex128)
     with pytest.raises(RuntimeError, match="out of range") as vector:
-        _power_batch(tr, np.ones(2, dtype=np.complex128))
+        _tail(tr, np.ones(2, dtype=np.complex128))
     with pytest.raises(RuntimeError) as scalar:
         _power(_g1(tr[1], np.complex128(1.0)))
     assert str(vector.value) == str(scalar.value)
@@ -231,7 +241,7 @@ def test_nan_e_p_is_out_of_range():
 def test_symmetric_invariants_match_the_bell_transform(seed, k, theta, g1, g2, t):
     u3 = np.stack([haar_unitary(np.random.default_rng(seed), 3), gate(k, theta).u3,
                    lmg_gate(LMGParams(g1=g1, g2=g2, t=t)).u3])
-    tr, det = _symmetric_invariants(u3)
+    tr, det = _invariants(u3)
     bell_tr, bell_det = _bell_invariants(to_qubit_basis(u3, 1.0))
     assert np.max(np.abs(tr - bell_tr)) <= 1e-14
     assert np.max(np.abs(det - bell_det)) <= 1e-14
@@ -347,13 +357,14 @@ def test_lmg_csv_is_byte_identical_to_the_per_point_output(tmp_path, capsys, g1,
 @pytest.mark.parametrize("k", range(1, 9))
 def test_no_sweep_row_has_a_negative_ep(k):
     thetas = np.linspace(0.0, math.pi if k < 8 else math.sqrt(3.0) * math.pi, 2049)
-    for (_, _, ep), _ in cli.sweep_blocks(k, thetas):
+    for (_, _, ep), _ in cli.sweep_blocks(k, thetas, cli._Workspace(cli._BLOCK)):
         assert np.all(ep >= 0.0)
 
 
 @pytest.mark.parametrize("g1, g2", [(1.5, 1.5), (1.0, 2.0), (-0.7, 1.3), (0.25, 0.25)])
 def test_no_lmg_row_has_a_negative_ep(g1, g2):
-    for (_, ep, _), _ in cli.lmg_blocks(g1, g2, np.linspace(0.0, math.pi, 1441)):
+    ws = cli._Workspace(1441)
+    for (_, ep, _), _ in cli.lmg_blocks(g1, g2, np.linspace(0.0, math.pi, 1441), ws):
         assert np.all(ep >= 0.0)
 
 
@@ -367,7 +378,7 @@ def test_each_lmg_call_checks_its_grid_once(monkeypatch):
     monkeypatch.setattr(entanglement, "_grid", counted)
     monkeypatch.setattr(gates, "_grid", counted)
     grid = np.linspace(0.0, 2.0, 3 * cli._BLOCK + 7)
-    for _ in cli.lmg_blocks(0.9, 1.7, grid):
+    for _ in cli.lmg_blocks(0.9, 1.7, grid, cli._Workspace(cli._BLOCK)):
         pass
     assert names == ["t_grid"] * 4
     names.clear()
@@ -487,7 +498,7 @@ def test_a_block_allocates_only_its_row_bytes(tmp_path, capsys, monkeypatch, arg
 
 
 def test_workspace_stages_share_bytes_and_keep_cells_apart_from_rows():
-    layout = cli._workspace_layout(2048, 3)
+    layout = cli._workspace_layout(2048)
     spans = {name: (offset, offset + field.itemsize)
              for name, (field, offset) in layout.fields.items()}
     gate_stage = ["u3", "tmp", "phases"]
@@ -510,11 +521,25 @@ def test_workspace_stages_share_bytes_and_keep_cells_apart_from_rows():
     assert not np.shares_memory(ws.rows, ws.cells)
 
 
+@pytest.mark.parametrize("rows", [1, 7, cli._BLOCK])
+def test_workspace_gate_stage_is_shaped_as_the_library_scratch(rows):
+    # the CLI and the library hand the block kernels the same buffers
+    ws = cli._Workspace(rows)
+    for n in range(1, rows + 1):
+        stage, scratch = ws.gate_stage(n), gates._scratch(n)
+        assert [(a.shape, a.dtype) for a in stage] == [(a.shape, a.dtype) for a in scratch]
+        u3, tmp, phases = stage
+        assert u3.flags.c_contiguous and tmp.flags.c_contiguous
+        assert all(row.flags.c_contiguous for row in phases)
+        assert not any(np.shares_memory(a, b) for a, b in ((u3, tmp), (u3, phases), (tmp, phases)))
+
+
 def test_blocks_outlive_the_next_block():
     grid = np.linspace(-1.0, 7.0, 2 * cli._BLOCK + 300)  # three blocks, the last short
     one_at_a_time = [grid[i:i + cli._BLOCK] for i in range(0, len(grid), cli._BLOCK)]
-    series = {"B4": lambda g: cli.sweep_blocks(4, g), "B8": lambda g: cli.sweep_blocks(8, g),
-              "LMG": lambda g: cli.lmg_blocks(0.9, 1.7, g)}
+    series = {"B4": lambda g: cli.sweep_blocks(4, g, cli._Workspace(cli._BLOCK)),
+              "B8": lambda g: cli.sweep_blocks(8, g, cli._Workspace(cli._BLOCK)),
+              "LMG": lambda g: cli.lmg_blocks(0.9, 1.7, g, cli._Workspace(cli._BLOCK))}
     alone = {name: [next(blocks(part)) for part in one_at_a_time]
              for name, blocks in series.items()}
 
@@ -534,7 +559,8 @@ def test_blocks_outlive_the_next_block():
 
 def test_b4_sweep_reaches_every_class_and_writes_the_per_point_csv(tmp_path, capsys):
     thetas = np.linspace(0.0, math.pi, 2049)  # two blocks or more while _BLOCK <= 2048
-    levels = np.concatenate([level for _, level in cli.sweep_blocks(4, thetas)])
+    ws = cli._Workspace(cli._BLOCK)
+    levels = np.concatenate([level for _, level in cli.sweep_blocks(4, thetas, ws)])
     # local at 0 and pi, perfect on [pi/4, 3 pi/4] (1025 points), special
     # where cos(theta)**4 < 4.5e-9 (2/9 within 1e-9): 11 points about pi/2
     assert np.bincount(levels).tolist() == [2, 1022, 1014, 11]
@@ -638,7 +664,7 @@ scalar_types = st.sampled_from([float, complex, np.float16, np.float32, np.float
                                 np.complex64, np.complex128])
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), bad=non_finite, kind=scalar_types,
        imag=st.booleans(), index=st.integers(0, 31))
@@ -721,7 +747,7 @@ def test_a_range_one_ulp_wide_is_a_series_of_both_commands(tmp_path, capsys):
         assert out.read_text().count("\n") == 6
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 def test_cli_maps_library_input_errors_to_usage(tmp_path, capsys):
     # Finite endpoints whose difference overflows give a non-finite grid.
     big = "17" + "0" * 307
@@ -742,10 +768,11 @@ def test_failed_write_keeps_the_existing_file(tmp_path):
         raise RuntimeError("block failed")
 
     with pytest.raises(RuntimeError, match="block failed"):
-        cli.write_csv(out, "theta,class", blocks())
+        cli.write_csv(out, "theta,class", blocks(), cli._Workspace(1))
     assert out.read_text() == "earlier results\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
-    assert cli.write_csv(out, "theta,class", [((np.array([0.5, -0.0]),), np.array([0, 3]))]) == 2
+    block = (np.array([0.5, -0.0]),), np.array([0, 3])
+    assert cli.write_csv(out, "theta,class", [block], cli._Workspace(2)) == 2
     assert out.read_text() == "theta,class\n0.5,non-entangling\n0,special-perfect-entangler\n"
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
@@ -759,7 +786,7 @@ def test_row_format_equals_fmt_float(rows):
     xs, ys, levels = zip(*rows)
     fh = io.BytesIO()
     block = (np.array(xs), np.array(ys)), np.array(levels)
-    assert cli._write_rows(fh, "x,y,class", [block]) == len(rows)
+    assert cli._write_rows(fh, "x,y,class", [block], cli._Workspace(len(rows))) == len(rows)
     expected = "".join(f"{fmt_float(x)},{fmt_float(y)},{CLASSES[level]}\n"
                        for x, y, level in rows)
     assert fh.getvalue() == ("x,y,class\n" + expected).encode()
@@ -785,12 +812,12 @@ def test_row_kernel_equals_the_per_cell_format_on_any_float64(rows):
     xs, ys, zs, levels = zip(*rows)
     floats = np.array(xs), np.array(ys), np.array(zs)
     cells = [f"{fmt_float(x)},{fmt_float(y)},{fmt_float(z)}" for x, y, z, _ in rows]
-    fh = io.BytesIO()
-    assert cli._write_rows(fh, "x,y,z,class", [(floats, np.array(levels))]) == len(rows)
+    fh, ws = io.BytesIO(), cli._Workspace(len(rows))
+    assert cli._write_rows(fh, "x,y,z,class", [(floats, np.array(levels))], ws) == len(rows)
     expected = "".join(f"{row},{CLASSES[level]}\n" for row, level in zip(cells, levels))
     assert fh.getvalue() == ("x,y,z,class\n" + expected).encode()
     fh = io.BytesIO()
-    assert cli._write_rows(fh, "x,y,z", [(floats, None)]) == len(rows)
+    assert cli._write_rows(fh, "x,y,z", [(floats, None)], ws) == len(rows)
     assert fh.getvalue() == ("x,y,z\n" + "".join(f"{row}\n" for row in cells)).encode()
 
 
@@ -807,7 +834,8 @@ def test_row_kernel_equals_the_per_cell_format_on_any_float64(rows):
 def test_row_kernel_pins_rounding_and_special_cells(value, text):
     assert "%.15g" % (value + 0.0) == text
     fh = io.BytesIO()
-    cli._write_rows(fh, "x,y", [((np.array([value, 0.25]), np.array([-1.5, value])), None)])
+    block = (np.array([value, 0.25]), np.array([-1.5, value])), None
+    cli._write_rows(fh, "x,y", [block], cli._Workspace(2))
     assert fh.getvalue() == f"x,y\n{text},-1.5\n0.25,{text}\n".encode()
 
 
@@ -815,7 +843,7 @@ def test_write_csv_writes_through_a_symlink(tmp_path):
     (tmp_path / "data").mkdir()
     link = tmp_path / "latest.csv"
     link.symlink_to(tmp_path / "data" / "run.csv")
-    assert cli.write_csv(link, "t", [((np.array([1.0]),), None)]) == 1
+    assert cli.write_csv(link, "t", [((np.array([1.0]),), None)], cli._Workspace(1)) == 1
     assert link.is_symlink()
     assert (tmp_path / "data" / "run.csv").read_text() == "t\n1\n"
 

@@ -22,6 +22,8 @@ from symgates.cli import main, parse_angle, parse_spin
 from symgates.entanglement import CLASSES, NON_ENTANGLING, PERFECT_ENTANGLER, SPECIAL_PERFECT_ENTANGLER
 from symgates.su3 import M
 
+from helpers import WARNINGS_ARE_ERRORS
+
 SQ3 = math.sqrt(3.0)
 
 
@@ -134,7 +136,7 @@ def test_negative_values_may_be_separate_arguments(tmp_path, capsys, spaced, joi
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("argv, name", [
     (["gate", "8", "--theta", "1.6e308"], "2*theta/sqrt3"),
     (["lmg", "--g1", "1", "--g2", "6e307", "--t", "1"], "4*g2*t"),
@@ -151,7 +153,7 @@ def test_overflowing_products_exit_2_with_one_named_line(tmp_path, capsys, argv,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 def test_overflowing_decompose_exits_2_with_one_named_line_and_no_coefficient(tmp_path, capsys):
     path = tmp_path / "big.json"
     write_matrix_file(path, np.diag([1e308, -1e308, 1e308]))
@@ -174,6 +176,19 @@ def test_basis_verify(capsys):
     out = capsys.readouterr().out
     assert "128/128 table entries verified" in out
     assert "8/8 Gell-Mann relations verified" in out
+
+
+@pytest.mark.parametrize("spin", ["3/2", "1/2", "0", "2"])
+def test_basis_verify_checks_only_spin_1(capsys, spin):
+    assert main(["basis", "--j", spin, "--verify", "--count"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --verify checks only the spin-1 tables, "
+                            f"got --j {cli.fmt_float(parse_spin(spin))}\n")
+    assert main(["basis", "--verify"]) == 0
+    default = capsys.readouterr()
+    assert main(["basis", "--j", "1", "--verify"]) == 0
+    assert capsys.readouterr() == default
 
 
 def test_basis_verify_reports_each_broken_relation(capsys, monkeypatch):
@@ -257,6 +272,18 @@ def test_basis_reads_a_negative_spin_given_either_way(capsys, spin, message):
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert errors == [f"symgates basis: error: argument --j: {message}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["basis", "--j", "abc", "--count"], "symgates basis: error: argument --j: cannot parse spin 'abc'"),
+    (["lmg", "--g1", "abc", "--g2", "1", "--t", "0.3"],
+     "symgates lmg: error: argument --g1: expected a finite number, got 'abc'"),
+])
+def test_a_non_numeric_value_is_a_usage_error_naming_the_option(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == message
 
 
 def test_help_after_a_flag_is_still_help(capsys):
@@ -429,7 +456,22 @@ def test_lmg_summary_without_a_spacing_or_a_branch_exits_0_quietly(capsys, g1, g
     assert lines[3].startswith(f"maximal entangling power {first}; grid hits: ")
     if g1 == "0":
         assert lines[0].startswith("concurrence zeros near t = 0.000000, 0.049087, ")
-        assert lines[2] == "concurrence maxima near t = "
+        assert lines[2] == "concurrence maxima near t = none on grid"
+
+
+@pytest.mark.parametrize("t_min, t_max, steps, zeros, maxima", [
+    # the 5000-point grid passes within 1e-9 of no maximum of |sin(3.6 t)|
+    ("0", "pi", 5000, "0.000000", "none on grid"),
+    ("0.1", "0.8", 8, "none on grid", "none on grid"),
+])
+def test_lmg_summary_says_none_on_grid_for_an_empty_list(t_min, t_max, steps, zeros, maxima):
+    grid = np.linspace(float(t_min), cli.parse_angle(t_max), steps)
+    columns = _concatenated(cli.lmg_blocks(0.9, 1.7, grid, cli._Workspace(min(steps, cli._BLOCK))))
+    lines = _series_report(["lmg", "--g1", "0.9", "--g2", "1.7", "--t-min", t_min,
+                            "--t-max", t_max, "--steps", str(steps)])
+    assert lines == _script_lmg_lines(0.9, 1.7, columns)
+    assert lines[0] == f"concurrence zeros near t = {zeros}"
+    assert lines[2] == f"concurrence maxima near t = {maxima}"
 
 
 def _script_sweep_line(k, columns):
@@ -462,9 +504,11 @@ def _script_lmg_lines(g1, g2, columns):
         expected.append((math.pi / 2) / (2 * (g2 - g1)))
     if g2 != -g1:
         expected.append((math.pi / 2) / (2 * (g2 + g1)))
-    return [f"concurrence zeros near t = {', '.join(f'{t:.6f}' for t in zeros[:8])}",
+    return [f"concurrence zeros near t = "
+            f"{', '.join(f'{t:.6f}' for t in zeros[:8]) or 'none on grid'}",
             f"  (expected multiples of pi/(4 g1) = {math.pi / (4 * g1):.6f})",
-            f"concurrence maxima near t = {', '.join(f'{t:.6f}' for t in maxima[:8])}",
+            f"concurrence maxima near t = "
+            f"{', '.join(f'{t:.6f}' for t in maxima[:8]) or 'none on grid'}",
             f"maximal entangling power first expected at t = "
             f"{', '.join(f'{t:.6f}' for t in sorted(abs(t) for t in expected))}; "
             f"grid hits: {', '.join(f'{t:.6f}' for t in spe_times[:8]) or 'none on grid'}"]
@@ -497,7 +541,7 @@ def test_sweep_summary_streamed_equals_the_one_shot_reference(k, steps, edge, h,
     theta_min = edge * math.pi / 4 + (0.5 - at) * h
     theta_max = theta_min + (steps - 1) * h
     expected = _script_sweep_line(k, _concatenated(
-        cli.sweep_blocks(k, np.linspace(theta_min, theta_max, steps))))
+        cli.sweep_blocks(k, np.linspace(theta_min, theta_max, steps), cli._Workspace(cli._BLOCK))))
     assert _series_report(["sweep", str(k), f"--theta-min={theta_min!r}",
                            f"--theta-max={theta_max!r}", "--steps", str(steps)]) == [expected]
 
@@ -506,7 +550,8 @@ def test_sweep_summary_takes_the_first_of_equal_maxima_across_blocks():
     # cos is even, so e_p at -pi/2 (row 0) and pi/2 (row _BLOCK, the next block) is equal
     steps = cli._BLOCK + 1
     argv = ["sweep", "4", "--theta-min", "-pi/2", "--theta-max", "pi/2", "--steps", str(steps)]
-    columns = _concatenated(cli.sweep_blocks(4, np.linspace(-math.pi / 2, math.pi / 2, steps)))
+    columns = _concatenated(cli.sweep_blocks(4, np.linspace(-math.pi / 2, math.pi / 2, steps),
+                                             cli._Workspace(cli._BLOCK)))
     assert columns[2][0] == columns[2][-1] == max(columns[2])
     assert _series_report(argv) == [_script_sweep_line(4, columns)] == [
         "B4: max e_p = 0.222222222222 at theta = -1.570796326795; "
@@ -522,7 +567,7 @@ def test_lmg_summary_streamed_equals_the_one_shot_reference(g1, ratio, period, s
     g2 = g1 * ratio
     t_max = (steps - 1) * math.pi / (4 * g1 * period)
     expected = _script_lmg_lines(g1, g2, _concatenated(
-        cli.lmg_blocks(g1, g2, np.linspace(0.0, t_max, steps))))
+        cli.lmg_blocks(g1, g2, np.linspace(0.0, t_max, steps), cli._Workspace(cli._BLOCK))))
     assert _series_report(["lmg", "--g1", repr(g1), "--g2", repr(g2), "--t-max", repr(t_max),
                            "--steps", str(steps)]) == expected
 
@@ -689,6 +734,25 @@ def test_internal_check_failure_is_one_line_with_exit_3(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def test_lmg_series_requires_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["lmg", "--g1", "1", "--g2", "1", "--t-max", "2", "--steps", "5"]) == 2
+    assert capsys.readouterr() == ("", "error: --out is required for a series\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("series", [["sweep", "4", "--theta-max", "pi"],
+                                    ["lmg", "--g1", "1", "--g2", "1", "--t-max", "2"]],
+                         ids=["sweep", "lmg"])
+def test_a_series_into_a_missing_directory_exits_2_on_one_line(tmp_path, capsys, series):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(series + ["--steps", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_lmg_requires_time_argument(tmp_path, capsys):
     out = tmp_path / "y.csv"
     assert main(["lmg", "--g1", "1", "--g2", "1", "--steps", "5", "--out", str(out)]) == 2
@@ -760,6 +824,23 @@ def test_decompose_rejects_malformed_file(tmp_path, capsys):
     assert main(["decompose", str(path)]) == 2
     path.write_text(json.dumps({"dim": 5, "entries": []}))
     assert main(["decompose", str(path)]) == 2
+
+
+ZERO_ENTRIES = [[[0.0, 0.0]] * 3] * 3
+INFINITE_ENTRIES = [[[0.0, 0.0]] * 3, [[0.0, 0.0], [0.0, math.inf], [0.0, 0.0]], [[0.0, 0.0]] * 3]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"entries": ZERO_ENTRIES}, "matrix file must contain 'dim' and 'entries' fields"),
+    ({"dim": 3}, "matrix file must contain 'dim' and 'entries' fields"),
+    ({"dim": 3, "entries": INFINITE_ENTRIES}, "matrix entries must be finite"),
+], ids=["no-dim", "no-entries", "infinity"])
+def test_decompose_rejects_a_file_without_a_finite_matrix(tmp_path, capsys, payload, message):
+    # json writes and reads an infinite entry as Infinity
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["decompose", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_decompose_rejects_wrong_dimension(tmp_path, capsys):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import symgates as sg
 from symgates import InputError, LMGParams, TensorParams
 
-from helpers import near_hermitian
+from helpers import WARNINGS_ARE_ERRORS, near_hermitian
 
 BAD = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 ROTATED = TensorParams(2, {})  # j = 2: every |q| up to 4
@@ -136,6 +136,10 @@ OUT_OF_DOMAIN = [
      "spinor (a, b) is not normalized"),
     ("product_basis_ef", lambda: sg.product_basis(1.0, 0.0, 1.0, 0.0, 1e308 + 1e308j, 1e308),
      "spinor (e, f) is not normalized"),
+    ("concurrence_shape", lambda: sg.concurrence([1.0, 0.0, 0.0]),
+     "expected four amplitudes, got shape"),
+    ("build_hamiltonian_shape", lambda: sg.build_hamiltonian(np.zeros((3, 3))),
+     "expected nine real coefficients, got shape"),
 ]
 
 # Wrong shapes: a 2x2 or a 4x4 where a 3x3 is expected (or a 3x3 where a 4x4
@@ -165,14 +169,14 @@ CASES = [pytest.param(lambda c=call, b=bad: c(b), name, id=f"{key}-{label}")
 CASES += [pytest.param(call, name, id=f"overflow-{key}") for key, call, name in OVERFLOW]
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("call, name", CASES)
 def test_bad_input_raises_a_named_input_error(call, name):
     with pytest.raises(InputError, match=rf"^{re.escape(name)} must be "):
         call()
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("call, bad, name", [
     pytest.param(call, bad, name, id=f"{key}-{np.shape(bad)}")
     for key, call, shapes, name in SHAPES for bad in shapes])
@@ -182,7 +186,7 @@ def test_wrong_shape_raises_an_input_error_naming_the_parameter(call, bad, name)
         call(bad)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("call, message", [pytest.param(call, message, id=key)
                                            for key, call, message in OUT_OF_DOMAIN])
 def test_finite_input_outside_the_domain_raises_the_documented_value_error(call, message):
@@ -191,7 +195,7 @@ def test_finite_input_outside_the_domain_raises_the_documented_value_error(call,
     assert type(caught.value) is ValueError
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
 def test_predicates_read_non_finite_matrices_as_false(bad):
     # in each of the nine places of a 3x3, as a real or an imaginary part:

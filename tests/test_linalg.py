@@ -18,7 +18,7 @@ from symgates.linalg import (
 from symgates.su3 import M1, M2, M3, M4, M7, M8, decompose_hamiltonian
 from symgates.tensors import decompose
 
-from helpers import haar_unitary, near_hermitian, random_hermitian
+from helpers import WARNINGS_ARE_ERRORS, haar_unitary, near_hermitian, random_hermitian
 
 
 def test_commutator_of_matrix_with_itself_vanishes():
@@ -131,7 +131,7 @@ def test_hermiticity_checks_accept_rounding_that_grows_with_the_matrix(rng):
     assert is_hermitian(big) and not is_hermitian(big + np.array([[0, 1e300], [0, 0]]))
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
        size=st.sampled_from([1, 31, 32, 33, 256]), defect=st.sampled_from([0.0, 1e-11, np.inf]))
@@ -159,7 +159,7 @@ def _exact_unitarity_defect_squared(u: np.ndarray) -> Fraction:
     return worst
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), c=st.sampled_from([0.0, 0.5, 2.0, 10.0]),
        log_atol=st.floats(-12.0, -4.0))
@@ -226,35 +226,35 @@ RANDOM_MATRICES = dict(seed=st.integers(0, 2**32 - 1),
                        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e299, 1e307]))
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(**AT_THE_TOLERANCE)
 def test_3x3_hermiticity_verdict_is_numpys_at_the_tolerance(seed, ulps, scale):
     _assert_numpys_verdict_at_the_tolerance(3, seed, ulps, scale)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(**RANDOM_MATRICES)
 def test_3x3_hermiticity_agrees_with_numpy_on_random_matrices(seed, frac, scale):
     _assert_numpys_verdict_on_random_matrices(3, seed, frac, scale)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(**AT_THE_TOLERANCE)
 def test_2x2_hermiticity_verdict_is_numpys_at_the_tolerance(seed, ulps, scale):
     _assert_numpys_verdict_at_the_tolerance(2, seed, ulps, scale)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(**RANDOM_MATRICES)
 def test_2x2_hermiticity_agrees_with_numpy_on_random_matrices(seed, frac, scale):
     _assert_numpys_verdict_on_random_matrices(2, seed, frac, scale)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_2x2_non_finite_matrices_fail_the_hermiticity_check_and_name_the_entry(bad):
     for index in np.ndindex(2, 2):

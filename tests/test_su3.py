@@ -118,6 +118,14 @@ def test_algebra_tables_verify():
     assert COMMUTATOR_TABLE.kind == "commutator" and ANTICOMMUTATOR_TABLE.kind == "anticommutator"
 
 
+def test_table_expansions_equal_the_products_they_name():
+    for table, sign in ((COMMUTATOR_TABLE, -1), (ANTICOMMUTATOR_TABLE, 1)):
+        assert len(table.entries) == 64
+        for k, kp in table.entries:
+            np.testing.assert_allclose(table.expand(k, kp), M[k] @ M[kp] + sign * M[kp] @ M[k],
+                                       rtol=0, atol=1e-14)
+
+
 def test_selected_table_entries():
     np.testing.assert_allclose(commutator(M[3], M[4]), 2j * M[7], atol=1e-14)
     expected = 2 * SQ23 * M[0] + M[7] - M[8] / SQ3

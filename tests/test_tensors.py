@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from symgates import tensors
 from symgates.linalg import InputError, expm_hermitian, is_hermitian
 from symgates.tensors import (
     TensorParams,
@@ -62,6 +63,8 @@ def test_clebsch_gordan_invalid_arguments():
         clebsch_gordan(0.3, 0.3, 0.5, 0.5, 1, 1)
     with pytest.raises(ValueError, match="integer"):
         clebsch_gordan(1, 0.5, 1, 0.5, 2, 1)
+    with pytest.raises(ValueError, match="^j2 must be non-negative$"):
+        clebsch_gordan(1, 0, -1, 0, 1, 0)
 
 
 @given(st.integers(1, 4), st.integers(1, 4))
@@ -376,6 +379,15 @@ def test_tensor_params_count_missing_keys_as_zero():
     assert params.rank_coefficients(1).tolist() == [0, 2, 0]
     assert params == TensorParams(1, {(1, 0): 2.0, (0, 0): 0.0})
     assert params != TensorParams(1, {(1, 0): 2.5}) and params != TensorParams(2, {(1, 0): 2.0})
+    # another type is not equal, whatever it holds
+    assert params.__eq__(params.vector) is NotImplemented and params != (1, {(1, 0): 2.0})
+
+
+@pytest.mark.parametrize("j, two_j", [(np.array(1.5), 3), (np.float64(2.0), 4), (np.array(0), 0)])
+def test_a_spin_held_by_a_numpy_value_reads_as_its_float(j, two_j):
+    # an array is not hashable, so it misses the spin lookup table
+    assert tensors._as_two_j(j) == two_j
+    assert np.array_equal(angular_momentum_matrices(j).z, angular_momentum_matrices(two_j / 2).z)
 
 
 @pytest.mark.parametrize("k", [5, 3, -1, 1.5, "1", None])
