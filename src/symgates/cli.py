@@ -4,14 +4,25 @@ Subcommands: basis, gate, sweep, act, lmg, decompose; `lmg` takes
 exactly one of --t (a single report) and --t-max (a series), and the
 series options --t-min, --steps and --out only with --t-max.  All output
 is deterministic (15 significant digits, '.' decimal separator, LF line
-endings).  Exit codes: 0 success/verified, 1 verification failure,
-2 usage or parse error, including input the library rejects as out of
-its domain (non-finite numbers, a spin above 5/2), 3 a failed internal
-check (a RuntimeError, such as e_p outside [0, 2/9]).  A library or
-series error is one 'error: ...' line on stderr, with no traceback and
-no numpy warning before it; a reader that closes stdout before the
-report ends (`| head`), or a piped --out before its CSV ends, ends the
-command with exit 0.
+endings).
+
+`main` is the one place that turns a failure into an exit code and one
+'error: ...' line on stderr, with no traceback and no numpy warning
+before it, and the class of the exception carries the code: InputError
+gives exit 2 (usage), any other ValueError exit 1 (a tolerance check on
+an accepted argument failed, such as a matrix that is not Hermitian) and
+RuntimeError exit 3 ('internal check failed', such as e_p outside
+[0, 2/9]).  InputError covers every argument outside what a function
+accepts: argparse's rejections (the parser's `error` raises it), a bad
+--show, a series option with --t, an --out that cannot be written, a
+matrix file that holds no finite matrix, and the library's domain checks
+(a non-finite number, a spin above 5/2, the shape of `psi` or `coeffs`,
+a key `coeffs[(k, q)]`, a quantum number of `clebsch_gordan` or a spin
+above its bound of 10, a non-finite `atol`).  Success and a verified
+check exit 0, and a failed `basis --verify` 1, with one stderr line per
+failed relation; a reader that closes stdout before the report ends
+(`| head`), or a piped --out before its CSV ends, ends the command with
+exit 0.
 
 `sweep` and `lmg --t-max` share `_write_series`, which rejects a missing
 --out, --steps below 2 and an empty or reversed range as usage errors.
@@ -166,17 +177,23 @@ def fmt_vector(v: np.ndarray) -> str:
 
 
 def parse_matrix_file(path: str) -> np.ndarray:
-    """Read a matrix file: JSON with fields 'dim' and 'entries' of [re, im] pairs."""
+    """Read a matrix file: JSON with fields 'dim' and 'entries' of [re, im]
+    pairs.  InputError if the JSON holds no such finite matrix; the errors
+    of reading a file that holds no JSON value (OSError, UnicodeDecodeError,
+    json.JSONDecodeError, RecursionError) pass through."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "dim" not in data or "entries" not in data:
-        raise ValueError("matrix file must contain 'dim' and 'entries' fields")
+        raise InputError("matrix file must contain 'dim' and 'entries' fields")
     dim = data["dim"]
-    entries = np.asarray(data["entries"], dtype=np.float64)
-    if entries.shape != (dim, dim, 2):
-        raise ValueError(f"entries must be a {dim}x{dim} array of [re, im] pairs")
+    try:  # an object, a string, a ragged list or an int beyond the float range fails here
+        entries = np.asarray(data["entries"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        entries = None
+    if entries is None or entries.shape != (dim, dim, 2):
+        raise InputError(f"entries must be a {dim}x{dim} array of [re, im] pairs")
     if not np.all(np.isfinite(entries)):  # before 1j * inf warns
-        raise ValueError("matrix entries must be finite")
+        raise InputError("matrix entries must be finite")
     return entries[..., 0] + 1j * entries[..., 1]
 
 
@@ -606,8 +623,7 @@ def cmd_basis(args) -> int:
             index = int(token)
             matrix = su3.m_matrix(index)
         except ValueError:
-            print(f"error: --show takes M0..M8 or 0..8, got {args.show!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise InputError(f"--show takes M0..M8 or 0..8, got {args.show!r}") from None
         print(f"M{index} =")
         print(fmt_matrix(matrix))
     if args.count:
@@ -644,10 +660,13 @@ def _write_series(args, name: str, start: float, stop: float, header: str, block
     """Write the CSV of the --steps point grid from start to stop, of the
     blocks that `blocks(grid)` yields, then print the row count and the
     summary it returns: on stderr if --out is this process's stdout, so
-    that stdout holds the CSV alone.  InputError (exit 2) if --steps is below
-    2 or too large for memory, --out is missing or --{name}-max is not above
-    --{name}-min; exit 2 if --out cannot be written, 0 if its reader has gone."""
-    if args.steps is None or args.steps < 2:
+    that stdout holds the CSV alone.  InputError (exit 2) if --steps is
+    missing, below 2 or too large for memory, --out is missing or cannot be
+    written or --{name}-max is not above --{name}-min; exit 0 if the reader
+    of a piped --out has gone."""
+    if args.steps is None:
+        raise InputError("--steps is required for a series")
+    if args.steps < 2:
         raise InputError("--steps must be at least 2")
     if args.out is None:
         raise InputError("--out is required for a series")
@@ -675,8 +694,7 @@ def _write_series(args, name: str, start: float, stop: float, header: str, block
     except BrokenPipeError:  # as a closed stdout: the reader wants no more
         return EXIT_OK
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     print(f"wrote {count} rows to {args.out}", *summary, sep="\n", file=report)
     return EXIT_OK
 
@@ -702,9 +720,7 @@ def cmd_lmg(args) -> int:
         series = [flag for flag, value in (("--t-min", args.t_min), ("--steps", args.steps),
                                            ("--out", args.out)) if value is not None]
         if series:
-            print(f"error: {', '.join(series)} not allowed with --t (a series takes --t-max)",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise InputError(f"{', '.join(series)} not allowed with --t (a series takes --t-max)")
         params = gates.LMGParams(g1=args.g1, g2=args.g2, t=args.t)
         g = gates.lmg_gate(params)
         report = entanglement.entangling_power(g)
@@ -725,9 +741,8 @@ def cmd_lmg(args) -> int:
 def cmd_decompose(args) -> int:
     try:
         matrix = parse_matrix_file(args.file)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(str(exc)) from None  # no JSON value to read, or one nested too deep
     coeffs = su3.decompose_hamiltonian(matrix)  # main maps its errors to exit codes
     for k, value in enumerate(coeffs):
         print(f"h{k} = {fmt_float(value)}")
@@ -736,10 +751,18 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise InputError, which `main`
+    reports as it reports the library's; its subparsers are of this class."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process on first use."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symgates",
         description="Symmetric two-qubit gates, operator bases and entangling power.",
     )
@@ -813,13 +836,14 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """Run one command; the one place that turns a failure into an exit code
+    and one stderr line (see the module docstring)."""
     argv = _join_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
         return args.func(args)
+    except SystemExit:  # -h, once its help is printed
+        return EXIT_OK
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateBatch, SymmetricGate, _lmg_into, _scratch
-from .linalg import _finite, _grid, _matrix, _require, is_unitary
+from .linalg import InputError, _finite, _grid, _matrix, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
 _SQ2 = math.sqrt(2.0)
@@ -308,12 +308,13 @@ def _pure_concurrence(a, b, c, d) -> float:
 def concurrence(psi) -> float:
     """Concurrence 2|ad - bc| of a pure two-qubit state (a, b, c, d).
 
-    Non-normalized input is normalized with a warning; the zero vector
-    and non-finite amplitudes are rejected.
+    Non-normalized input is normalized with a warning; InputError names
+    `psi` if it does not hold four amplitudes, is zero or is not finite.
     """
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.shape != (4,):
-        raise ValueError(f"expected four amplitudes, got shape {psi.shape}")
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.size != 4:
+        raise InputError(f"psi must be a state of four amplitudes, got shape {psi.shape}")
+    psi = psi.reshape(-1)
     norm = math.sqrt(np.vdot(psi, psi).real)
     scale = 1.0
     if not _MIN_SAFE_NORM < norm < math.inf:
@@ -324,7 +325,7 @@ def concurrence(psi) -> float:
         if not math.isfinite(scale):
             _finite("psi", psi)
         if scale == 0.0:
-            raise ValueError("cannot compute the concurrence of the zero vector")
+            raise InputError("psi must be nonzero, got the zero vector")
         psi = psi.real / scale + 1j * (psi.imag / scale)
         norm = math.sqrt(np.vdot(psi, psi).real)
     if abs(scale * norm - 1.0) > 1e-10:
@@ -447,8 +448,8 @@ class SpeConditionResult:
 
 
 def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
-    """Check that a special perfect entangler (e_p = 2/9, else ValueError)
-    maps each state of a product basis to a maximally entangled one.
+    """Check that a special perfect entangler g (e_p = 2/9, else InputError
+    naming `g`) maps each state of a product basis to a maximally entangled one.
 
     The condition values are C(U psi) = |t^T (u3^T S u3) t + s^2| for each
     basis state psi with triplet coordinates t and singlet coordinate s
@@ -456,9 +457,8 @@ def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
     """
     report = entangling_power(g)
     if report.classification != SPECIAL_PERFECT_ENTANGLER:
-        raise ValueError(
-            f"gate {g.label} has e_p = {report.ep}, not the special-perfect-entangler value 2/9"
-        )
+        raise InputError(f"g must be a special perfect entangler (e_p = 2/9), "
+                         f"got gate {g.label} with e_p = {report.ep}")
     coords = basis.states @ U_QUBIT_TO_ANGULAR.T  # row n: (t, s) of state n
     t, s = coords[:, :3], coords[:, 3]
     form = g.u3.T @ _S @ g.u3

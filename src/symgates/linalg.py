@@ -60,7 +60,9 @@ _HERMITIAN_MAX = 1e300
 
 class InputError(ValueError):
     """An argument outside a function's domain: a non-finite number, an
-    index out of range, a matrix of the wrong shape."""
+    index out of range, a matrix of the wrong shape.  A plain ValueError is
+    a failed tolerance check on an accepted argument; the CLI exits 2 for
+    the one and 1 for the other."""
 
 
 def _finite(name: str, value):
@@ -251,10 +253,13 @@ def _identity(n: int) -> np.ndarray:
 
 def is_unitary(a, atol: float = UNITARITY_ATOL) -> bool:
     """True if a, or every matrix of a (..., n, n) stack, is unitary within atol:
-    every |(a^dagger a - I)_ij| <= atol; False if a is not finite."""
+    every |(a^dagger a - I)_ij| <= atol; False if a is not finite.  InputError
+    names `atol` if it is not finite, where a 3x3 matrix and a stack of one
+    could read an overflowing defect differently."""
+    atol = _finite("atol", atol)
     a = np.asarray(a, dtype=np.complex128)
     if a.shape == (3, 3):  # a valid shape, so `_matrix` has nothing to check
-        return _unitary3(a.tolist(), float(atol))
+        return _unitary3(a.tolist(), atol)
     a = _matrix("a", a, stack=True)
     n = a.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 in a non-finite matrix
@@ -268,8 +273,10 @@ def _unitary3(a: list, atol: float) -> bool:
     the six Gram entries <x_i, x_j> - delta_ij of its columns x_i, written
     out.  The diagonal ones come first, as a NaN or infinite entry makes one
     of them NaN or inf, which fails its comparison; once they pass, every
-    entry is bounded, and only a huge atol lets an off-diagonal modulus
-    overflow (not unitary, as numpy's inf defect reads)."""
+    column's squared norm is at most 1 + atol, finite, and an off-diagonal
+    entry at most their product's root.  The OverflowError handler is a
+    guard: a search at the float maximum found no finite atol that reaches
+    it, and it reads an overflowing modulus as not unitary."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     c00, c01, c02 = a00.conjugate(), a01.conjugate(), a02.conjugate()
     c10, c11, c12 = a10.conjugate(), a11.conjugate(), a12.conjugate()

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _bounded, _finite, _flat_basis, _hermitian, _index, _matrix, _require
+from .linalg import (InputError, _bounded, _finite, _flat_basis, _hermitian, _index, _matrix,
+                     _require)
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -195,7 +196,8 @@ def build_hamiltonian(coeffs) -> np.ndarray:
     """Hermitian matrix (1/2) sum_k h_k M_k from nine real coefficients."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (9,):
-        raise ValueError(f"expected nine real coefficients, got shape {coeffs.shape}")
+        raise InputError(f"coeffs must be a vector of nine real coefficients, "
+                         f"got shape {coeffs.shape}")
     return _M_BASIS.combine(_finite("coeffs", coeffs)) / 2  # M_k^dagger = M_k
 
 

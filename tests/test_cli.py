@@ -257,8 +257,7 @@ def test_basis_rejects_a_non_finite_spin(capsys, spin):
     assert main(["basis", f"--j={spin}", "--count"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == (
-        f"symgates basis: error: argument --j: spin must be finite, got {spin!r}")
+    assert captured.err == f"error: argument --j: spin must be finite, got {spin!r}\n"
 
 
 @pytest.mark.parametrize("spin, message", [
@@ -270,20 +269,21 @@ def test_basis_reads_a_negative_spin_given_either_way(capsys, spin, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error:" in line]
-        assert errors == [f"symgates basis: error: argument --j: {message}"]
+        assert captured.err == f"error: argument --j: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["basis", "--j", "abc", "--count"], "symgates basis: error: argument --j: cannot parse spin 'abc'"),
+    (["basis", "--j", "abc", "--count"], "error: argument --j: cannot parse spin 'abc'"),
     (["lmg", "--g1", "abc", "--g2", "1", "--t", "0.3"],
-     "symgates lmg: error: argument --g1: expected a finite number, got 'abc'"),
+     "error: argument --g1: expected a finite number, got 'abc'"),
+    (["gate", "4", "--theta", "foo"], "error: argument --theta: cannot parse angle 'foo'"),
 ])
 def test_a_non_numeric_value_is_a_usage_error_naming_the_option(capsys, argv, message):
+    # argparse's rejections are reported as the library's are: one line, no usage text
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == message
+    assert captured.err == f"{message}\n"
 
 
 def test_help_after_a_flag_is_still_help(capsys):
@@ -741,6 +741,13 @@ def test_lmg_series_requires_out(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_lmg_series_requires_steps(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["lmg", "--g1", "1", "--g2", "1", "--t-max", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --steps is required for a series\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("series", [["sweep", "4", "--theta-max", "pi"],
                                     ["lmg", "--g1", "1", "--g2", "1", "--t-max", "2"]],
                          ids=["sweep", "lmg"])
@@ -824,6 +831,16 @@ def test_decompose_rejects_malformed_file(tmp_path, capsys):
     assert main(["decompose", str(path)]) == 2
     path.write_text(json.dumps({"dim": 5, "entries": []}))
     assert main(["decompose", str(path)]) == 2
+    path.write_bytes(b"\xff\xfe{")  # not UTF-8
+    assert main(["decompose", str(path)]) == 2
+    path.write_text("[" * 100000)  # json's decoder recurses past the interpreter's limit
+    assert main(["decompose", str(path)]) == 2
+    assert main(["decompose", str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 5
+    assert captured.err.splitlines()[-1] == (
+        f"error: [Errno 2] No such file or directory: {str(tmp_path / 'missing.json')!r}")
 
 
 ZERO_ENTRIES = [[[0.0, 0.0]] * 3] * 3
@@ -834,7 +851,14 @@ INFINITE_ENTRIES = [[[0.0, 0.0]] * 3, [[0.0, 0.0], [0.0, math.inf], [0.0, 0.0]],
     ({"entries": ZERO_ENTRIES}, "matrix file must contain 'dim' and 'entries' fields"),
     ({"dim": 3}, "matrix file must contain 'dim' and 'entries' fields"),
     ({"dim": 3, "entries": INFINITE_ENTRIES}, "matrix entries must be finite"),
-], ids=["no-dim", "no-entries", "infinity"])
+    # entries numpy cannot read as an array of floats
+    ({"dim": 3, "entries": {"a": 1}}, "entries must be a 3x3 array of [re, im] pairs"),
+    ({"dim": 3, "entries": "abc"}, "entries must be a 3x3 array of [re, im] pairs"),
+    ({"dim": 3, "entries": [[[0, 0]] * 3, [[0, 0]] * 2]}, "entries must be a 3x3 array of "
+                                                          "[re, im] pairs"),
+    ({"dim": 1, "entries": [[[10 ** 400, 0]]]}, "entries must be a 1x1 array of [re, im] pairs"),
+    ([1, 2], "matrix file must contain 'dim' and 'entries' fields"),
+], ids=["no-dim", "no-entries", "infinity", "object", "string", "ragged", "huge-int", "list"])
 def test_decompose_rejects_a_file_without_a_finite_matrix(tmp_path, capsys, payload, message):
     # json writes and reads an infinite entry as Infinity
     path = tmp_path / "bad.json"

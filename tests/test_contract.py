@@ -3,8 +3,10 @@ InputError whose message starts with the parameter, or the product, at
 fault, and no numpy warning comes before it; input that passes the
 checks where it enters gets a result.
 
-`apply_gate`, `spe_condition` and `reconstruct` take objects that were
-checked when they were built.
+`apply_gate` and `reconstruct` take objects that were checked when they
+were built, and `spe_condition` checks only that its gate is a special
+perfect entangler.  A tolerance check on an accepted argument (Hermiticity,
+unitarity, a spinor norm) raises a plain ValueError instead.
 """
 
 import math
@@ -82,6 +84,8 @@ NON_FINITE = [
     ("lmg_hamiltonian_g1", lambda b: sg.lmg_hamiltonian(b, 1.0), "g1"),
     ("lmg_hamiltonian_g2", lambda b: sg.lmg_hamiltonian(1.0, b), "g2"),
     ("concurrence", lambda b: sg.concurrence([b, 0.0, 0.0, 1.0]), "psi"),
+    ("is_unitary_atol", lambda b: sg.is_unitary(np.eye(3), atol=b), "atol"),
+    ("is_unitary_stack_atol", lambda b: sg.is_unitary(np.eye(3)[None], atol=b), "atol"),
     ("entangling_power", lambda b: sg.entangling_power(_entry((4, 4), (3, 0), b)), "u4"),
     ("entangling_power_batch",
      lambda b: sg.entangling_power_batch(_entry((4, 4), (3, 0), b)[None]), "u4"),
@@ -130,16 +134,38 @@ OVERFLOW = [
     ("from_qubit_basis", lambda: sg.from_qubit_basis(np.full((4, 4), 1e308)), "op4"),
 ]
 
-# Finite input outside a function's domain: the documented ValueError, not an overflow.
+# Finite input that fails a tolerance check: the check's own ValueError,
+# not an overflow and not an InputError.
 OUT_OF_DOMAIN = [
     ("product_basis_ab", lambda: sg.product_basis(1e200, 0.0, 1.0, 0.0, 1.0, 0.0),
      "spinor (a, b) is not normalized"),
     ("product_basis_ef", lambda: sg.product_basis(1.0, 0.0, 1.0, 0.0, 1e308 + 1e308j, 1e308),
      "spinor (e, f) is not normalized"),
-    ("concurrence_shape", lambda: sg.concurrence([1.0, 0.0, 0.0]),
-     "expected four amplitudes, got shape"),
-    ("build_hamiltonian_shape", lambda: sg.build_hamiltonian(np.zeros((3, 3))),
-     "expected nine real coefficients, got shape"),
+    ("decompose_hermiticity", lambda: sg.decompose(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5),
+     "matrix is not Hermitian:"),
+    ("TensorParams_pair_rule", lambda: TensorParams(1, {(1, 1): 1.0, (1, -1): 1.0}),
+     "coefficients violate Hermiticity at (k=1, q=-1):"),
+    ("custom_gate_unitarity", lambda: sg.custom_gate(2 * np.eye(3)),
+     "gate custom is not unitary"),
+    ("entangling_power_unitarity", lambda: sg.entangling_power(2 * np.eye(4)),
+     "matrix is not unitary within"),
+]
+
+# Finite arguments outside what a function accepts, each named by its
+# parameter: quantum numbers, tensor keys, a zero state, a gate that is no
+# special perfect entangler.  (Wrong shapes of psi and coeffs are in SHAPES.)
+ARGUMENTS = [
+    ("clebsch_gordan_j1", lambda: sg.clebsch_gordan(10.5, 0.5, 1, 0, 10.5, 0.5), "j1"),
+    ("clebsch_gordan_j2", lambda: sg.clebsch_gordan(1, 0, -1, 0, 1, 0), "j2"),
+    ("clebsch_gordan_j3", lambda: sg.clebsch_gordan(10, 10, 1, 1, 11, 11), "j3"),
+    ("clebsch_gordan_m1", lambda: sg.clebsch_gordan(0.5, 1.5, 0.5, -0.5, 1, 1), "m1"),
+    ("clebsch_gordan_m2", lambda: sg.clebsch_gordan(1, 0, 1, 0.5, 2, 0.5), "m2"),
+    ("clebsch_gordan_m3", lambda: sg.clebsch_gordan(1, 1, 1, 1, 1, 2), "m3"),
+    ("TensorParams_key", lambda: TensorParams(0.5, {(2, 0): 1.0}), "coeffs[(2, 0)]"),
+    ("TensorParams_partner", lambda: TensorParams(1, {(1, -1): 1.0}), "coeffs[(1, -1)]"),
+    ("concurrence_zero", lambda: sg.concurrence(np.zeros(4)), "psi"),
+    ("spe_condition", lambda: sg.spe_condition(sg.gate(4, 0.3), sg.product_basis(1, 0, 1, 0, 1, 0)),
+     "g"),
 ]
 
 # Wrong shapes: a 2x2 or a 4x4 where a 3x3 is expected (or a 3x3 where a 4x4
@@ -162,11 +188,14 @@ SHAPES = [
     ("entangling_power", sg.entangling_power, [M2, M3, np.stack([M4] * 2), SCALAR], "u4"),
     ("entangling_power_batch", sg.entangling_power_batch,
      [M3, np.ones((2, 3, 3)), np.ones((0, 4, 4)), SCALAR], "u4"),
+    ("concurrence", sg.concurrence, [np.zeros(3), np.zeros((2, 3)), SCALAR], "psi"),
+    ("build_hamiltonian", sg.build_hamiltonian, [np.zeros(8), np.zeros((3, 3)), SCALAR], "coeffs"),
 ]
 
 CASES = [pytest.param(lambda c=call, b=bad: c(b), name, id=f"{key}-{label}")
          for key, call, name in NON_FINITE for label, bad in BAD.items()]
 CASES += [pytest.param(call, name, id=f"overflow-{key}") for key, call, name in OVERFLOW]
+CASES += [pytest.param(call, name, id=f"argument-{key}") for key, call, name in ARGUMENTS]
 
 
 @WARNINGS_ARE_ERRORS

@@ -135,7 +135,7 @@ def test_concurrence_of_product_states_vanishes(seed):
 
 
 def test_concurrence_rejects_zero_vector():
-    with pytest.raises(ValueError, match="zero vector"):
+    with pytest.raises(InputError, match="^psi must be nonzero, got the zero vector$"):
         concurrence(np.zeros(4))
 
 
@@ -358,7 +358,8 @@ def test_spe_condition_b4_computational_basis_fails():
 
 def test_spe_condition_requires_spe_parameter():
     basis = product_basis(*(1 / SQ2,) * 6)
-    with pytest.raises(ValueError, match="2/9"):
+    with pytest.raises(InputError, match=r"^g must be a special perfect entangler \(e_p = 2/9\), "
+                                         r"got gate B4 with e_p = 0\.0371"):
         spe_condition(gate(4, 0.3), basis)
     with pytest.raises(ValueError, match="2/9"):
         spe_condition(gate(1, math.pi / 2), basis)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -177,6 +178,19 @@ def test_3x3_unitarity_verdict_is_the_exact_one(seed, c, log_atol):
     assert is_unitary(u, atol) is expected
     assert is_unitary(u[None], atol) is expected
     assert is_unitary(u, np.float64(atol)) is expected
+
+
+@WARNINGS_ARE_ERRORS
+def test_a_non_finite_atol_is_rejected_before_either_unitarity_path():
+    # at atol = inf the closed form read this matrix as not unitary (its
+    # off-diagonal modulus overflows) and the (1, 3, 3) stack as unitary (an
+    # inf defect within inf); at the largest finite atol both read False
+    a = np.array([[1.14e154, 1.14e154 * (1 + 1j), 0], [0, 0, 0], [0, 0, 1]])
+    for matrix in (a, a[None]):
+        for atol in (np.inf, -np.inf, np.nan):
+            with pytest.raises(InputError, match=rf"^atol must be finite, got {atol}$"):
+                is_unitary(matrix, atol)
+        assert is_unitary(matrix, sys.float_info.max) is False
 
 
 def _numpy_hermiticity_verdict(h: np.ndarray) -> tuple[bool, float]:

@@ -70,6 +70,26 @@ def test_failure_checks_live_in_linalg():
     assert found == []
 
 
+def test_only_main_turns_a_failure_into_an_exit_code():
+    """No function of the CLI but `main` writes an 'error:' line or returns
+    EXIT_USAGE: the others raise, and the exception's class picks the code."""
+    found = []
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if not isinstance(node, ast.FunctionDef) or node.name == "main":
+            continue
+        for inner in ast.walk(node):
+            if (isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+                    and inner.value.startswith("error:")):
+                found.append(f"{node.name}:{inner.lineno} 'error:'")
+            if (isinstance(inner, ast.Return) and isinstance(inner.value, ast.Name)
+                    and inner.value.id == "EXIT_USAGE"):
+                found.append(f"{node.name}:{inner.lineno} return EXIT_USAGE")
+    assert found == []
+    main = next(node for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert any(isinstance(n, ast.Name) and n.id == "EXIT_USAGE" for n in ast.walk(main))
+
+
 def test_records_that_hold_arrays_compare_by_identity():
     """A frozen dataclass with an array field compares and hashes as an
     object: a generated __eq__ would compare arrays elementwise and raise,
