@@ -25,25 +25,28 @@ failed relation; a reader that closes stdout before the report ends
 exit 0.
 
 `sweep` and `lmg --t-max` share `_write_series`, which rejects a missing
---out, --steps below 2 and an empty or reversed range as usage errors.
-Blocks of _BLOCK grid points, (float columns, class levels or None), are
-written as bytes as they come, to a file that replaces --out after the last
-one; then the row count and a summary folded from the blocks are printed,
-on stderr if --out is stdout.  A series call allocates one `_Workspace` of
-min(steps, _BLOCK) rows when it starts and passes it to every stage that
-builds, scores and lays out a block (`sweep_blocks`, `lmg_blocks`,
-`write_csv`), which takes it as a required argument.  The library's
-block kernels take their buffers the same way, under one contract: the
-`_into` forms of its batch functions (`gates._gates_into`,
-`entanglement._scores_into`, `entanglement._lmg_profile_into`) write
-with out= into the buffers they are given, which the public batch
-functions allocate (`gates._scratch`) and the CLI takes from its
-workspace (`_Workspace.gate_stage`), so the library and the CLI build
-and score a block with the same code.  A block's gate, cell and row
-stages reuse the same bytes of the workspace in turn.  That is safe: a
-block's columns are new arrays, which stay valid after the next block,
-and its rows are written before the next block is built.  Otherwise only
-the library's public names are used.
+or empty --out, --steps below 2 and an empty or reversed range as usage
+errors.  A series call allocates one `_Workspace` of min(steps, _BLOCK)
+rows when it starts and passes it to every stage that builds, scores and
+lays out a block (`sweep_blocks`, `lmg_blocks`, `write_csv`), which takes
+it as a required argument.  The library's grid kernels
+(`gates._gates_into`, `entanglement._lmg_profile_into`) take their
+buffers the same way, under one contract: a kernel checks its whole grid
+once, then walks it in runs of its buffers' rows, written with out= into
+the buffers it is given.  The public batch functions allocate buffers
+for the whole grid (`gates._scratch`), so they are the case of one run;
+the CLI hands over its workspace (`_Workspace.gate_stage`), so each run
+is a block of _BLOCK points or fewer, scored by the same code
+(`entanglement._scores_into`).  Blocks, (float columns, class levels or
+None), are written as bytes as they come, the CSV header with the first
+one, so that a series the kernel rejects writes no byte; the file
+replaces --out after the last block, and then the row count and a
+summary folded from the blocks are printed, on stderr if --out is
+stdout.  A block's gate, cell and row stages reuse the same bytes of the
+workspace in turn.  That is safe: a block's columns are new arrays,
+which stay valid after the next block, and its rows are written before
+the next block is built.  Otherwise only the library's public names are
+used.
 
 A CSV float cell holds the bytes of '%.15g' % (x + 0.0), as `fmt_float`
 prints the text reports.  A block's float cells go through one numpy
@@ -338,9 +341,10 @@ class _Workspace:
             setattr(self, name, buffer[name])
 
     def gate_stage(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The buffers of a block of n <= rows gates, u3, tmp and phases,
-        shaped as `gates._scratch(n)` allocates them: the provider that
-        `gates._gates_into` and `entanglement._lmg_profile_into` take."""
+        """The buffers of a run of gates, u3, tmp and phases, shaped as
+        `gates._scratch(n)` allocates them, with numpy's slicing capping n
+        at rows: the provider that `gates._gates_into` and
+        `entanglement._lmg_profile_into` take, whose runs are of min(n, rows)."""
         return self.u3[:n], self.tmp[:n], self.phases[:, :n]
 
 
@@ -468,15 +472,11 @@ def _class_cells() -> np.ndarray:
                          np.uint8).reshape(-1, width)
 
 
-def _blocks(grid: np.ndarray):
-    for start in range(0, len(grid), _BLOCK):
-        yield grid[start:start + _BLOCK]
-
-
 def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace):
-    """Blocks ((theta, |G1|, e_p), class levels) of a B_k sweep, each built
-    in `ws`, a workspace of at least min(len(thetas), _BLOCK) rows, and
-    yielded as new arrays.
+    """Blocks ((theta, |G1|, e_p), class levels) of a B_k sweep, one per run
+    of `gates._gates_into`, which checks the grid once and builds it in
+    runs of the rows of `ws`; each is yielded as new arrays, theta a view
+    of thetas.
 
     Returns the sweep's summary line: the largest e_p and the angle of its
     first row, and the first and last angle of the first _LISTED runs of
@@ -484,9 +484,8 @@ def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace):
     that the sweep is non-entangling, when its largest e_p is classed so."""
     best_ep, best_theta, best_level = -math.inf, 0.0, 0
     starts, ends, runs, in_run = [], [], 0, False
-    for theta in _blocks(thetas):
-        u3 = gates._gates_into(k, theta, ws.gate_stage)
-        report = entanglement._scores_into(u3, ws.tmp[:len(theta)])
+    for theta, u3, tmp in gates._gates_into(k, thetas, ws.gate_stage):
+        report = entanglement._scores_into(u3, tmp)
         ep, level = report.ep, report.level
         yield (theta, report.g1_abs, ep), level
         i = int(np.argmax(ep))
@@ -512,17 +511,17 @@ def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace):
 
 def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray, ws: _Workspace):
     """Blocks ((t, e_p, concurrence of B_L |up up>), None) of an LMG series,
-    each built in `ws`, a workspace of at least min(len(t_grid), _BLOCK)
-    rows, and yielded as new arrays, t a view of t_grid.
+    one per run of `entanglement._lmg_profile_into`, which checks the grid
+    once and builds it in runs of the rows of `ws`; each is yielded as new
+    arrays, t a view of t_grid.
 
     Returns the series' summary lines: the first _LISTED times of
     concurrence zeros (< 1e-9) and maxima (> 1 - 1e-9), and of e_p within
     1e-9 of 2/9, each beside the times the closed forms give; an empty
     list reads "none on grid"."""
     zeros, maxima, hits = [], [], []
-    for block in _blocks(t_grid):
-        t, ep, conc = columns = entanglement._lmg_profile_into(g1, g2, block, ws.gate_stage)
-        yield columns, None
+    for t, ep, conc in entanglement._lmg_profile_into(g1, g2, t_grid, ws.gate_stage):
+        yield (t, ep, conc), None
         for found, mask in ((zeros, conc < 1e-9), (maxima, conc > 1.0 - 1e-9),
                             (hits, np.abs(ep - 2.0 / 9.0) < 1e-9)):
             found += (f"{x:.6f}" for x in t[mask][:_LISTED - len(found)].tolist())
@@ -540,8 +539,9 @@ def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray, ws: _Workspace):
 
 
 def _write_rows(fh, header: str, blocks, ws: _Workspace) -> int:
-    """Write `header`, then one row per entry of each block (at most _FLOATS
-    float columns, class levels or None) to the binary file `fh`: the floats
+    """Write `header` with the first block, so that a series its kernel
+    rejects writes no byte, then one row per entry of each block (at most
+    _FLOATS float columns, class levels or None) to the binary file `fh`: the floats
     as fmt_float prints them (`_float_cells`), then a level's label in
     entanglement.CLASSES.  Each block, no longer than `ws` has rows, is laid
     out in `ws`.  Its `table` and `rows` lie over the gate stage and the
@@ -549,9 +549,10 @@ def _write_rows(fh, header: str, blocks, ws: _Workspace) -> int:
     of `ws`: a series yields new arrays and views of its grid.  Each _SLICE
     rows are copied to a bytes object, whose pads one translate drops, and
     written before the next block is built."""
-    fh.write(f"{header}\n".encode())
     count = 0
     for floats, level in blocks:
+        if not count:
+            fh.write(f"{header}\n".encode())
         n, cells = len(floats[0]), len(floats) * _CELL
         width = cells + (0 if level is None else _class_cells().shape[1])
         rows = ws.rows[:n * width].reshape(n, width)
@@ -569,8 +570,8 @@ def _write_rows(fh, header: str, blocks, ws: _Workspace) -> int:
 
 
 def write_csv(path, header: str, blocks, ws: _Workspace) -> int:
-    """Write `header`, then the rows of each block as it arrives (laid out
-    in `ws`, see `_write_rows`).
+    """Write `header` with the first block, then the rows of each block as
+    it arrives (laid out in `ws`, see `_write_rows`).
 
     The rows go to a temporary file beside `path`, which replaces `path`
     only once every block has been written: an error part way leaves an
@@ -661,14 +662,14 @@ def _write_series(args, name: str, start: float, stop: float, header: str, block
     blocks that `blocks(grid)` yields, then print the row count and the
     summary it returns: on stderr if --out is this process's stdout, so
     that stdout holds the CSV alone.  InputError (exit 2) if --steps is
-    missing, below 2 or too large for memory, --out is missing or cannot be
-    written or --{name}-max is not above --{name}-min; exit 0 if the reader
+    missing, below 2 or too large for memory, --out is missing or empty or
+    cannot be written or --{name}-max is not above --{name}-min; exit 0 if the reader
     of a piped --out has gone."""
     if args.steps is None:
         raise InputError("--steps is required for a series")
     if args.steps < 2:
         raise InputError("--steps must be at least 2")
-    if args.out is None:
+    if not args.out:  # '' too, which would name the working directory
         raise InputError("--out is required for a series")
     if not stop > start:
         raise InputError(f"--{name}-max ({fmt_float(stop)}) must be greater than "

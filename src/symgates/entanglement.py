@@ -58,11 +58,13 @@ state as float arrays, the rows of `symgates lmg --t-max`.
 The batch path writes its stacks and intermediates with out=, into
 buffers that its caller hands over, as in `gates`: every kernel on a
 built stack (`_symmetric_invariants`, `_power_batch`, `_scores_into`,
-`_up_up_concurrences`) takes its arrays, and `_lmg_profile_into`, which
-checks its grid before it knows the grid's size, takes a provider of the
-three block buffers (`gates._scratch`, or the CLI's workspace).  The
-public batch functions allocate what they pass; the CLI passes views of
-its workspace, so that a series block allocates only its new columns.
+`_up_up_concurrences`) takes its arrays.  `_lmg_profile_into` takes a
+provider of the gate buffers (`gates._scratch`, or the CLI's workspace)
+and scores the runs of `gates._lmg_into`, which checks the whole grid
+once and then builds it in runs of the buffers' rows.  The public batch
+functions allocate what they pass, so they are the case of one run; the
+CLI passes views of its workspace, so that a series block allocates only
+its new columns.
 
 Amplitude ordering for all 4-vectors is (up-up, up-down, down-up,
 down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
@@ -78,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import GateBatch, SymmetricGate, _lmg_into, _scratch
-from .linalg import InputError, _finite, _grid, _matrix, _require, is_unitary
+from .linalg import InputError, _finite, _matrix, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
 _SQ2 = math.sqrt(2.0)
@@ -507,16 +509,12 @@ def lmg_entanglement_profile(g1: float, g2: float,
     power reaches 2/9 whenever 2 g2 t - 2 g1 t or 2 g2 t + 2 g1 t is
     congruent to pi/2 modulo pi.
     """
-    return _lmg_profile_into(g1, g2, t_grid, _scratch)
+    return next(_lmg_profile_into(g1, g2, t_grid, _scratch))
 
 
 def _lmg_profile_into(g1: float, g2: float, t_grid, scratch):
-    """`lmg_entanglement_profile`, its gates built in the buffers u3, tmp and
-    phases of `scratch(N)` (`gates._scratch`) for the checked grid of N
-    times (`gates._lmg_into`), and scored with tmp as scratch.  The e_p and
-    concurrence columns are new arrays."""
-    t_grid = _grid("t_grid", t_grid)
-    g1, g2 = _finite("g1", g1), _finite("g2", g2)
-    u3, tmp, phases = scratch(t_grid.size)
-    _lmg_into(g1, g2, t_grid, u3, tmp, phases)
-    return t_grid, _scores_into(u3, tmp).ep, _up_up_concurrences(u3, tmp)
+    """The runs (t, e_p, concurrence) of `lmg_entanglement_profile`: each run
+    of `gates._lmg_into`, which checks the grid once, scored with its tmp as
+    scratch.  t is a view of the grid; e_p and concurrence are new arrays."""
+    for t, u3, tmp in _lmg_into(g1, g2, t_grid, scratch, "t_grid"):
+        yield t, _scores_into(u3, tmp).ep, _up_up_concurrences(u3, tmp)

@@ -23,13 +23,18 @@ A symmetric gate is its 3x3 block u3: what is computed from a
 `SymmetricGate` depends on u3 alone; its label is display metadata.
 `gates_batch` and `lmg_batch` build a grid of one family as an (N, 3, 3)
 stack, and `gate` and `lmg_gate` are their one-point case, so a gate is
-the same (==) alone or in a grid.  The stack is written entry by entry
-with out=, into buffers that the caller hands over: `_gates_into` takes a
-provider, a function of the grid's size N that returns the (N, 3, 3)
-complex stacks u3 and tmp and the (2, N) complex phase rows, and `_lmg_into`
-takes the three arrays.  `_scratch` is the provider that allocates them,
-for `gates_batch` and `lmg_batch`; the CLI hands over views of the
-workspace it allocates once per series, so that a block allocates no stack.
+the same (==) alone or in a grid.  Behind them are two kernels,
+`_gates_into` and `_lmg_into`, under one contract.  A kernel checks its
+arguments over the whole grid once: the index or couplings, a finite 1-D
+grid, and each product that could overflow at the grid's largest |angle|.
+It then walks the grid in runs of len(u3) points (`_runs`), writing each
+run's stack entry by entry with out=, into the buffers of a provider: a
+function of the grid's size N that returns the complex stacks u3 and tmp
+and the complex phase rows, shaped (N, 3, 3), (N, 3, 3) and (2, N) or
+capped at fewer rows.  `_scratch` is the provider that allocates them, so
+a public batch function is the case of one run (`next`); the CLI hands
+over views of the workspace it allocates once per series, so that a
+block allocates no stack.
 The closed forms are unitary by construction, so no grid is checked: a
 hypothesis property in the tests pins them unitary within 1e-12 at every
 finite angle that the grid and overflow checks admit.  `custom_gate`, which wraps a matrix from outside,
@@ -122,10 +127,9 @@ class GateBatch:
 
 
 def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New buffers for a block of n gates: u3 and tmp, (n, 3, 3) complex
+    """New buffers for one run of n gates: u3 and tmp, (n, 3, 3) complex
     stacks, and phases, (2, n) complex rows (module docstring)."""
-    return (np.empty((n, 3, 3), dtype=np.complex128), np.empty((n, 3, 3), dtype=np.complex128),
-            np.empty((2, n), dtype=np.complex128))
+    return tuple(np.empty(shape, dtype=np.complex128) for shape in ((n, 3, 3), (n, 3, 3), (2, n)))
 
 
 def _rotation(angles: np.ndarray, k: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -177,23 +181,35 @@ def gate(k: int, theta: float) -> SymmetricGate:
 
 def gates_batch(k: int, thetas) -> GateBatch:
     """B_k(theta) for every angle of a 1-D grid; entry by entry equal to `gate`."""
-    return GateBatch(_gates_into(k, thetas, _scratch))
+    return GateBatch(next(_gates_into(k, thetas, _scratch))[1])
 
 
-def _gates_into(k: int, thetas, scratch) -> np.ndarray:
-    """The u3 stack of `gates_batch(k, thetas)`, written into the u3 of
-    `scratch(N)` (module docstring) with its tmp, or for B8 its phases, as
-    scratch, once k and the grid of N angles are checked.  Returns that u3."""
+def _gates_into(k: int, thetas, scratch):
+    """The runs (angles, u3, tmp) of `gates_batch(k, thetas)` (`_runs`), once
+    k, the grid and, for B8, 2*theta/sqrt3 at its largest |angle| are
+    checked: each run's gates are written into its u3, with its tmp, or for
+    B8 its phases, as scratch."""
     k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
     thetas = _grid("thetas", thetas)
-    u3, tmp, phases = scratch(thetas.size)
-    if k != 8:
-        return _rotation(thetas, k, u3, tmp)
-    _phases(_bounded("2*theta/sqrt3", thetas / _SQ3, 2.0), _B8_WEIGHTS, phases)
-    u3.fill(0.0)
-    for j, row in enumerate(_DIAGONAL):
-        u3[:, j, j] = phases[row]
-    return u3
+    if k == 8:
+        _bounded("2*theta/sqrt3", max(float(thetas.max()), -float(thetas.min())) / _SQ3, 2.0)
+    for theta, u3, tmp, phases in _runs(thetas, scratch):
+        if k == 8:  # a phase diagonal; B1..B7 are rotations
+            _phases(theta / _SQ3, _B8_WEIGHTS, phases)
+            u3.fill(0.0)
+            for j, row in enumerate(_DIAGONAL):
+                u3[:, j, j] = phases[row]
+        yield theta, (u3 if k == 8 else _rotation(theta, k, u3, tmp)), tmp
+
+
+def _runs(grid: np.ndarray, scratch):
+    """(points, u3, tmp, phases) for each run of len(u3) points of a checked
+    grid of N, u3, tmp and phases the buffers of `scratch(N)` (module
+    docstring) cut to the run's length; the last run may be shorter."""
+    u3, tmp, phases = scratch(grid.size)
+    for start in range(0, grid.size, len(u3)):
+        n = min(len(u3), grid.size - start)
+        yield grid[start:start + n], u3[:n], tmp[:n], phases[:, :n]
 
 
 def custom_gate(u3, label: str = "custom") -> SymmetricGate:
@@ -222,25 +238,29 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     `lmg_gate`: B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi}), xi = 2 g1 t,
     phi = 2 g2 t (see the module docstring), exact to a few ulps at the
     float angles; InputError names the product if xi, phi or 2 phi overflows."""
+    return GateBatch(next(_lmg_into(g1, g2, ts, _scratch, "ts"))[1])
+
+
+def _lmg_into(g1: float, g2: float, ts, scratch, name: str):
+    """The runs (times, u3, tmp) of `lmg_batch(g1, g2, ts)` (`_runs`), once the
+    couplings, the grid, named `name`, and xi, phi and 2 phi at its largest
+    |t| are checked: each run's gates are written into its u3, with its tmp
+    and phases as scratch.  The grid "t_grid" of `lmg_entanglement_profile`
+    is checked before the couplings, a grid of `lmg_batch` after them."""
+    ts = _grid(name, ts) if name == "t_grid" else ts  # checked first, as documented
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
-    ts = _grid("ts", ts)
-    return GateBatch(_lmg_into(g1, g2, ts, *_scratch(ts.size)))
-
-
-def _lmg_into(g1: float, g2: float, ts: np.ndarray, u3: np.ndarray, tmp: np.ndarray,
-              phases: np.ndarray) -> np.ndarray:
-    """The u3 stack of `lmg_batch(g1, g2, ts)` for finite couplings and a grid
-    that the caller has checked (`_finite`, `_grid`), written into `u3`, with
-    `tmp`, another (N, 3, 3) complex stack, and the (2, N) complex `phases`
-    (`_phases`) as scratch.  Returns `u3`."""
-    t_top = float(abs(ts).max())  # with the largest weights, bounds xi, phi and 2 phi
+    ts = ts if name == "t_grid" else _grid(name, ts)
+    # max |t|, taken without an array of the grid's size; with the largest
+    # weights it bounds xi, phi and 2 phi
+    t_top = max(float(ts.max()), -float(ts.min()))
     _bounded("2*g1*t", 2.0 * g1, t_top)
     _bounded("2*g2*t", 2.0 * g2, t_top)
     _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
-    b7 = _rotation(2.0 * g1 * ts, 7, tmp, u3)
-    _phases(2.0 * g2 * ts, _LMG_WEIGHTS, phases)
-    # B7 times a diagonal matrix: column c of B7 times the c-th phase, not
-    # written over B7 (numpy would take a loop without FMA for one gate)
-    for r, c in _ENTRIES:
-        np.multiply(b7[:, r, c], phases[_DIAGONAL[c]], out=u3[:, r, c])
-    return u3
+    for t, u3, tmp, phases in _runs(ts, scratch):
+        b7 = _rotation(2.0 * g1 * t, 7, tmp, u3)
+        _phases(2.0 * g2 * t, _LMG_WEIGHTS, phases)
+        # B7 times a diagonal matrix: column c of B7 times the c-th phase, not
+        # written over B7 (numpy would take a loop without FMA for one gate)
+        for r, c in _ENTRIES:
+            np.multiply(b7[:, r, c], phases[_DIAGONAL[c]], out=u3[:, r, c])
+        yield t, u3, tmp

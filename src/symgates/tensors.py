@@ -52,7 +52,7 @@ def _as_two(value, name: str) -> int:
     doubled = 2 * _bounded(f"2*{name}", _finite(name, float(value)), 2)
     rounded = round(doubled)
     if abs(doubled - rounded) > 1e-9:
-        raise InputError(f"{name} = {value} is not a half-integer")
+        raise InputError(f"{name} must be a half-integer, got {value}")
     return int(rounded)
 
 
@@ -69,7 +69,7 @@ def _as_two_j(j) -> int:
     if two_j < 0:
         raise InputError(f"j must be non-negative, got {j}")
     if two_j > MAX_TWO_J:
-        raise InputError(f"j = {j} exceeds the supported maximum j = {MAX_TWO_J / 2}")
+        raise InputError(f"j must be at most {MAX_TWO_J / 2}, got {j}")
     return two_j
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symgates import cli, entanglement, gates
+from symgates import cli, gates
 from symgates.cli import fmt_float, main
 from symgates.entanglement import (
     CLASSES,
@@ -213,6 +213,17 @@ def test_vector_tail_clamps_rounding_below_zero():
     assert fh.getvalue() == b"ep\n0\n"
 
 
+def test_rows_of_a_series_rejected_before_its_first_block_write_no_byte():
+    def rejected():
+        raise InputError("thetas must be finite, got nan at index 0")
+        yield  # a generator, as the series are
+
+    fh = io.BytesIO()
+    with pytest.raises(InputError):
+        cli._write_rows(fh, "theta,g1_abs,ep,class", rejected(), cli._Workspace(1))
+    assert fh.getvalue() == b""
+
+
 def test_vector_tail_rejects_e_p_out_of_range():
     # the second entry's e_p is about -1e-11, beyond the -1e-12 rounding allowance
     tr = np.array([0.5, 4.0 * math.sqrt(1.0 + 4.5e-11)], dtype=np.complex128)
@@ -368,23 +379,36 @@ def test_no_lmg_row_has_a_negative_ep(g1, g2):
         assert np.all(ep >= 0.0)
 
 
-def test_each_lmg_call_checks_its_grid_once(monkeypatch):
+def _counted_grid_checks(monkeypatch) -> list:
+    """The names that `gates._grid` checks from here on, in order."""
     names = []
 
     def counted(name, values):
         names.append(name)
         return _grid(name, values)
 
-    monkeypatch.setattr(entanglement, "_grid", counted)
     monkeypatch.setattr(gates, "_grid", counted)
+    return names
+
+
+def test_each_lmg_call_checks_its_grid_once(monkeypatch):
+    names = _counted_grid_checks(monkeypatch)
     grid = np.linspace(0.0, 2.0, 3 * cli._BLOCK + 7)
     for _ in cli.lmg_blocks(0.9, 1.7, grid, cli._Workspace(cli._BLOCK)):
         pass
-    assert names == ["t_grid"] * 4
+    assert names == ["t_grid"]
     names.clear()
     lmg_entanglement_profile(0.9, 1.7, grid)
     lmg_batch(0.9, 1.7, grid)
     assert names == ["t_grid", "ts"]
+
+
+def test_each_b8_sweep_checks_its_grid_once(monkeypatch):
+    names = _counted_grid_checks(monkeypatch)
+    grid = np.linspace(0.0, 2.0, 2 * cli._BLOCK + 7)
+    for _ in cli.sweep_blocks(8, grid, cli._Workspace(cli._BLOCK)):
+        pass
+    assert names == ["thetas"]
 
 
 def _scalar_sweep_csv(k, thetas) -> str:

@@ -244,7 +244,7 @@ def test_basis_rejects_an_unsupported_spin_as_a_usage_error(capsys):
     assert main(["basis", "--j", "7/2", "--tensor-basis"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: j = 3.5 exceeds the supported maximum j = 2.5\n"
+    assert captured.err == "error: j must be at most 2.5, got 3.5\n"
 
 
 def test_basis_count(capsys):
@@ -600,6 +600,17 @@ def test_sweep_writes_its_csv_into_a_stdout_pipe(tmp_path):
                           b"perfect entangler for theta in [1.570796, 1.570796]\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("argv, line", [
+    (["sweep", "8", "--theta-max", "1.7e308"], b"error: 2*theta/sqrt3 must be finite, got inf\n"),
+    (["lmg", "--g1", "1", "--g2", "1", "--t-max", "8e307"], b"error: 4*g2*t must be finite, got inf\n"),
+], ids=["sweep", "lmg"])
+def test_a_piped_series_that_overflows_past_its_first_block_writes_no_byte(argv, line):
+    # the overflow lies in the last block; the grid is checked before the header
+    run = _symgates(argv + ["--steps", str(2 * cli._BLOCK + 1), "--out", "/dev/stdout"])
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", line)
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_reader_that_closes_stdout_early_is_not_an_error(tmp_path, unbuffered):
     # as `symgates ... | head -1` when head exits before the report's last
@@ -739,6 +750,19 @@ def test_lmg_series_requires_out(tmp_path, capsys, monkeypatch):
     assert main(["lmg", "--g1", "1", "--g2", "1", "--t-max", "2", "--steps", "5"]) == 2
     assert capsys.readouterr() == ("", "error: --out is required for a series\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("series", HUGE_SERIES, ids=["sweep", "lmg"])
+def test_an_empty_out_is_a_missing_out(tmp_path, capsys, monkeypatch, series):
+    # os.path.realpath('') is the working directory: an empty --out must not
+    # build a temporary CSV beside it
+    work = tmp_path / "sub"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(series + ["--steps", "2000", "--out", ""]) == 2
+    assert capsys.readouterr() == ("", "error: --out is required for a series\n")
+    assert list(tmp_path.iterdir()) == [work]
+    assert list(work.iterdir()) == []
 
 
 def test_lmg_series_requires_steps(tmp_path, capsys):

@@ -166,6 +166,9 @@ ARGUMENTS = [
     ("concurrence_zero", lambda: sg.concurrence(np.zeros(4)), "psi"),
     ("spe_condition", lambda: sg.spe_condition(sg.gate(4, 0.3), sg.product_basis(1, 0, 1, 0, 1, 0)),
      "g"),
+    ("tau_half_integer", lambda: sg.tau(0.3, 0, 0), "j"),
+    ("angular_momentum_matrices_spin", lambda: sg.angular_momentum_matrices(3.5), "j"),
+    ("clebsch_gordan_half_integer", lambda: sg.clebsch_gordan(0.5, 0.3, 0.5, 0.5, 1, 1), "m1"),
 ]
 
 # Wrong shapes: a 2x2 or a 4x4 where a 3x3 is expected (or a 3x3 where a 4x4

@@ -61,7 +61,7 @@ def test_clebsch_gordan_invalid_arguments():
     with pytest.raises(InputError, match=r"^m1 must be one of -j1, -j1 \+ 1, \.\.\., j1, "
                                          r"got 1\.5 with j1 = 0\.5$"):
         clebsch_gordan(0.5, 1.5, 0.5, -0.5, 1, 1)
-    with pytest.raises(InputError, match="^j1 = 0.3 is not a half-integer$"):
+    with pytest.raises(InputError, match="^j1 must be a half-integer, got 0.3$"):
         clebsch_gordan(0.3, 0.3, 0.5, 0.5, 1, 1)
     with pytest.raises(InputError, match=r"^m1 must be one of .* got 0\.5 with j1 = 1$"):
         clebsch_gordan(1, 0.5, 1, 0.5, 2, 1)
@@ -186,16 +186,16 @@ def test_tau_rejects_out_of_range():
     with pytest.raises(ValueError, match="projection"):
         tau(1, 2, 3)
     # an unsupported spin is outside the library's domain, as k and q are
-    with pytest.raises(InputError, match="^j = 3 exceeds the supported maximum j = 2.5$"):
+    with pytest.raises(InputError, match="^j must be at most 2.5, got 3$"):
         tau(3, 1, 0)
     with pytest.raises(InputError, match="^j must be non-negative, got -0.5$"):
         tau(-0.5, 0, 0)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: tau(0.3, 0, 0), "j = 0.3 is not a half-integer"),
-    (lambda: angular_momentum_matrices(0.7), "j = 0.7 is not a half-integer"),
-    (lambda: clebsch_gordan(0.5, 0.3, 0.5, 0.5, 1, 1), "m1 = 0.3 is not a half-integer"),
+    (lambda: tau(0.3, 0, 0), "j must be a half-integer, got 0.3"),
+    (lambda: angular_momentum_matrices(0.7), "j must be a half-integer, got 0.7"),
+    (lambda: clebsch_gordan(0.5, 0.3, 0.5, 0.5, 1, 1), "m1 must be a half-integer, got 0.3"),
 ])
 def test_a_spin_or_projection_off_the_half_integers_is_an_input_error(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):
