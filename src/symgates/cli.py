@@ -36,8 +36,8 @@ once, then walks it in runs of its buffers' rows, written with out= into
 the buffers it is given.  The public batch functions allocate buffers
 for the whole grid (`gates._scratch`), so they are the case of one run;
 the CLI hands over its workspace (`_Workspace.gate_stage`), so each run
-is a block of _BLOCK points or fewer, scored by the same code
-(`entanglement._scores_into`).  Blocks, (float columns, class levels or
+is a block of _BLOCK points or fewer, scored by the same code as the
+public functions' one run.  Blocks, (float columns, class levels or
 None), are written as bytes as they come, the CSV header with the first
 one, so that a series the kernel rejects writes no byte; the file
 replaces --out after the last block, and then the row count and a
@@ -323,7 +323,7 @@ class _Workspace:
     - the gate stage: u3, tmp, (rows, 3, 3) complex stacks, the gates and
       the scratch that builds and scores them (`gates._gates_into`,
       `entanglement._scores_into`), and phases, (2, rows) complex, the B8
-      and LMG phase rows (`gates._phases`);
+      phase rows (`gates._phases`) or the LMG profile's cos + i sin rows;
     - the cell stage: table, (rows, floats), a block's float columns side
       by side, then scratch, flags, digit_zeros, gather, words, layers and
       cells, the intermediates of `_float_cells`, one per float cell;

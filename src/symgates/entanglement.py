@@ -39,10 +39,9 @@ product (a a - b b) + i (a b + b a), which `_power_batch` writes out in
 real arithmetic (2 a b would round apart where a b is subnormal), and
 Python's abs of a complex number is the hypot that `_power_batch` calls;
 numpy's array kernels for complex multiply and abs are not used in this
-step, as they may round differently.  The |up up> concurrence column is
-written out the same way.  Hypothesis tests in tests/test_batch.py pin
-the two forms equal (==) on the B_k and LMG grids and on Haar-random
-3x3 unitaries.
+step, as they may round differently.  Hypothesis tests in
+tests/test_batch.py pin the two forms equal (==) on the B_k and LMG grids
+and on Haar-random 3x3 unitaries.
 
 The same S gives the concurrence of a symmetric gate's image without the
 4x4 matrix: a product-basis state with triplet coordinates t and singlet
@@ -51,20 +50,27 @@ the gate maps (t, s) to (u3 t, s).  `spe_condition` evaluates that form
 for every gate, whatever its label.  `apply_gate` embeds u3 @ vec3, a
 unit vector, and takes its 2|ad - bc| without `concurrence`'s checks.
 
-`lmg_entanglement_profile` scores an LMG time series the same way and
-returns its columns t, e_p and the concurrence of the evolved |up up>
-state as float arrays, the rows of `symgates lmg --t-max`.
+`lmg_entanglement_profile`, the rows t, e_p, |up up> concurrence of
+`symgates lmg --t-max`, builds no gate.  At xi = 2 g1 t, phi = 2 g2 t
+(`gates`), |G1| = ((cos 2 xi + cos 2 phi)/2)^2 and the concurrence is
+|sin 2 xi| (Makhlin, QIP 1, 243 (2002); Zhang et al., PRA 67, 042313
+(2003)), so e_p = (2/9)(s_xi^2 + s_phi^2)(c_xi^2 + c_phi^2), with no
+subtraction of near-equal numbers, and the concurrence is 2|s_xi c_xi|:
+a few ulps from the exact values at the float angles (e_p may round a few
+ulps above 2/9).  c + i s is numpy's complex exp (libm's bits, as in
+`gates`), then only IEEE multiply, add and abs, so the bytes are the same
+on every numpy kernel set.  `entangling_power` of an `lmg_gate` scores its
+u3, so its e_p can differ from the series row in the last digit.
 
 The batch path writes its stacks and intermediates with out=, into
 buffers that its caller hands over, as in `gates`: every kernel on a
-built stack (`_symmetric_invariants`, `_power_batch`, `_scores_into`,
-`_up_up_concurrences`) takes its arrays.  `_lmg_profile_into` takes a
-provider of the gate buffers (`gates._scratch`, or the CLI's workspace)
-and scores the runs of `gates._lmg_into`, which checks the whole grid
-once and then builds it in runs of the buffers' rows.  The public batch
-functions allocate what they pass, so they are the case of one run; the
-CLI passes views of its workspace, so that a series block allocates only
-its new columns.
+built stack (`_symmetric_invariants`, `_power_batch`, `_scores_into`)
+takes its arrays, and `_lmg_profile_into` a provider of the gate buffers
+(`gates._scratch`, or the CLI's workspace), whose phase rows it fills run
+by run once `gates._lmg_grid` has checked the whole grid.  The public
+batch functions allocate what they pass, so they are the case of one run;
+the CLI passes views of its workspace, so that a series block allocates
+only its new columns.
 
 Amplitude ordering for all 4-vectors is (up-up, up-down, down-up,
 down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
@@ -79,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateBatch, SymmetricGate, _lmg_into, _scratch
+from .gates import GateBatch, SymmetricGate, _lmg_grid, _runs, _scratch
 from .linalg import InputError, _finite, _matrix, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
@@ -113,8 +119,6 @@ _S = np.fliplr(np.diag([1.0, -1.0, 1.0]))  # W^T W, module docstring
 _BELL_TO_QUBIT = _QUBIT_TO_BELL.conj().T
 # Above this norm, squares of amplitudes that underflow change it by under 1e-23.
 _MIN_SAFE_NORM = 1e-150
-# |1 0> = (up-down + down-up)/sqrt2: the same factor as in U_QUBIT_TO_ANGULAR
-_INV_SQ2 = U_QUBIT_TO_ANGULAR[1, 1].real
 
 
 def _bell_invariants(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,36 +476,10 @@ def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
                               all_maximal=all(cv >= 1.0 - 1e-10 for cv in concs))
 
 
-def _up_up_concurrences(u3: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Concurrence of u4 |up up> = (u00, u10/sqrt2, u10/sqrt2, u20) for each
-    gate of a (N, 3, 3) stack, as |up up> = |1 1>; columns of gates unitary
-    within 1e-12 need no renormalization.  The bytes of `tmp`, another such
-    stack, C-contiguous, hold the intermediates."""
-    scratch = tmp.reshape(9, -1)[:3]
-    f = scratch[1:].view(np.float64).reshape(4, -1)
-    a, d = u3[:, 0, 0], u3[:, 2, 0]
-    b = np.multiply(u3[:, 1, 0], _INV_SQ2, out=scratch[0])
-    # 2|ad - bb| in real arithmetic, rounded as _pure_concurrence's scalar
-    # complex products and abs (hypot) round it
-    re = np.multiply(a.real, d.real, out=f[0])
-    re -= np.multiply(a.imag, d.imag, out=f[1])
-    bb = np.multiply(b.real, b.real, out=f[1])
-    bb -= np.multiply(b.imag, b.imag, out=f[2])
-    re -= bb
-    im = np.multiply(a.real, d.imag, out=f[1])
-    im += np.multiply(a.imag, d.real, out=f[2])
-    bb = np.multiply(b.real, b.imag, out=f[2])
-    bb += np.multiply(b.imag, b.real, out=f[3])
-    im -= bb
-    conc = np.hypot(re, im)
-    conc *= 2.0
-    return conc
-
-
 def lmg_entanglement_profile(g1: float, g2: float,
                              t_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns t, e_p and |up up>-image concurrence of an LMG time series,
-    as float arrays computed from one stack of gates.
+    as float arrays, from the family law of the module docstring.
 
     The concurrence of the evolved |up up> state equals |sin(4 g1 t)|:
     zero at t = n pi / (4 g1) and maximal when 4 g1 t is an odd multiple
@@ -513,8 +491,20 @@ def lmg_entanglement_profile(g1: float, g2: float,
 
 
 def _lmg_profile_into(g1: float, g2: float, t_grid, scratch):
-    """The runs (t, e_p, concurrence) of `lmg_entanglement_profile`: each run
-    of `gates._lmg_into`, which checks the grid once, scored with its tmp as
-    scratch.  t is a view of the grid; e_p and concurrence are new arrays."""
-    for t, u3, tmp in _lmg_into(g1, g2, t_grid, scratch, "t_grid"):
-        yield t, _scores_into(u3, tmp).ep, _up_up_concurrences(u3, tmp)
+    """The runs (t, e_p, concurrence) of `lmg_entanglement_profile`, by the
+    family law (module docstring), in the phase rows of `scratch(N)`'s runs
+    (`gates._runs`).  t is a view of the grid; e_p and concurrence are new arrays."""
+    g1, g2, t_grid = _lmg_grid(g1, g2, t_grid, "t_grid")
+    for t, _, _, phases in _runs(t_grid, scratch):
+        phases.real = 0.0
+        np.multiply.outer((2.0 * g1, 2.0 * g2), t, out=phases.imag)  # xi, phi
+        cos, sin = np.exp(phases, out=phases).real, phases.imag
+        conc = np.multiply(sin[0], cos[0])
+        np.abs(conc, out=conc)
+        conc *= 2.0
+        np.multiply(cos, cos, out=cos)
+        np.multiply(sin, sin, out=sin)
+        ep = np.add(sin[0], sin[1])
+        ep *= np.add(cos[0], cos[1], out=cos[0])
+        ep *= MAX_EP
+        yield t, ep, conc

@@ -26,7 +26,8 @@ stack, and `gate` and `lmg_gate` are their one-point case, so a gate is
 the same (==) alone or in a grid.  Behind them are two kernels,
 `_gates_into` and `_lmg_into`, under one contract.  A kernel checks its
 arguments over the whole grid once: the index or couplings, a finite 1-D
-grid, and each product that could overflow at the grid's largest |angle|.
+grid, and each product that could overflow at the grid's largest |angle|
+(for LMG `_lmg_grid`, which the profile of `entanglement` shares).
 It then walks the grid in runs of len(u3) points (`_runs`), writing each
 run's stack entry by entry with out=, into the buffers of a provider: a
 function of the grid's size N that returns the complex stacks u3 and tmp
@@ -238,24 +239,27 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     `lmg_gate`: B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi}), xi = 2 g1 t,
     phi = 2 g2 t (see the module docstring), exact to a few ulps at the
     float angles; InputError names the product if xi, phi or 2 phi overflows."""
-    return GateBatch(next(_lmg_into(g1, g2, ts, _scratch, "ts"))[1])
+    return GateBatch(next(_lmg_into(g1, g2, ts, _scratch))[1])
 
 
-def _lmg_into(g1: float, g2: float, ts, scratch, name: str):
-    """The runs (times, u3, tmp) of `lmg_batch(g1, g2, ts)` (`_runs`), once the
-    couplings, the grid, named `name`, and xi, phi and 2 phi at its largest
-    |t| are checked: each run's gates are written into its u3, with its tmp
-    and phases as scratch.  The grid "t_grid" of `lmg_entanglement_profile`
-    is checked before the couplings, a grid of `lmg_batch` after them."""
-    ts = _grid(name, ts) if name == "t_grid" else ts  # checked first, as documented
+def _lmg_grid(g1: float, g2: float, ts, name: str) -> tuple[float, float, np.ndarray]:
+    """g1, g2, the grid `ts` under `name`, then xi, phi and 2 phi at its largest
+    |t|, checked in that order: `_lmg_into`'s rule and the LMG profile's."""
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
-    ts = ts if name == "t_grid" else _grid(name, ts)
+    ts = _grid(name, ts)
     # max |t|, taken without an array of the grid's size; with the largest
     # weights it bounds xi, phi and 2 phi
     t_top = max(float(ts.max()), -float(ts.min()))
     _bounded("2*g1*t", 2.0 * g1, t_top)
     _bounded("2*g2*t", 2.0 * g2, t_top)
     _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
+    return g1, g2, ts
+
+
+def _lmg_into(g1: float, g2: float, ts, scratch):
+    """The runs (times, u3, tmp) of `lmg_batch(g1, g2, ts)` (`_runs`), checked by
+    `_lmg_grid`, each written into its u3 with its tmp and phases as scratch."""
+    g1, g2, ts = _lmg_grid(g1, g2, ts, "ts")
     for t, u3, tmp, phases in _runs(ts, scratch):
         b7 = _rotation(2.0 * g1 * t, 7, tmp, u3)
         _phases(2.0 * g2 * t, _LMG_WEIGHTS, phases)

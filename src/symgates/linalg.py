@@ -90,7 +90,9 @@ def _grid(name: str, values) -> np.ndarray:
     grid = np.asarray(values, dtype=np.float64)
     if grid.ndim != 1 or grid.size == 0:
         raise InputError(f"{name} must be a non-empty 1-D array, got shape {grid.shape}")
-    return _finite(name, grid)
+    if math.isfinite(grid.min()) and math.isfinite(grid.max()):  # NaN and inf show there
+        return grid  # checked with no array of the grid's size
+    return _finite(name, grid)  # raises, naming the first non-finite entry
 
 
 def _require(ok: bool, message: str, name: str, value) -> None:

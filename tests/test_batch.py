@@ -16,13 +16,13 @@ from symgates import cli, gates
 from symgates.cli import fmt_float, main
 from symgates.entanglement import (
     CLASSES,
+    MAX_EP,
     _bell_invariants,
     _g1,
     _gate_invariants,
     _power,
     _power_batch,
     _symmetric_invariants,
-    _up_up_concurrences,
     concurrence,
     entangling_power,
     entangling_power_batch,
@@ -65,6 +65,16 @@ def _tail(tr, det):
     return _power_batch(tr, det, np.empty((3, *tr.shape), np.complex128))
 
 
+def _lmg_law(g1, g2, t):
+    """e_p and the |up up> concurrence of LMG(g1, g2) at t by the family law,
+    from math.cos and math.sin of xi = fl(2 g1 t) and phi = fl(2 g2 t), in
+    the operations and order of `entanglement._lmg_profile_into`."""
+    xi, phi = 2.0 * g1 * t, 2.0 * g2 * t
+    c_xi, s_xi, c_phi, s_phi = math.cos(xi), math.sin(xi), math.cos(phi), math.sin(phi)
+    return ((s_xi * s_xi + s_phi * s_phi) * (c_xi * c_xi + c_phi * c_phi) * MAX_EP,
+            2.0 * abs(s_xi * c_xi))
+
+
 def _assert_reports_equal(batch, i, report):
     assert batch.g1[i] == report.g1
     assert batch.g1_abs[i] == report.g1_abs
@@ -100,8 +110,10 @@ def test_lmg_batch_equals_scalar_path(g1, g2, ts):
         assert np.array_equal(batch.u4[i], g.u4)
         report = entangling_power(g)
         _assert_reports_equal(scores, i, report)
-        assert profile_ep[i] == report.ep
-        assert profile_conc[i] == concurrence(g.u4 @ UP_UP)
+        # the profile is the family law, within 2e-15 of the gate's scores
+        assert (profile_ep[i], profile_conc[i]) == _lmg_law(g1, g2, t)
+        assert abs(profile_ep[i] - report.ep) <= 2e-15
+        assert abs(profile_conc[i] - concurrence(g.u4 @ UP_UP)) <= 2e-15
 
 
 @settings(max_examples=40, deadline=None)
@@ -121,16 +133,13 @@ def test_raw_stack_scores_equal_the_scalar_path(seed, size):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 80))
 def test_vector_tail_equals_the_scalar_tail_on_haar_gates(seed, size):
-    # The vector tail and the |up up> column round as the scalar helpers
-    # do for any unitary u3, not only on the B_k and LMG families.
+    # The vector tail rounds as the scalar helpers do for any unitary u3,
+    # not only on the B_k and LMG families.
     rng = np.random.default_rng(seed)
     u3 = np.stack([haar_unitary(rng, 3) for _ in range(size)])
     scores = entangling_power_batch(GateBatch(u3))
-    concs = _up_up_concurrences(u3, np.empty_like(u3))
     for i in range(size):
-        g = custom_gate(u3[i])
-        _assert_reports_equal(scores, i, entangling_power(g))
-        assert concs[i] == concurrence(g.u4 @ UP_UP)
+        _assert_reports_equal(scores, i, entangling_power(custom_gate(u3[i])))
 
 
 def _bits(z) -> bytes:
@@ -293,32 +302,59 @@ def test_g1_abs_matches_high_precision_forms():
             for theta, g1_abs in zip(thetas.tolist(), scores.g1_abs.tolist()):
                 assert abs(g1_abs - _closed_form_g1_abs(mpmath, k, mpmath.mpf(theta))) <= 2e-15
         # The LMG gate is B7(xi) times a phase, built from the float angles
-        # xi = fl(2 g1 t) and phi = fl(2 g2 t), so |G1| and the |up up>
+        # xi = fl(2 g1 t) and phi = fl(2 g2 t), so its |G1| and |up up>
         # concurrence are compared with their exact values at those angles.
         for g1, g2 in [(1.0, 2.0), (-0.7, 1.3), (0.25, 1.75), (1e4, 3e4)]:
             ts = np.linspace(0.0, math.pi, 241)
-            scores = entangling_power_batch(lmg_batch(g1, g2, ts))
-            _, _, concs = lmg_entanglement_profile(g1, g2, ts)
-            for t, g1_abs, conc in zip(ts.tolist(), scores.g1_abs.tolist(), concs.tolist()):
+            batch = lmg_batch(g1, g2, ts)
+            scores = entangling_power_batch(batch)
+            concs = [concurrence(u4 @ UP_UP) for u4 in batch.u4]
+            for t, g1_abs, conc in zip(ts.tolist(), scores.g1_abs.tolist(), concs):
                 xi, phi = mpmath.mpf(2.0 * g1 * t), mpmath.mpf(2.0 * g2 * t)
                 exact = ((mpmath.cos(2 * xi) + mpmath.cos(2 * phi)) / 2) ** 2
                 assert abs(g1_abs - exact) <= 2e-15
                 assert abs(conc - abs(mpmath.sin(2 * xi))) <= 2e-15
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(g1=couplings, g2=couplings, t=st.floats(-5.0, 5.0, allow_nan=False))
+# concurrence zeros: xi = fl(pi/2), where cos xi is 6e-17, and xi = fl(pi),
+# phi = fl(2 pi), where both sines are 1e-16 and e_p is 3e-32, which
+# (2/9)(1 - |G1|) would round to 0
+@example(g1=0.9, g2=1.7, t=0.8726646259971648)
+@example(g1=1.0, g2=2.0, t=1.5707963267948966)
+# e_p -> 0 as both cosines vanish, and as t does
+@example(g1=0.25, g2=0.75, t=math.pi)
+@example(g1=0.9, g2=1.7, t=1e-9)
+# phi = fl(2 g2 t) is subnormal
+@example(g1=2.1607476819635814, g2=2.225073858507e-311, t=0.9151042458314187)
+def test_lmg_profile_is_exact_to_a_few_ulps_at_the_float_angles(g1, g2, t):
+    mpmath = pytest.importorskip("mpmath")
+    _, ep, conc = lmg_entanglement_profile(g1, g2, [t])
+    with mpmath.workdps(80):
+        xi, phi = mpmath.mpf(2.0 * g1 * t), mpmath.mpf(2.0 * g2 * t)
+        # 1 - |G1| with |G1| = ((cos 2 xi + cos 2 phi)/2)^2 = (1 - b)^2, as
+        # cos 2x = 1 - 2 sin^2 x: b (2 - b), which cancels no digit
+        b = mpmath.sin(xi) ** 2 + mpmath.sin(phi) ** 2
+        exact = ((2 * b * (2 - b) / 9, ep[0]), (abs(mpmath.sin(2 * xi)), conc[0]))
+        for value, got in exact:
+            # relative, but for values that underflow, which no float holds to a few ulps
+            assert abs(got - value) <= 4 * 2.0 ** -52 * value + 2.0 ** -1070
+
 # SHA-256 of the CSVs scored with the closed-form 3x3 invariants.  Against
 # the earlier 4x4 Bell-transform path only g1_abs and e_p cells differ, each
 # by at most 1.1e-15 (checked cell by cell when these were taken); theta, t,
 # class and concurrence are byte-identical.  B1 == B2 and B4 == B7, B5 == B6:
 # locally equivalent gates now give the same tr(m) and det bit for bit.
-# These hashes, the LMG ones below and REPORT_STDOUT_SHA256 in test_cli.py
-# depend on numpy's SIMD dispatch as well as on its release: they were
-# taken with numpy 2.4.6 on x86-64, whose complex multiply kernels use FMA
-# from X86_V3 (AVX2) on, and hold with X86_V3 or AVX-512 kernels alike.
-# With NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
-# (baseline X86_V2, no FMA) the B3 and B8 sweeps, the three LMG series and
-# the third report differ in their last digits; every other test passes
-# there, the scalar == batch ones included.
+# These hashes and REPORT_STDOUT_SHA256 in test_cli.py depend on numpy's
+# SIMD dispatch as well as on its release: they were taken with numpy 2.4.6
+# on x86-64, whose complex multiply kernels use FMA from X86_V3 (AVX2) on,
+# and hold with X86_V3 or AVX-512 kernels alike.  With
+# NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" (baseline
+# X86_V2, no FMA) the B3 and B8 sweeps and the third report differ in their
+# last digits; every other test passes there, the scalar == batch ones and
+# the LMG hashes below included.
 SWEEP_2049_SHA256 = {
     1: "7d0cbded9089292b73cab1c82b323c9e0382f48f9baf54c5de00769c4dc2c363",
     2: "7d0cbded9089292b73cab1c82b323c9e0382f48f9baf54c5de00769c4dc2c363",
@@ -329,18 +365,22 @@ SWEEP_2049_SHA256 = {
     7: "0b4300cb96a67c1fb3495c08e2c038d983fd6454e5aa65b176a2342468b2f07c",
     8: "e046876b13bec4c8fca01667e6f223f1ee247debc0865a3e21177d70de03db76",
 }
-# SHA-256 of the LMG series built as B7(2 g1 t) times a phase.  Against the
-# earlier eigendecomposition of the Hamiltonian only ep and concurrence
-# cells differ (1046 and 2499 of the 3881 rows, by at most 2.0e-15 and
-# 7.1e-15; checked cell by cell when these were taken); every t is
+# SHA-256 of the LMG series by the family law (entanglement module
+# docstring): libm's cos and sin, then only IEEE multiply, add and abs, so
+# the bytes are the same on every numpy kernel set (numpy 2.4.6, default and
+# baseline X86_V2 kernels).  Against the earlier scores of the gate stack
+# through tr(m) and det only e_p and concurrence cells differ: 137 and 146
+# of the 1441 rows of LMG(1, 2), 99 and 129 of the 1441 of the second
+# series, 68 and 94 of the 999 of the third, by at most 1.03e-15 and
+# 1.06e-15 (checked cell by cell when these were taken); every t is
 # byte-identical.
 LMG_SHA256 = {
     ("1.0", "2.0", "0", "pi", "1441"):
-        "c50053dddfc019b1686ff696dd62b49c3752b1daa79443003707f2ad6a377613",
+        "317cbb5ab07218c1adb495bceec6a5d16dca69e49d6b614140bd4d3e6df5f595",
     ("1.1456878432254491", "1.9133114685703867", "0", "pi", "1441"):
-        "90b027316497acfb0b88dede457a77d86a7ae9c2319f763eb5e41a93dee1509e",
+        "09e823ae5b23f721f01cfad171e6085de0d8a5953d12273cc554eaea8be5a91f",
     ("-0.7", "1.3", "-1", "7", "999"):
-        "fdfd9cb02e28fc9ba6101bcc03a6ae5750b53761c2a536595bec18ade068119e",
+        "3f4263d7d4c7fd0d3b61a258de79a7ebe18becd69181727b01410107c640c8e6",
 }
 
 
@@ -357,8 +397,8 @@ def test_sweep_csv_is_byte_identical_to_the_per_point_output(tmp_path, capsys, k
 
 
 @pytest.mark.parametrize("g1, g2, t_min, t_max, steps", list(LMG_SHA256))
-def test_lmg_csv_is_byte_identical_to_the_per_point_output(tmp_path, capsys, g1, g2, t_min,
-                                                         t_max, steps):
+def test_lmg_csv_has_its_pinned_digest_on_every_kernel_set(tmp_path, capsys, g1, g2, t_min,
+                                                           t_max, steps):
     out = tmp_path / "lmg.csv"
     assert main(["lmg", "--g1", g1, "--g2", g2, "--t-min", t_min, "--t-max", t_max,
                  "--steps", steps, "--out", str(out)]) == 0
@@ -421,11 +461,15 @@ def _scalar_sweep_csv(k, thetas) -> str:
 
 
 def _scalar_lmg_csv(g1, g2, ts) -> str:
+    """The rows of an LMG series by the family law, each checked within
+    2e-15 of the scores of its gate."""
     lines = ["t,ep,concurrence"]
-    for t in ts:
-        g = lmg_gate(LMGParams(g1=g1, g2=g2, t=float(t)))
-        lines.append(",".join([fmt_float(t), fmt_float(entangling_power(g).ep),
-                               fmt_float(concurrence(g.u4 @ UP_UP))]))
+    for t in ts.tolist():
+        ep, conc = _lmg_law(g1, g2, t)
+        g = lmg_gate(LMGParams(g1=g1, g2=g2, t=t))
+        assert abs(ep - entangling_power(g).ep) <= 2e-15
+        assert abs(conc - concurrence(g.u4 @ UP_UP)) <= 2e-15
+        lines.append(",".join([fmt_float(t), fmt_float(ep), fmt_float(conc)]))
     return "\n".join(lines) + "\n"
 
 
@@ -727,6 +771,27 @@ def test_grids_must_be_non_empty_and_one_dimensional():
         gates_batch(4, [])
     with pytest.raises(InputError, match="1-D"):
         lmg_batch(1.0, 1.0, [[0.1, 0.2]])
+
+
+def test_a_grid_check_allocates_no_array_of_the_grid_size():
+    grid = np.linspace(-1.0, 1.0, 10 ** 6)
+    _grid("ts", grid)
+    tracemalloc.start()
+    try:
+        assert _grid("ts", grid) is grid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 10
+
+
+@WARNINGS_ARE_ERRORS
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_grid_names_its_first_non_finite_entry(bad):
+    grid = np.linspace(-1.0, 1.0, 10 ** 6)
+    grid[[17, 10 ** 5]] = bad, math.nan
+    with pytest.raises(InputError, match=rf"^ts must be finite, got {bad} at index 17$"):
+        _grid("ts", grid)
 
 
 def test_cli_rejects_non_finite_coupling(capsys):

@@ -913,9 +913,9 @@ def test_gate_report_is_deterministic(capsys):
 # `act` hashes of B8, B2 and B5 were retaken when `apply_gate` started to
 # embed u3 @ vec3 instead of multiplying by u4: their last printed digit
 # moved (amplitudes by at most 1.6e-16, the B2 concurrence from 0 to 2.2e-16).
-# Like the CSV hashes of test_batch.py they depend on numpy's SIMD dispatch:
-# without FMA kernels the third report (`act 1 --theta 0.3`) prints other
-# last digits.
+# Like the sweep CSV hashes of test_batch.py they depend on numpy's SIMD
+# dispatch: without FMA kernels the third report (`act 1 --theta 0.3`)
+# prints other last digits.
 DECOMPOSE_INPUTS = {
     "9ead8f7740c546965f98afae50fb9308b5ba2736786e260a2ccc3a4349b6ab78": [
         [[1.0, 0], [0.5, -0.25], [0, 0.3]],
