@@ -27,26 +27,24 @@ exit 0.
 `sweep` and `lmg --t-max` share `_write_series`, which rejects a missing
 or empty --out, --steps below 2 and an empty or reversed range as usage
 errors.  A series call allocates one `_Workspace` of min(steps, _BLOCK)
-rows when it starts and passes it to every stage that builds, scores and
-lays out a block (`sweep_blocks`, `lmg_blocks`, `write_csv`), which takes
-it as a required argument.  The library's grid kernels
-(`gates._gates_into`, `entanglement._lmg_profile_into`) take their
-buffers the same way, under one contract: a kernel checks its whole grid
-once, then walks it in runs of its buffers' rows, written with out= into
-the buffers it is given.  The public batch functions allocate buffers
-for the whole grid (`gates._scratch`), so they are the case of one run;
-the CLI hands over its workspace (`_Workspace.gate_stage`), so each run
-is a block of _BLOCK points or fewer, scored by the same code as the
-public functions' one run.  Blocks, (float columns, class levels or
-None), are written as bytes as they come, the CSV header with the first
-one, so that a series the kernel rejects writes no byte; the file
-replaces --out after the last block, and then the row count and a
-summary folded from the blocks are printed, on stderr if --out is
-stdout.  A block's gate, cell and row stages reuse the same bytes of the
-workspace in turn.  That is safe: a block's columns are new arrays,
-which stay valid after the next block, and its rows are written before
-the next block is built.  Otherwise only the library's public names are
-used.
+rows when it starts and passes it to every stage that computes and lays
+out a block (`sweep_blocks`, `lmg_blocks`, `write_csv`), which takes it
+as a required argument.  A series is its family law, and builds no gate:
+the library's law kernels (`entanglement._sweep_into`,
+`entanglement._lmg_profile_into`) check the whole grid once, then walk it
+in runs of one (2, rows) complex phase buffer, here the workspace's
+`phases`, so each run is a block of _BLOCK points or fewer.  The public
+functions pass no buffer, and take one run over the whole grid.  Blocks,
+(float columns, class levels or None), are written as bytes as they come,
+the CSV header with the first one, so that a series the kernel rejects
+writes no byte; the file replaces --out after the last block, and then
+the row count and a summary folded from the blocks are printed.  If
+--out is this process's stdout, the rows go to fd 1 as they are, so that
+a shell's redirection (`>`, `>>`) keeps what it holds, and the report to
+stderr.  A block's cell and row stages reuse the same bytes of the
+workspace in turn.  That is safe: a block's columns are new arrays, which
+stay valid after the next block, and its rows are written before the next
+block is computed.  Otherwise only the library's public names are used.
 
 A CSV float cell holds the bytes of '%.15g' % (x + 0.0), as `fmt_float`
 prints the text reports.  A block's float cells go through one numpy
@@ -313,39 +311,31 @@ class _Workspace:
     """The large intermediates of a series block, views of one buffer that
     a call allocates once, for blocks of up to `rows` rows of _FLOATS float
     cells and a class cell; a shorter block uses their first rows.  Every
-    stage of a block takes it, or its gate stage (`gate_stage`), as a
-    required argument: no stage allocates its own.
+    stage of a block takes it, or its phase rows, as a required argument:
+    no stage allocates its own.
     Allocated afresh for each block, they let glibc trim the heap and fault
     it back on some blocks, depending on where the heap happens to lie.
 
-    A block passes through three stages, and each stage's fields lie side
-    by side from the buffer's start, over the bytes of the stage before:
-    - the gate stage: u3, tmp, (rows, 3, 3) complex stacks, the gates and
-      the scratch that builds and scores them (`gates._gates_into`,
-      `entanglement._scores_into`), and phases, (2, rows) complex, the B8
-      phase rows (`gates._phases`) or the LMG profile's cos + i sin rows;
+    A block passes through two stages, and each stage's fields lie side by
+    side from the buffer's start, over the bytes of the other:
     - the cell stage: table, (rows, floats), a block's float columns side
       by side, then scratch, flags, digit_zeros, gather, words, layers and
       cells, the intermediates of `_float_cells`, one per float cell;
-    - the row stage: rows, the block's CSV rows, each row's cells and pads,
-      over every field of the cell stage but cells, which it copies.
-    Sharing is safe because each stage is done with the bytes it lies over:
-    the gate stage yields new arrays (and views of the grid), which `table`
-    copies, and `cells` is read into `rows` after the last read of every
-    other cell-stage field."""
+    - the row stage: phases, (2, rows) complex, the law kernel's cos + i sin
+      rows (`entanglement._sweep_into`, `entanglement._lmg_profile_into`),
+      and rows, the block's CSV rows, each row's cells and pads, over every
+      field of the cell stage but cells, which it copies.
+    Sharing is safe because each field is done with the bytes it lies over:
+    the kernel yields new arrays (and views of the grid), which `table`
+    copies, `cells` is read into `rows` after the last read of every other
+    cell-stage field, and the next block's kernel writes `phases` after
+    `rows` is written out."""
 
     def __init__(self, rows: int):
         layout = _workspace_layout(rows)
         buffer = np.empty((), layout)
         for name in layout.names:
             setattr(self, name, buffer[name])
-
-    def gate_stage(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The buffers of a run of gates, u3, tmp and phases, shaped as
-        `gates._scratch(n)` allocates them, with numpy's slicing capping n
-        at rows: the provider that `gates._gates_into` and
-        `entanglement._lmg_profile_into` take, whose runs are of min(n, rows)."""
-        return self.u3[:n], self.tmp[:n], self.phases[:, :n]
 
 
 def _stage(fields) -> list:
@@ -365,13 +355,11 @@ def _workspace_layout(rows: int) -> np.dtype:
     n = rows * _FLOATS
     width = _FLOATS * _CELL + _class_cells().shape[1]
     fields = [
-        *_stage([("u3", np.complex128, (rows, 3, 3)), ("tmp", np.complex128, (rows, 3, 3)),
-                 ("phases", np.complex128, (2, rows))]),
         *_stage([("table", np.float64, (rows, _FLOATS)), ("scratch", np.float64, (6, n)),
                  ("flags", np.bool_, (2, n)), ("digit_zeros", np.int8, (2, n)),
                  ("gather", _cell_tables()[1].dtype, (n,)), ("words", np.intp, (n, 5)),
                  ("layers", "<u8", (n, 5)), ("cells", np.uint8, (n * _CELL + 8,))]),
-        *_stage([("rows", np.uint8, (rows * width,))]),
+        *_stage([("phases", np.complex128, (2, rows)), ("rows", np.uint8, (rows * width,))]),
     ]
     names, formats, offsets = zip(*fields)
     return np.dtype({"names": names, "formats": formats, "offsets": offsets,
@@ -474,9 +462,9 @@ def _class_cells() -> np.ndarray:
 
 def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace):
     """Blocks ((theta, |G1|, e_p), class levels) of a B_k sweep, one per run
-    of `gates._gates_into`, which checks the grid once and builds it in
-    runs of the rows of `ws`; each is yielded as new arrays, theta a view
-    of thetas.
+    of `entanglement._sweep_into`, which checks the grid once and computes
+    it by its family law in runs of the phase rows of `ws`; each is yielded
+    as new arrays, theta a view of thetas.
 
     Returns the sweep's summary line: the largest e_p and the angle of its
     first row, and the first and last angle of the first _LISTED runs of
@@ -484,10 +472,8 @@ def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace):
     that the sweep is non-entangling, when its largest e_p is classed so."""
     best_ep, best_theta, best_level = -math.inf, 0.0, 0
     starts, ends, runs, in_run = [], [], 0, False
-    for theta, u3, tmp in gates._gates_into(k, thetas, ws.gate_stage):
-        report = entanglement._scores_into(u3, tmp)
-        ep, level = report.ep, report.level
-        yield (theta, report.g1_abs, ep), level
+    for theta, g1_abs, ep, level in entanglement._sweep_into(k, thetas, ws.phases):
+        yield (theta, g1_abs, ep), level
         i = int(np.argmax(ep))
         if ep[i] > best_ep:
             best_ep, best_theta, best_level = float(ep[i]), float(theta[i]), int(level[i])
@@ -512,15 +498,15 @@ def sweep_blocks(k: int, thetas: np.ndarray, ws: _Workspace):
 def lmg_blocks(g1: float, g2: float, t_grid: np.ndarray, ws: _Workspace):
     """Blocks ((t, e_p, concurrence of B_L |up up>), None) of an LMG series,
     one per run of `entanglement._lmg_profile_into`, which checks the grid
-    once and builds it in runs of the rows of `ws`; each is yielded as new
-    arrays, t a view of t_grid.
+    once and computes it by its family law in runs of the phase rows of
+    `ws`; each is yielded as new arrays, t a view of t_grid.
 
     Returns the series' summary lines: the first _LISTED times of
     concurrence zeros (< 1e-9) and maxima (> 1 - 1e-9), and of e_p within
     1e-9 of 2/9, each beside the times the closed forms give; an empty
     list reads "none on grid"."""
     zeros, maxima, hits = [], [], []
-    for t, ep, conc in entanglement._lmg_profile_into(g1, g2, t_grid, ws.gate_stage):
+    for t, ep, conc in entanglement._lmg_profile_into(g1, g2, t_grid, ws.phases):
         yield (t, ep, conc), None
         for found, mask in ((zeros, conc < 1e-9), (maxima, conc > 1.0 - 1e-9),
                             (hits, np.abs(ep - 2.0 / 9.0) < 1e-9)):
@@ -544,7 +530,7 @@ def _write_rows(fh, header: str, blocks, ws: _Workspace) -> int:
     _FLOATS float columns, class levels or None) to the binary file `fh`: the floats
     as fmt_float prints them (`_float_cells`), then a level's label in
     entanglement.CLASSES.  Each block, no longer than `ws` has rows, is laid
-    out in `ws`.  Its `table` and `rows` lie over the gate stage and the
+    out in `ws`.  Its `table` and `rows` lie over the phase rows and the
     cell stage (see `_Workspace`), so a block's columns must not be views
     of `ws`: a series yields new arrays and views of its grid.  Each _SLICE
     rows are copied to a bytes object, whose pads one translate drops, and
@@ -660,8 +646,9 @@ def cmd_basis(args) -> int:
 def _write_series(args, name: str, start: float, stop: float, header: str, blocks) -> int:
     """Write the CSV of the --steps point grid from start to stop, of the
     blocks that `blocks(grid)` yields, then print the row count and the
-    summary it returns: on stderr if --out is this process's stdout, so
-    that stdout holds the CSV alone.  InputError (exit 2) if --steps is
+    summary it returns.  If --out is this process's stdout, the rows go to
+    fd 1 at its offset (`>>` appends) and the report to stderr, so that
+    stdout holds the CSV alone.  InputError (exit 2) if --steps is
     missing, below 2 or too large for memory, --out is missing or empty or
     cannot be written or --{name}-max is not above --{name}-min; exit 0 if the reader
     of a piped --out has gone."""
@@ -681,9 +668,9 @@ def _write_series(args, name: str, start: float, stop: float, header: str, block
         raise InputError(f"--steps {args.steps} is too large: "
                          "the grid does not fit in memory") from None
     try:  # before writing: a regular --out is replaced by a new file
-        report = sys.stderr if os.path.samestat(os.stat(args.out), os.fstat(1)) else sys.stdout
+        to_stdout = os.path.samestat(os.stat(args.out), os.fstat(1))
     except OSError:  # no such file yet, or no fd 1
-        report = sys.stdout
+        to_stdout = False
     summary = []
     ws = _Workspace(min(len(grid), _BLOCK))  # every block of the call is built in it
 
@@ -691,12 +678,17 @@ def _write_series(args, name: str, start: float, stop: float, header: str, block
         summary.append((yield from blocks(grid, ws)))
 
     try:
-        count = write_csv(args.out, header, stream(), ws)
+        if to_stdout:  # at fd 1's offset, which a new file would not share
+            with open(1, "wb", closefd=False) as fh:
+                count = _write_rows(fh, header, stream(), ws)
+        else:
+            count = write_csv(args.out, header, stream(), ws)
     except BrokenPipeError:  # as a closed stdout: the reader wants no more
         return EXIT_OK
     except OSError as exc:
         raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from None
-    print(f"wrote {count} rows to {args.out}", *summary, sep="\n", file=report)
+    print(f"wrote {count} rows to {args.out}", *summary, sep="\n",
+          file=sys.stderr if to_stdout else sys.stdout)
     return EXIT_OK
 
 

@@ -50,27 +50,34 @@ the gate maps (t, s) to (u3 t, s).  `spe_condition` evaluates that form
 for every gate, whatever its label.  `apply_gate` embeds u3 @ vec3, a
 unit vector, and takes its 2|ad - bc| without `concurrence`'s checks.
 
-`lmg_entanglement_profile`, the rows t, e_p, |up up> concurrence of
-`symgates lmg --t-max`, builds no gate.  At xi = 2 g1 t, phi = 2 g2 t
-(`gates`), |G1| = ((cos 2 xi + cos 2 phi)/2)^2 and the concurrence is
-|sin 2 xi| (Makhlin, QIP 1, 243 (2002); Zhang et al., PRA 67, 042313
-(2003)), so e_p = (2/9)(s_xi^2 + s_phi^2)(c_xi^2 + c_phi^2), with no
-subtraction of near-equal numbers, and the concurrence is 2|s_xi c_xi|:
-a few ulps from the exact values at the float angles (e_p may round a few
-ulps above 2/9).  c + i s is numpy's complex exp (libm's bits, as in
-`gates`), then only IEEE multiply, add and abs, so the bytes are the same
-on every numpy kernel set.  `entangling_power` of an `lmg_gate` scores its
-u3, so its e_p can differ from the series row in the last digit.
-
-The batch path writes its stacks and intermediates with out=, into
-buffers that its caller hands over, as in `gates`: every kernel on a
-built stack (`_symmetric_invariants`, `_power_batch`, `_scores_into`)
-takes its arrays, and `_lmg_profile_into` a provider of the gate buffers
-(`gates._scratch`, or the CLI's workspace), whose phase rows it fills run
-by run once `gates._lmg_grid` has checked the whole grid.  The public
-batch functions allocate what they pass, so they are the case of one run;
-the CLI passes views of its workspace, so that a series block allocates
-only its new columns.
+The series of `symgates sweep` and `symgates lmg --t-max` build no gate:
+each is its family's law.  With m's eigenphases l_i, 1 - |G1| =
+(1/4) sum_{i<j} sin^2((l_i - l_j)/2) (Makhlin, QIP 1, 243 (2002); Zhang,
+Vala, Sastry & Whaley, PRA 67, 042313 (2003)), so e_p is a sum of
+non-negative terms and nothing cancels.  c + i s below is numpy's complex
+exp of the float angle (libm's bits, as in `gates`):
+- B1..B3 are local: |G1| = 1 and e_p = 0.
+- B4..B7 (phases +-2 theta, 0, 0), at c + i s = exp(i theta):
+  |G1| = (c^2)^2 and e_p = (2/9)(1 + c^2) s^2.
+- B8 (phases -4 phi, 0, 2 phi, 2 phi, phi = theta/sqrt3 rounded as `gates`
+  rounds it), at c + i s = exp(i phi) and C + i S = exp(2i phi):
+  |G1| = (c cos 3phi)^2 + (S C)^2 and e_p = (S^2 + 2 sin^2 3phi + 2 s^2)/18,
+  with cos 3phi = C c - S s and sin 3phi = S c + C s.  Taking C and S from
+  2 phi, which is exact, rather than from c and s keeps |G1| within
+  4 * 2^-52 of its exact value at the float angle.
+- LMG (`lmg_entanglement_profile`, the rows t, e_p, |up up> concurrence;
+  phases +-2 xi, +-2 phi at xi = 2 g1 t, phi = 2 g2 t): |G1| =
+  ((cos 2 xi + cos 2 phi)/2)^2, e_p = (2/9)(s_xi^2 + s_phi^2)(c_xi^2 +
+  c_phi^2) and the concurrence |sin 2 xi| = 2|s_xi c_xi|.
+Each is a few ulps from the exact value at the float angles (e_p may
+round a few ulps above 2/9), and after the exp takes only IEEE multiply,
+add, divide and abs, so the bytes are the same on every numpy kernel set.
+`entangling_power` of a `gate` or `lmg_gate` scores its u3, so its values
+can differ from the series row in the last digit.  The law kernels,
+`_sweep_into` and `_lmg_profile_into`, check the whole grid once (by the
+rules of `gates`), then walk it in runs of one (2, rows) complex phase
+buffer that the caller hands over: the CLI's workspace, so that a series
+block allocates only its new columns, or none, for one run over the grid.
 
 Amplitude ordering for all 4-vectors is (up-up, up-down, down-up,
 down-down); the concurrence of a pure state (a, b, c, d) is 2|ad - bc|.
@@ -85,7 +92,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import GateBatch, SymmetricGate, _lmg_grid, _runs, _scratch
+from .gates import _SQ3, GateBatch, SymmetricGate, _gate_grid, _lmg_grid
 from .linalg import InputError, _finite, _matrix, _require, is_unitary
 from .su3 import U_QUBIT_TO_ANGULAR
 
@@ -128,12 +135,10 @@ def _bell_invariants(u4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.trace(m, axis1=-2, axis2=-1), np.linalg.det(b_bell)
 
 
-def _symmetric_invariants(u3: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _symmetric_invariants(u3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tr(m) and det(B_bell) of the symmetric gates of a (..., 3, 3) stack,
-    in closed form from the triplet block (see the module docstring),
-    written into the first two of the four (...)-shaped complex arrays of
-    `scratch`, a (4, ...) array."""
-    tr, det, c, x = scratch
+    in closed form from the triplet block (see the module docstring)."""
+    tr, det, c, x = np.empty((4, *u3.shape[:-2]), np.complex128)
     u00, u01, u02 = u3[..., 0, 0], u3[..., 0, 1], u3[..., 0, 2]
     u10, u11, u12 = u3[..., 1, 0], u3[..., 1, 1], u3[..., 1, 2]
     u20, u21, u22 = u3[..., 2, 0], u3[..., 2, 1], u3[..., 2, 2]
@@ -242,39 +247,18 @@ def _power(g1: complex) -> tuple[float, float, str]:
     return g1_abs, ep, CLASSES[_level(ep)]
 
 
-def _power_batch(tr: np.ndarray, det: np.ndarray, out: np.ndarray) -> EntanglementBatch:
+def _power_batch(tr: np.ndarray, det: np.ndarray) -> EntanglementBatch:
     """`_g1` and `_power` of each entry of the stacks tr(m) and det(B_bell),
-    elementwise, rounded as the scalar helpers round (module docstring).
-    G1 is written into the first of the three complex arrays of `out`,
-    shaped as tr, and the other two are scratch."""
-    g1, w, z = out
-    re, im = w.view(np.float64).reshape(2, *w.shape)  # w's bytes as two float arrays
-    t = z.view(np.float64).reshape(2, *z.shape)[0]
+    elementwise, rounded as the scalar helpers round (module docstring)."""
     a, b = tr.real, tr.imag
-    # G1 = ((a a - b b) + 1j (a b + b a)) / (16 det)
-    np.multiply(a, a, out=re)
-    re -= np.multiply(b, b, out=t)
-    np.multiply(a, b, out=im)
-    im += np.multiply(b, a, out=t)
-    np.multiply(1j, im, out=z)
-    np.add(re, z, out=z)
-    np.divide(z, np.multiply(16.0, det, out=w), out=g1)
+    g1 = ((a * a - b * b) + 1j * (a * b + b * a)) / (16.0 * det)
     g1_abs = np.hypot(g1.real, g1.imag)
-    ep = np.subtract(1.0, g1_abs)
-    ep *= MAX_EP
+    ep = (1.0 - g1_abs) * MAX_EP
     bad = np.flatnonzero(~((ep >= -1e-12) & (ep <= MAX_EP + 1e-12)))  # NaN fails too
     if bad.size:
         raise RuntimeError(f"entangling power {float(ep[bad[0]])} out of range [0, 2/9]")
     ep[ep < 0.0] = 0.0
     return EntanglementBatch(g1=g1, g1_abs=g1_abs, ep=ep, level=_level(ep))
-
-
-def _scores_into(u3: np.ndarray, tmp: np.ndarray) -> EntanglementBatch:
-    """`entangling_power_batch` of the gates of a (..., 3, 3) stack u3.  The
-    bytes of `tmp`, a C-contiguous complex array of u3's shape, hold the
-    invariants, G1 included, and their scratch."""
-    rows = tmp.reshape(9, *u3.shape[:-2])  # tr, det, then G1 over the invariants' scratch
-    return _power_batch(*_symmetric_invariants(u3, rows[:4]), rows[2:5])
 
 
 def entangling_power(u4) -> EntanglementReport:
@@ -301,10 +285,10 @@ def entangling_power_batch(u4s) -> EntanglementBatch:
     `entangling_power` of its 4x4 matrices.
     """
     if isinstance(u4s, GateBatch):
-        return _scores_into(u4s.u3, np.empty(u4s.u3.shape, np.complex128))
+        return _power_batch(*_symmetric_invariants(u4s.u3))
     u4s = _matrix("u4", u4s, 4, stack=True).reshape(-1, 4, 4)
     _require(is_unitary(u4s, atol=1e-10), "matrix is not unitary within 1.0e-10", "u4", u4s)
-    return _power_batch(*_bell_invariants(u4s), np.empty((3, len(u4s)), np.complex128))
+    return _power_batch(*_bell_invariants(u4s))
 
 
 def _pure_concurrence(a, b, c, d) -> float:
@@ -476,6 +460,49 @@ def spe_condition(g: SymmetricGate, basis: ProductBasis) -> SpeConditionResult:
                               all_maximal=all(cv >= 1.0 - 1e-10 for cv in concs))
 
 
+def _runs(grid: np.ndarray, phases: np.ndarray | None):
+    """(points, phase rows) for each run of a checked grid: runs of as many
+    points as `phases`, a (2, rows) complex buffer, has columns, each with
+    the first columns of `phases`; or, if `phases` is None, one run with
+    new rows of the grid's size."""
+    phases = np.empty((2, grid.size), np.complex128) if phases is None else phases
+    for start in range(0, grid.size, phases.shape[1]):
+        points = grid[start:start + phases.shape[1]]
+        yield points, phases[:, :points.size]
+
+
+def _cis(rows: np.ndarray, weights: tuple, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of w * angle for each weight w, one row per weight, from
+    the complex exp written over the first rows of `rows`."""
+    rows = rows[:len(weights)]
+    rows.real = 0.0
+    np.multiply.outer(weights, angles, out=rows.imag)
+    np.exp(rows, out=rows)
+    return rows.real, rows.imag
+
+
+def _sweep_into(k: int, thetas, phases: np.ndarray | None = None):
+    """The runs (theta, |G1|, e_p, class level) of a B_k sweep by its family
+    law (module docstring), once `gates._gate_grid` has checked k and the
+    grid, in the phase rows of `phases` (`_runs`).  theta is a view of the
+    grid; |G1|, e_p and the levels are new arrays."""
+    k, thetas = _gate_grid(k, thetas)
+    for theta, rows in _runs(thetas, phases):
+        if k <= 3:
+            g1_abs, ep = np.ones(theta.size), np.zeros(theta.size)
+        elif k <= 7:
+            (c,), (s,) = _cis(rows, (1.0,), theta)
+            c2 = c * c
+            g1_abs, ep = c2 * c2, (c2 + 1.0) * (s * s) * MAX_EP
+        else:
+            (c, C), (s, S) = _cis(rows, (1.0, 2.0), theta / _SQ3)
+            cos3, sin3 = C * c - S * s, S * c + C * s
+            x, y = c * cos3, S * C
+            g1_abs = x * x + y * y
+            ep = (S * S + 2.0 * (sin3 * sin3) + 2.0 * (s * s)) / 18.0
+        yield theta, g1_abs, ep, _level(ep)
+
+
 def lmg_entanglement_profile(g1: float, g2: float,
                              t_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns t, e_p and |up up>-image concurrence of an LMG time series,
@@ -487,24 +514,17 @@ def lmg_entanglement_profile(g1: float, g2: float,
     power reaches 2/9 whenever 2 g2 t - 2 g1 t or 2 g2 t + 2 g1 t is
     congruent to pi/2 modulo pi.
     """
-    return next(_lmg_profile_into(g1, g2, t_grid, _scratch))
+    (run,) = _lmg_profile_into(g1, g2, t_grid)
+    return run
 
 
-def _lmg_profile_into(g1: float, g2: float, t_grid, scratch):
+def _lmg_profile_into(g1: float, g2: float, t_grid, phases: np.ndarray | None = None):
     """The runs (t, e_p, concurrence) of `lmg_entanglement_profile`, by the
-    family law (module docstring), in the phase rows of `scratch(N)`'s runs
-    (`gates._runs`).  t is a view of the grid; e_p and concurrence are new arrays."""
+    family law (module docstring), once `gates._lmg_grid` has checked the
+    couplings and the grid, in the phase rows of `phases` (`_runs`).  t is
+    a view of the grid; e_p and concurrence are new arrays."""
     g1, g2, t_grid = _lmg_grid(g1, g2, t_grid, "t_grid")
-    for t, _, _, phases in _runs(t_grid, scratch):
-        phases.real = 0.0
-        np.multiply.outer((2.0 * g1, 2.0 * g2), t, out=phases.imag)  # xi, phi
-        cos, sin = np.exp(phases, out=phases).real, phases.imag
-        conc = np.multiply(sin[0], cos[0])
-        np.abs(conc, out=conc)
-        conc *= 2.0
-        np.multiply(cos, cos, out=cos)
-        np.multiply(sin, sin, out=sin)
-        ep = np.add(sin[0], sin[1])
-        ep *= np.add(cos[0], cos[1], out=cos[0])
-        ep *= MAX_EP
-        yield t, ep, conc
+    for t, rows in _runs(t_grid, phases):
+        (c_xi, c_phi), (s_xi, s_phi) = _cis(rows, (2.0 * g1, 2.0 * g2), t)
+        ep = (s_xi * s_xi + s_phi * s_phi) * (c_xi * c_xi + c_phi * c_phi) * MAX_EP
+        yield t, ep, 2.0 * np.abs(s_xi * c_xi)

@@ -23,19 +23,12 @@ A symmetric gate is its 3x3 block u3: what is computed from a
 `SymmetricGate` depends on u3 alone; its label is display metadata.
 `gates_batch` and `lmg_batch` build a grid of one family as an (N, 3, 3)
 stack, and `gate` and `lmg_gate` are their one-point case, so a gate is
-the same (==) alone or in a grid.  Behind them are two kernels,
-`_gates_into` and `_lmg_into`, under one contract.  A kernel checks its
-arguments over the whole grid once: the index or couplings, a finite 1-D
-grid, and each product that could overflow at the grid's largest |angle|
-(for LMG `_lmg_grid`, which the profile of `entanglement` shares).
-It then walks the grid in runs of len(u3) points (`_runs`), writing each
-run's stack entry by entry with out=, into the buffers of a provider: a
-function of the grid's size N that returns the complex stacks u3 and tmp
-and the complex phase rows, shaped (N, 3, 3), (N, 3, 3) and (2, N) or
-capped at fewer rows.  `_scratch` is the provider that allocates them, so
-a public batch function is the case of one run (`next`); the CLI hands
-over views of the workspace it allocates once per series, so that a
-block allocates no stack.
+the same (==) alone or in a grid.  Each argument is checked once, where
+it enters: the index or couplings, a finite 1-D grid, and each product
+that could overflow at the grid's largest |angle| (`_gate_grid` and
+`_lmg_grid`, which the series laws of `entanglement` share; `gate` and
+`lmg_gate` check their one point by the same rules).  The builders behind
+them, `_gate_stack` and `_lmg_stack`, then take the checked values.
 The closed forms are unitary by construction, so no grid is checked: a
 hypothesis property in the tests pins them unitary within 1e-12 at every
 finite angle that the grid and overflow checks admit.  `custom_gate`, which wraps a matrix from outside,
@@ -127,22 +120,13 @@ class GateBatch:
         return to_qubit_basis(self.u3, 1.0)
 
 
-def _scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """New buffers for one run of n gates: u3 and tmp, (n, 3, 3) complex
-    stacks, and phases, (2, n) complex rows (module docstring)."""
-    return tuple(np.empty(shape, dtype=np.complex128) for shape in ((n, 3, 3), (n, 3, 3), (2, n)))
-
-
-def _rotation(angles: np.ndarray, k: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _rotation(angles: np.ndarray, k: int) -> np.ndarray:
     """exp(i angle M_k), k in 1..7, for each angle of a 1-D grid: the B_k
-    closed form of the module docstring, written into the (N, 3, 3) complex
-    stack `out`, with the first N entries of `tmp`, another, as scratch.
-    Returns `out`."""
+    closed form of the module docstring, as a new (N, 3, 3) complex stack."""
     e = np.exp(1j * angles)  # cos + i sin, the kernel of `_phases` (module docstring)
-    cos, sin = e.real, e.imag
-    c, s = (cos - 1.0).astype(np.complex128), 1j * sin
-    x = tmp.reshape(-1)[:angles.size]
-    out.fill(0.0)  # the entries outside _ROTATION_ENTRIES[k], as the sum rounds them
+    c, s = (e.real - 1.0).astype(np.complex128), 1j * e.imag
+    # the entries outside _ROTATION_ENTRIES[k] are 0, as the sum rounds them
+    out = np.zeros((angles.size, 3, 3), np.complex128)
     for r, col in _ROTATION_ENTRIES[k]:
         entry, m2, m = out[:, r, col], _M_SQUARED[k][r, col], M[k][r, col]
         # (I + (cos - 1) M_k^2) + i sin M_k: a term whose factor from M_k or
@@ -152,22 +136,26 @@ def _rotation(angles: np.ndarray, k: int, out: np.ndarray, tmp: np.ndarray) -> n
         np.multiply(first, factor, out=entry)
         entry += _EYE[r, col]
         if m2 and m:
-            entry += np.multiply(s, m, out=x)
+            entry += s * m
     return out
 
 
-def _phases(angles: np.ndarray, weights: tuple[float, float], out: np.ndarray) -> np.ndarray:
-    """exp(i angle w) for each angle of a 1-D grid, written into row j of
-    `out`, a (2, N) complex array, for w the j-th of the two distinct
-    `weights` of a phase diagonal diag(a, b, a); diagonal entry c is row
-    _DIAGONAL[c].  One complex exp per distinct weight, over contiguous
-    rows, on which numpy's exp is faster than on strided columns (with
-    libm's bits either way).  Returns `out`."""
-    for j, w in enumerate(weights):
-        np.multiply(angles, w, out=out[j].real)
-    out.imag = 0.0
-    np.multiply(1j, out, out=out)  # exact, as 1j times a real is
-    return np.exp(out, out=out)
+def _phases(angles: np.ndarray, weights: tuple[float, float]) -> np.ndarray:
+    """exp(i angle w) for each angle of a 1-D grid, as row j of a new (2, N)
+    complex array, for w the j-th of the two distinct `weights` of a phase
+    diagonal diag(a, b, a); diagonal entry c is row _DIAGONAL[c].  One
+    complex exp per distinct weight, over contiguous rows, on which numpy's
+    exp is faster than on strided columns (with libm's bits either way)."""
+    return np.exp(1j * np.multiply.outer(weights, angles))  # exact, as 1j times a real is
+
+
+_INDEX_NOTE = " (index 0 would be a global phase)"
+
+
+def _b8_bounded(k: int, top: float) -> None:
+    """For B8, InputError if 2*theta/sqrt3 overflows at the largest |theta|, `top`."""
+    if k == 8:
+        _bounded("2*theta/sqrt3", top / _SQ3, 2.0)
 
 
 def gate(k: int, theta: float) -> SymmetricGate:
@@ -175,42 +163,33 @@ def gate(k: int, theta: float) -> SymmetricGate:
 
     k = 0 is rejected: exp(i M_0 theta) is a global phase, not a gate.
     """
-    k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
+    k = _index("gate index", k, 1, 8, _INDEX_NOTE)
     theta = _finite("theta", theta)
-    return SymmetricGate(label=f"B{k}", u3=gates_batch(k, [theta]).u3[0], theta=theta)
+    _b8_bounded(k, abs(theta))
+    return SymmetricGate(label=f"B{k}", u3=_gate_stack(k, np.array([theta]))[0], theta=theta)
 
 
 def gates_batch(k: int, thetas) -> GateBatch:
     """B_k(theta) for every angle of a 1-D grid; entry by entry equal to `gate`."""
-    return GateBatch(next(_gates_into(k, thetas, _scratch))[1])
+    return GateBatch(_gate_stack(*_gate_grid(k, thetas)))
 
 
-def _gates_into(k: int, thetas, scratch):
-    """The runs (angles, u3, tmp) of `gates_batch(k, thetas)` (`_runs`), once
-    k, the grid and, for B8, 2*theta/sqrt3 at its largest |angle| are
-    checked: each run's gates are written into its u3, with its tmp, or for
-    B8 its phases, as scratch."""
-    k = _index("gate index", k, 1, 8, " (index 0 would be a global phase)")
+def _gate_grid(k: int, thetas) -> tuple[int, np.ndarray]:
+    """k, the grid `thetas`, then for B8 2*theta/sqrt3 at its largest
+    |angle|, checked in that order: `gates_batch`'s rule and the sweep law's."""
+    k = _index("gate index", k, 1, 8, _INDEX_NOTE)
     thetas = _grid("thetas", thetas)
-    if k == 8:
-        _bounded("2*theta/sqrt3", max(float(thetas.max()), -float(thetas.min())) / _SQ3, 2.0)
-    for theta, u3, tmp, phases in _runs(thetas, scratch):
-        if k == 8:  # a phase diagonal; B1..B7 are rotations
-            _phases(theta / _SQ3, _B8_WEIGHTS, phases)
-            u3.fill(0.0)
-            for j, row in enumerate(_DIAGONAL):
-                u3[:, j, j] = phases[row]
-        yield theta, (u3 if k == 8 else _rotation(theta, k, u3, tmp)), tmp
+    _b8_bounded(k, max(float(thetas.max()), -float(thetas.min())))  # no array of the grid's size
+    return k, thetas
 
 
-def _runs(grid: np.ndarray, scratch):
-    """(points, u3, tmp, phases) for each run of len(u3) points of a checked
-    grid of N, u3, tmp and phases the buffers of `scratch(N)` (module
-    docstring) cut to the run's length; the last run may be shorter."""
-    u3, tmp, phases = scratch(grid.size)
-    for start in range(0, grid.size, len(u3)):
-        n = min(len(u3), grid.size - start)
-        yield grid[start:start + n], u3[:n], tmp[:n], phases[:, :n]
+def _gate_stack(k: int, thetas: np.ndarray) -> np.ndarray:
+    """B_k at each angle of a checked grid, as a new (N, 3, 3) stack."""
+    if k != 8:  # B1..B7 are rotations, B8 a phase diagonal
+        return _rotation(thetas, k)
+    u3 = np.zeros((thetas.size, 3, 3), np.complex128)
+    u3[:, [0, 1, 2], [0, 1, 2]] = _phases(thetas / _SQ3, _B8_WEIGHTS)[list(_DIAGONAL)].T
+    return u3
 
 
 def custom_gate(u3, label: str = "custom") -> SymmetricGate:
@@ -230,8 +209,9 @@ def lmg_hamiltonian(g1: float, g2: float) -> np.ndarray:
 
 def lmg_gate(params: LMGParams) -> SymmetricGate:
     """The evolution gate exp(i H t) of the collective-spin Hamiltonian."""
-    u3 = lmg_batch(params.g1, params.g2, [_finite("t", params.t)]).u3[0]
-    return SymmetricGate(label="BL", u3=u3, lmg=params)
+    t, g1, g2 = _finite("t", params.t), _finite("g1", params.g1), _finite("g2", params.g2)
+    _lmg_bounded(g1, g2, abs(t))
+    return SymmetricGate(label="BL", u3=_lmg_stack(g1, g2, np.array([t]))[0], lmg=params)
 
 
 def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
@@ -239,32 +219,33 @@ def lmg_batch(g1: float, g2: float, ts) -> GateBatch:
     `lmg_gate`: B7(xi) diag(e^{i phi}, e^{2i phi}, e^{i phi}), xi = 2 g1 t,
     phi = 2 g2 t (see the module docstring), exact to a few ulps at the
     float angles; InputError names the product if xi, phi or 2 phi overflows."""
-    return GateBatch(next(_lmg_into(g1, g2, ts, _scratch))[1])
+    return GateBatch(_lmg_stack(*_lmg_grid(g1, g2, ts, "ts")))
 
 
 def _lmg_grid(g1: float, g2: float, ts, name: str) -> tuple[float, float, np.ndarray]:
     """g1, g2, the grid `ts` under `name`, then xi, phi and 2 phi at its largest
-    |t|, checked in that order: `_lmg_into`'s rule and the LMG profile's."""
+    |t|, checked in that order: `lmg_batch`'s rule and the LMG profile's."""
     g1, g2 = _finite("g1", g1), _finite("g2", g2)
     ts = _grid(name, ts)
-    # max |t|, taken without an array of the grid's size; with the largest
-    # weights it bounds xi, phi and 2 phi
-    t_top = max(float(ts.max()), -float(ts.min()))
-    _bounded("2*g1*t", 2.0 * g1, t_top)
-    _bounded("2*g2*t", 2.0 * g2, t_top)
-    _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
+    _lmg_bounded(g1, g2, max(float(ts.max()), -float(ts.min())))
     return g1, g2, ts
 
 
-def _lmg_into(g1: float, g2: float, ts, scratch):
-    """The runs (times, u3, tmp) of `lmg_batch(g1, g2, ts)` (`_runs`), checked by
-    `_lmg_grid`, each written into its u3 with its tmp and phases as scratch."""
-    g1, g2, ts = _lmg_grid(g1, g2, ts, "ts")
-    for t, u3, tmp, phases in _runs(ts, scratch):
-        b7 = _rotation(2.0 * g1 * t, 7, tmp, u3)
-        _phases(2.0 * g2 * t, _LMG_WEIGHTS, phases)
-        # B7 times a diagonal matrix: column c of B7 times the c-th phase, not
-        # written over B7 (numpy would take a loop without FMA for one gate)
-        for r, c in _ENTRIES:
-            np.multiply(b7[:, r, c], phases[_DIAGONAL[c]], out=u3[:, r, c])
-        yield t, u3, tmp
+def _lmg_bounded(g1: float, g2: float, t_top: float) -> None:
+    """InputError naming xi, phi or 2 phi if it overflows at the largest |t|,
+    `t_top`: with the largest weights it bounds them at every t."""
+    _bounded("2*g1*t", 2.0 * g1, t_top)
+    _bounded("2*g2*t", 2.0 * g2, t_top)
+    _bounded("4*g2*t", 2.0 * g2 * t_top, 2.0)
+
+
+def _lmg_stack(g1: float, g2: float, ts: np.ndarray) -> np.ndarray:
+    """The LMG gates at each time of a checked grid, as a new (N, 3, 3) stack."""
+    b7 = _rotation(2.0 * g1 * ts, 7)
+    phases = _phases(2.0 * g2 * ts, _LMG_WEIGHTS)
+    u3 = np.empty_like(b7)
+    # B7 times a diagonal matrix: column c of B7 times the c-th phase, not
+    # written over B7 (numpy would take a loop without FMA for one gate)
+    for r, c in _ENTRIES:
+        np.multiply(b7[:, r, c], phases[_DIAGONAL[c]], out=u3[:, r, c])
+    return u3

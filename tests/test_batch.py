@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symgates import cli, gates
+from symgates import cli, entanglement, gates
 from symgates.cli import fmt_float, main
 from symgates.entanglement import (
     CLASSES,
@@ -20,8 +20,10 @@ from symgates.entanglement import (
     _bell_invariants,
     _g1,
     _gate_invariants,
+    _level,
     _power,
     _power_batch,
+    _sweep_into,
     _symmetric_invariants,
     concurrence,
     entangling_power,
@@ -47,22 +49,13 @@ from symgates.tensors import TensorParams, decompose
 from helpers import WARNINGS_ARE_ERRORS, haar_unitary
 
 UP_UP = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+SQ3 = math.sqrt(3.0)
 THETA_MAX = {k: "pi" for k in range(1, 8)} | {8: "sqrt3*pi"}
 THETA_MAX_VALUE = {k: math.pi for k in range(1, 8)} | {8: math.sqrt(3.0) * math.pi}
 
 angles = st.floats(-20.0, 20.0, allow_nan=False)
 couplings = st.floats(-3.0, 3.0, allow_nan=False)
 times = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=24, unique=True)
-
-
-def _invariants(u3):
-    """`_symmetric_invariants` of a (..., 3, 3) stack, in scratch of its own."""
-    return _symmetric_invariants(u3, np.empty((4, *u3.shape[:-2]), np.complex128))
-
-
-def _tail(tr, det):
-    """`_power_batch` of tr(m) and det(B_bell), in scratch of its own."""
-    return _power_batch(tr, det, np.empty((3, *tr.shape), np.complex128))
 
 
 def _lmg_law(g1, g2, t):
@@ -73,6 +66,23 @@ def _lmg_law(g1, g2, t):
     c_xi, s_xi, c_phi, s_phi = math.cos(xi), math.sin(xi), math.cos(phi), math.sin(phi)
     return ((s_xi * s_xi + s_phi * s_phi) * (c_xi * c_xi + c_phi * c_phi) * MAX_EP,
             2.0 * abs(s_xi * c_xi))
+
+
+def _sweep_law(k, theta):
+    """|G1| and e_p of B_k(theta) by the family law, from math.cos and
+    math.sin of theta (B4..B7) or of phi = fl(theta/sqrt3) and 2 phi (B8), in
+    the operations and order of `entanglement._sweep_into`."""
+    if k <= 3:
+        return 1.0, 0.0
+    if k <= 7:
+        c, s = math.cos(theta), math.sin(theta)
+        c2 = c * c
+        return c2 * c2, (c2 + 1.0) * (s * s) * MAX_EP
+    phi = theta / SQ3
+    c, s, C, S = math.cos(phi), math.sin(phi), math.cos(2.0 * phi), math.sin(2.0 * phi)
+    cos3, sin3 = C * c - S * s, S * c + C * s
+    x, y = c * cos3, S * C
+    return x * x + y * y, (S * S + 2.0 * (sin3 * sin3) + 2.0 * (s * s)) / 18.0
 
 
 def _assert_reports_equal(batch, i, report):
@@ -172,7 +182,7 @@ def _exact_gates() -> list[np.ndarray]:
 def test_one_gate_path_equals_the_grid_on_exact_and_signed_zeros(u3):
     # exact zeros are where the one-gate path's Python sums and the grid's
     # numpy sums could round apart (in the sign of a zero)
-    tr, det = _invariants(u3[None])
+    tr, det = _symmetric_invariants(u3[None])
     one_tr, one_det = _gate_invariants(u3)
     assert _bits(one_tr) == _bits(tr[0]) and _bits(one_det) == _bits(det[0])
     _assert_reports_equal(entangling_power_batch(GateBatch(u3[None])), 0,
@@ -184,7 +194,7 @@ def test_one_gate_path_equals_a_grid_of_16384_gates():
     # complex entries) in place, which could swap the factors of a product
     rng = np.random.default_rng(5)
     u3, _ = np.linalg.qr(rng.normal(size=(16384, 3, 3)) + 1j * rng.normal(size=(16384, 3, 3)))
-    tr, det = _invariants(u3)
+    tr, det = _symmetric_invariants(u3)
     scores = entangling_power_batch(GateBatch(u3))
     for i in range(0, 16384, 61):
         one_tr, one_det = _gate_invariants(u3[i])
@@ -194,8 +204,8 @@ def test_one_gate_path_equals_a_grid_of_16384_gates():
 
 def test_a_grid_in_one_call_equals_its_cli_blocks():
     # a call's stacks of more than 1820 points pass 256 KiB, where numpy may reuse
-    # an unnamed temporary in place; its results must still be those of the
-    # CLI's blocks, three here
+    # an unnamed temporary in place; its results must still be those of
+    # blocks of _BLOCK points, three here
     grid = np.linspace(-1.0, 7.0, 2 * cli._BLOCK + 300)
     blocks = [grid[i:i + cli._BLOCK] for i in range(0, len(grid), cli._BLOCK)]
     for k in range(1, 9):
@@ -213,7 +223,7 @@ def test_a_grid_in_one_call_equals_its_cli_blocks():
 def test_vector_tail_clamps_rounding_below_zero():
     # a real tr(m) with det 1 whose e_p rounds to about -1e-13
     tr = np.array([4.0 * math.sqrt(1.0 + 4.5e-13)], dtype=np.complex128)
-    scores = _tail(tr, np.ones(1, dtype=np.complex128))
+    scores = _power_batch(tr, np.ones(1, dtype=np.complex128))
     assert -2e-13 < 2.0 / 9.0 * (1.0 - scores.g1_abs[0]) < 0.0
     assert scores.ep[0] == 0.0 and math.copysign(1.0, scores.ep[0]) == 1.0
     assert scores.classification == ("non-entangling",)
@@ -237,7 +247,7 @@ def test_vector_tail_rejects_e_p_out_of_range():
     # the second entry's e_p is about -1e-11, beyond the -1e-12 rounding allowance
     tr = np.array([0.5, 4.0 * math.sqrt(1.0 + 4.5e-11)], dtype=np.complex128)
     with pytest.raises(RuntimeError, match="out of range") as vector:
-        _tail(tr, np.ones(2, dtype=np.complex128))
+        _power_batch(tr, np.ones(2, dtype=np.complex128))
     with pytest.raises(RuntimeError) as scalar:
         _power(_g1(tr[1], np.complex128(1.0)))
     assert str(vector.value) == str(scalar.value)
@@ -261,7 +271,7 @@ def test_nan_e_p_is_out_of_range():
 def test_symmetric_invariants_match_the_bell_transform(seed, k, theta, g1, g2, t):
     u3 = np.stack([haar_unitary(np.random.default_rng(seed), 3), gate(k, theta).u3,
                    lmg_gate(LMGParams(g1=g1, g2=g2, t=t)).u3])
-    tr, det = _invariants(u3)
+    tr, det = _symmetric_invariants(u3)
     bell_tr, bell_det = _bell_invariants(to_qubit_basis(u3, 1.0))
     assert np.max(np.abs(tr - bell_tr)) <= 1e-14
     assert np.max(np.abs(det - bell_det)) <= 1e-14
@@ -286,8 +296,11 @@ def _closed_form_g1_abs(mpmath, k, theta):
         return mpmath.mpf(1)
     if k <= 7:
         return mpmath.cos(theta) ** 4
-    # B8 sits at canonical coordinates (-a, -a, 2a), a = theta/sqrt3.
-    a = theta / mpmath.sqrt(3)
+    return _canonical_g1_abs(mpmath, theta / mpmath.sqrt(3))
+
+
+def _canonical_g1_abs(mpmath, a):
+    """|G1| of the gate at canonical coordinates (-a, -a, 2a): B8 at a = theta/sqrt3."""
     s2a = mpmath.sin(2 * a)
     return abs(mpmath.mpc(mpmath.cos(a) ** 4 * mpmath.cos(2 * a) ** 2
                           - mpmath.sin(a) ** 4 * s2a ** 2, s2a ** 2 * mpmath.sin(4 * a) / 4))
@@ -342,28 +355,70 @@ def test_lmg_profile_is_exact_to_a_few_ulps_at_the_float_angles(g1, g2, t):
             # relative, but for values that underflow, which no float holds to a few ulps
             assert abs(got - value) <= 4 * 2.0 ** -52 * value + 2.0 ** -1070
 
-# SHA-256 of the CSVs scored with the closed-form 3x3 invariants.  Against
-# the earlier 4x4 Bell-transform path only g1_abs and e_p cells differ, each
-# by at most 1.1e-15 (checked cell by cell when these were taken); theta, t,
-# class and concurrence are byte-identical.  B1 == B2 and B4 == B7, B5 == B6:
-# locally equivalent gates now give the same tr(m) and det bit for bit.
-# These hashes and REPORT_STDOUT_SHA256 in test_cli.py depend on numpy's
-# SIMD dispatch as well as on its release: they were taken with numpy 2.4.6
-# on x86-64, whose complex multiply kernels use FMA from X86_V3 (AVX2) on,
-# and hold with X86_V3 or AVX-512 kernels alike.  With
-# NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR" (baseline
-# X86_V2, no FMA) the B3 and B8 sweeps and the third report differ in their
-# last digits; every other test passes there, the scalar == batch ones and
-# the LMG hashes below included.
+def _eigenphases(mpmath, k, theta):
+    """m's eigenphases of B_k at the float angle theta, up to a global phase
+    (Zhang, Vala, Sastry & Whaley 2003): none apart for B1..B3, {+-2 theta,
+    0, 0} for B4..B7, {-4 phi, 0, 2 phi, 2 phi} at phi = fl(theta/sqrt3) for B8."""
+    if k <= 3:
+        return [mpmath.mpf(0)] * 4
+    if k <= 7:
+        return [2 * mpmath.mpf(theta), -2 * mpmath.mpf(theta), 0, 0]
+    phi = mpmath.mpf(theta / SQ3)
+    return [-4 * phi, 0, 2 * phi, 2 * phi]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 8), theta=st.floats(-1e6, 1e6))
+@example(k=4, theta=0.0)
+@example(k=4, theta=math.pi / 2)  # |G1| = cos^4 is about 1.4e-65
+@example(k=6, theta=math.pi)
+@example(k=8, theta=math.pi / 2)
+@example(k=8, theta=math.pi)
+# B8 at phi = pi and 2 pi: e_p is about 1e-32, which (2/9)(1 - |G1|) rounds to 0
+@example(k=8, theta=math.pi * SQ3)
+@example(k=8, theta=2 * math.pi * SQ3)
+@example(k=8, theta=SQ3 * math.pi / 2)  # |G1| about 1e-32
+@example(k=5, theta=5e-324)  # subnormal: e_p underflows
+@example(k=8, theta=-2.2e-310)
+def test_sweep_law_is_exact_to_a_few_ulps_at_the_float_angles(k, theta):
+    mpmath = pytest.importorskip("mpmath")
+    [(_, g1_abs, ep, level)] = _sweep_into(k, [theta])
+    assert (g1_abs[0], ep[0]) == _sweep_law(k, theta) and level[0] == _level(ep[0])
+    with mpmath.workdps(80):
+        # 1 - |G1| = (1/4) sum_{i<j} sin^2((l_i - l_j)/2) over the eigenphases
+        # l of m, so e_p = (2/9)(1 - |G1|) is a sum of squares, which cancels
+        # no digit where e_p is small
+        phases = _eigenphases(mpmath, k, theta)
+        exact_ep = sum(mpmath.sin((a - b) / 2) ** 2
+                       for i, a in enumerate(phases) for b in phases[i + 1:]) / 18
+        # |G1| by the closed forms of the families, which the sum must agree with
+        exact_g1 = (_closed_form_g1_abs(mpmath, k, mpmath.mpf(theta)) if k < 8 else
+                    _canonical_g1_abs(mpmath, mpmath.mpf(theta / SQ3)))
+        assert abs(exact_g1 + 9 * exact_ep / 2 - 1) <= mpmath.mpf(10) ** -70
+        for value, got in ((exact_g1, g1_abs[0]), (exact_ep, ep[0])):
+            # relative, but for values that underflow, which no float holds to a few ulps
+            assert abs(got - value) <= 4 * 2.0 ** -52 * value + 2.0 ** -1070
+
+
+# SHA-256 of the sweeps by the family law (entanglement module docstring):
+# libm's cos and sin, then only IEEE multiply, add and divide, so the bytes
+# are the same on every numpy kernel set (numpy 2.4.6, default and baseline
+# X86_V2 kernels).  The local gates B1..B3 give one file, and B4..B7, which
+# share their law, another.  Against the earlier scores of the gate stack
+# through tr(m) and det only |G1| and e_p cells differ, by at most 1.05e-15
+# and 1.03e-15 (checked cell by cell when these were taken): e_p on 370,
+# 370, 234, 284, 358, 358, 284 and 207 of the 2049 rows of B1..B8, |G1| on
+# 426, 655, 655, 426 and 172 of B4..B8; every theta and class is
+# byte-identical.
 SWEEP_2049_SHA256 = {
-    1: "7d0cbded9089292b73cab1c82b323c9e0382f48f9baf54c5de00769c4dc2c363",
-    2: "7d0cbded9089292b73cab1c82b323c9e0382f48f9baf54c5de00769c4dc2c363",
-    3: "b8e302a27f875426bcb060054f1b5e40d1abfc7b09baefa4944c689cc2993af0",
-    4: "0b4300cb96a67c1fb3495c08e2c038d983fd6454e5aa65b176a2342468b2f07c",
-    5: "b0eac7f62aac3ae21c8bced88816d7a242fd996bdadc8bc94d77af1af33d6dc7",
-    6: "b0eac7f62aac3ae21c8bced88816d7a242fd996bdadc8bc94d77af1af33d6dc7",
-    7: "0b4300cb96a67c1fb3495c08e2c038d983fd6454e5aa65b176a2342468b2f07c",
-    8: "e046876b13bec4c8fca01667e6f223f1ee247debc0865a3e21177d70de03db76",
+    1: "e7bdd26c35c18d94de186b06688daefd33ed63505e9c3daaec2f3c16e37bbe0c",
+    2: "e7bdd26c35c18d94de186b06688daefd33ed63505e9c3daaec2f3c16e37bbe0c",
+    3: "e7bdd26c35c18d94de186b06688daefd33ed63505e9c3daaec2f3c16e37bbe0c",
+    4: "4ca49e301a0bbfb628c0de917e63d4ba48539ab4cdd3b153f4dd6ca4552b4956",
+    5: "4ca49e301a0bbfb628c0de917e63d4ba48539ab4cdd3b153f4dd6ca4552b4956",
+    6: "4ca49e301a0bbfb628c0de917e63d4ba48539ab4cdd3b153f4dd6ca4552b4956",
+    7: "4ca49e301a0bbfb628c0de917e63d4ba48539ab4cdd3b153f4dd6ca4552b4956",
+    8: "18d0f2d3d10c0218fa50c890ce3a0b92d73f06426b66a87ea92abe38e7ea10da",
 }
 # SHA-256 of the LMG series by the family law (entanglement module
 # docstring): libm's cos and sin, then only IEEE multiply, add and abs, so
@@ -389,7 +444,7 @@ def _sha256(path) -> str:
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_sweep_csv_is_byte_identical_to_the_per_point_output(tmp_path, capsys, k):
+def test_sweep_csv_has_its_pinned_digest_on_every_kernel_set(tmp_path, capsys, k):
     out = tmp_path / f"b{k}.csv"
     assert main(["sweep", str(k), "--theta-max", THETA_MAX[k], "--steps", "2049",
                  "--out", str(out)]) == 0
@@ -452,11 +507,16 @@ def test_each_b8_sweep_checks_its_grid_once(monkeypatch):
 
 
 def _scalar_sweep_csv(k, thetas) -> str:
+    """The rows of a B_k sweep by the family law, each checked within 2e-15
+    of the scores of its gate, and of the same class."""
     lines = ["theta,g1_abs,ep,class"]
-    for theta in thetas:
-        r = entangling_power(gate(k, float(theta)))
-        lines.append(",".join([fmt_float(theta), fmt_float(r.g1_abs), fmt_float(r.ep),
-                               r.classification]))
+    for theta in thetas.tolist():
+        g1_abs, ep = _sweep_law(k, theta)
+        report = entangling_power(gate(k, theta))
+        assert abs(g1_abs - report.g1_abs) <= 2e-15 and abs(ep - report.ep) <= 2e-15
+        assert CLASSES[_level(ep)] == report.classification
+        lines.append(",".join([fmt_float(theta), fmt_float(g1_abs), fmt_float(ep),
+                               report.classification]))
     return "\n".join(lines) + "\n"
 
 
@@ -566,40 +626,65 @@ def test_a_block_allocates_only_its_row_bytes(tmp_path, capsys, monkeypatch, arg
 
 
 def test_workspace_stages_share_bytes_and_keep_cells_apart_from_rows():
+    # two stages: the cell stage, and over it the phase rows and CSV rows
     layout = cli._workspace_layout(2048)
     spans = {name: (offset, offset + field.itemsize)
              for name, (field, offset) in layout.fields.items()}
-    gate_stage = ["u3", "tmp", "phases"]
     cell_stage = ["table", "scratch", "flags", "digit_zeros", "gather", "words", "layers", "cells"]
-    assert sorted(spans) == sorted(gate_stage + cell_stage + ["rows"])
+    row_stage = ["phases", "rows"]
+    assert sorted(spans) == sorted(cell_stage + row_stage)
 
     def overlap(a, b):
         return spans[a][0] < spans[b][1] and spans[b][0] < spans[a][1]
 
-    for stage in gate_stage, cell_stage:
+    for stage in cell_stage, row_stage:
         assert not any(overlap(a, b) for i, a in enumerate(stage) for b in stage[i + 1:])
-    assert not overlap("rows", "cells")
     assert spans["rows"][1] - spans["rows"][0] == 2048 * (3 * cli._CELL + cli._class_cells().shape[1])
-    cell_bytes = min(spans[name][0] for name in cell_stage), max(spans[name][1] for name in cell_stage)
-    for name in gate_stage:
-        assert cell_bytes[0] <= spans[name][0] and spans[name][1] <= cell_bytes[1]
-    assert layout.itemsize <= 720 * 2048
+    assert spans["phases"][1] - spans["phases"][0] == 2048 * 2 * 16
+    for name in row_stage:  # over the cell stage's bytes, but its cells
+        assert spans["table"][0] <= spans[name][0] and spans[name][1] <= spans["cells"][0]
+    assert layout.itemsize == spans["cells"][1] <= 720 * 2048
     ws = cli._Workspace(2048)
-    assert np.shares_memory(ws.u3, ws.table) and np.shares_memory(ws.rows, ws.scratch)
+    assert np.shares_memory(ws.phases, ws.table) and np.shares_memory(ws.rows, ws.scratch)
     assert not np.shares_memory(ws.rows, ws.cells)
 
 
 @pytest.mark.parametrize("rows", [1, 7, cli._BLOCK])
 def test_workspace_gate_stage_is_shaped_as_the_library_scratch(rows):
-    # the CLI and the library hand the block kernels the same buffers
+    # The one buffer of a law kernel, once the gate stage: the workspace's
+    # phase rows are shaped as the rows a public law function allocates for
+    # a grid of `rows` points, and a series walks its grid in runs of them.
     ws = cli._Workspace(rows)
-    for n in range(1, rows + 1):
-        stage, scratch = ws.gate_stage(n), gates._scratch(n)
-        assert [(a.shape, a.dtype) for a in stage] == [(a.shape, a.dtype) for a in scratch]
-        u3, tmp, phases = stage
-        assert u3.flags.c_contiguous and tmp.flags.c_contiguous
-        assert all(row.flags.c_contiguous for row in phases)
-        assert not any(np.shares_memory(a, b) for a, b in ((u3, tmp), (u3, phases), (tmp, phases)))
+    assert (ws.phases.shape, ws.phases.dtype) == ((2, rows), np.complex128)
+    assert all(row.flags.c_contiguous for row in ws.phases)
+    grid = np.linspace(0.0, 3.0, 2 * rows + 1)
+    runs = list(entanglement._runs(grid, ws.phases))
+    assert [points.size for points, _ in runs] == [rows, rows, 1]
+    assert all(np.shares_memory(phases, ws.phases) and phases.shape == (2, points.size)
+               for points, phases in runs)
+    (points, phases), = entanglement._runs(grid, None)
+    assert np.shares_memory(points, grid) and points.size == grid.size
+    assert (phases.shape, phases.dtype) == ((2, grid.size), np.complex128)
+    for series in (lambda p: entanglement._sweep_into(8, grid, p),
+                   lambda p: entanglement._lmg_profile_into(0.9, 1.7, grid, p)):
+        whole, = series(None)
+        for column, pieces in zip(whole, zip(*series(ws.phases))):
+            assert np.array_equal(column, np.concatenate(pieces))
+
+
+def test_lmg_profile_allocates_only_its_phase_rows_and_columns():
+    # 1e5 points: the (2, N) phase rows (3.2 MB) and the e_p and concurrence
+    # columns (0.8 MB each), no gate stack
+    grid = np.linspace(0.0, math.pi, 10 ** 5)
+    lmg_entanglement_profile(1.0, 2.0, grid[:8])
+    tracemalloc.start()
+    try:
+        t, ep, conc = lmg_entanglement_profile(1.0, 2.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(t, grid) and t.size == ep.size == conc.size == grid.size
+    assert peak < 6 * 2 ** 20
 
 
 def test_blocks_outlive_the_next_block():

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -369,6 +370,29 @@ def test_sweep_b8_endpoint(tmp_path):
     assert last.endswith("special-perfect-entangler")
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8), theta=st.floats(-20.0, 20.0))
+@example(k=1, theta=0.7)  # the report's e_p is 4.9e-17, the row's 0
+@example(k=4, theta=math.pi / 2)
+@example(k=8, theta=math.sqrt(3.0) * math.pi / 2)
+@example(k=8, theta=-0.0)
+def test_gate_report_and_sweep_row_agree_at_the_same_float_theta(k, theta):
+    # the report scores the gate's u3, the row is the family law
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["gate", str(k), f"--theta={theta!r}"]) == 0
+    report = dict(line.split(" = ", 1) for line in out.getvalue().splitlines()[1:] if " = " in line)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(tmp, "row.csv")
+        assert main(["sweep", str(k), f"--theta-min={theta!r}",
+                     f"--theta-max={math.nextafter(theta, math.inf)!r}", "--steps", "2",
+                     "--out", path]) == 0
+        with open(path) as fh:
+            row = fh.read().splitlines()[1].split(",")
+    assert row[0] == cli.fmt_float(theta) and row[3] == report["class"]
+    assert abs(float(row[1]) - float(report["|G1|"])) <= 2e-15
+    assert abs(float(row[2]) - float(report["e_p"])) <= 2e-15
+
+
 def test_sweep_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "5", "--theta-max", "pi", "--steps", "11"]
@@ -601,6 +625,28 @@ def test_sweep_writes_its_csv_into_a_stdout_pipe(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("script, expected", [
+    ("echo first > f.txt; {cmd} >> f.txt", b"first\n{csv}"),
+    ("{{ echo before; {cmd}; echo after; }} > f.txt", b"before\n{csv}after\n"),
+], ids=["append", "group"])
+def test_a_series_to_dev_stdout_keeps_what_the_redirection_holds(tmp_path, capsys, script,
+                                                                 expected):
+    # the rows go to fd 1 at its offset, not to a new file renamed over the
+    # one that stdout is redirected to
+    argv = ["sweep", "1", "--theta-max", "1.4", "--steps", "3"]
+    assert main(argv + ["--out", str(tmp_path / "b1.csv")]) == 0
+    csv = (tmp_path / "b1.csv").read_bytes()
+    entry = "from symgates.cli import main_entry; main_entry()"
+    cmd = " ".join(map(shlex.quote, [sys.executable, "-c", entry, *argv, "--out", "/dev/stdout"]))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parent.parent))
+    run = subprocess.run(["sh", "-c", script.format(cmd=cmd)], cwd=tmp_path, env=env,
+                         stderr=subprocess.PIPE, timeout=120)
+    assert run.returncode == 0
+    assert run.stderr.startswith(b"wrote 3 rows to /dev/stdout\n")
+    assert (tmp_path / "f.txt").read_bytes() == expected.replace(b"{csv}", csv)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
 @pytest.mark.parametrize("argv, line", [
     (["sweep", "8", "--theta-max", "1.7e308"], b"error: 2*theta/sqrt3 must be finite, got inf\n"),
     (["lmg", "--g1", "1", "--g2", "1", "--t-max", "8e307"], b"error: 4*g2*t must be finite, got inf\n"),
@@ -733,9 +779,13 @@ def test_internal_check_failure_is_one_line_with_exit_3(tmp_path, capsys, monkey
     def failing_tail(*invariants):
         raise RuntimeError("entangling power 0.3 out of range [0, 2/9]")
 
-    # one gate is scored by the scalar tail, a grid by the vector tail
+    def failing_series(*args):
+        yield from ()
+        failing_tail()
+
+    # one gate is scored by the scalar tail, a series by its law kernel
     monkeypatch.setattr(entanglement, "_power", failing_tail)
-    monkeypatch.setattr(entanglement, "_power_batch", failing_tail)
+    monkeypatch.setattr(entanglement, "_sweep_into", failing_series)
     assert main(["gate", "4", "--theta", "0.3"]) == 3
     assert capsys.readouterr().err == (
         "error: internal check failed: entangling power 0.3 out of range [0, 2/9]\n")
@@ -913,7 +963,7 @@ def test_gate_report_is_deterministic(capsys):
 # `act` hashes of B8, B2 and B5 were retaken when `apply_gate` started to
 # embed u3 @ vec3 instead of multiplying by u4: their last printed digit
 # moved (amplitudes by at most 1.6e-16, the B2 concurrence from 0 to 2.2e-16).
-# Like the sweep CSV hashes of test_batch.py they depend on numpy's SIMD
+# Unlike the series CSV hashes of test_batch.py they depend on numpy's SIMD
 # dispatch: without FMA kernels the third report (`act 1 --theta 0.3`)
 # prints other last digits.
 DECOMPOSE_INPUTS = {

@@ -37,8 +37,8 @@ def test_exported_names_are_the_listed_ones():
 
 
 def test_cli_uses_no_private_name_of_another_module():
-    # but the three `_into` forms that build a series block in the CLI's
-    # workspace, whose public forms allocate their own arrays
+    # but the two law kernels that compute a series block in the CLI's
+    # workspace, whose public forms allocate their own phase rows
     modules = {name for name, value in vars(cli).items()
                if isinstance(value, types.ModuleType) and value.__name__.startswith("symgates.")}
     assert modules
@@ -46,8 +46,7 @@ def test_cli_uses_no_private_name_of_another_module():
                for node in ast.walk(ast.parse(inspect.getsource(cli)))
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id in modules and node.attr.startswith("_")}
-    assert private == {"gates._gates_into", "entanglement._scores_into",
-                       "entanglement._lmg_profile_into"}
+    assert private == {"entanglement._sweep_into", "entanglement._lmg_profile_into"}
 
 
 def test_failure_checks_live_in_linalg():
